@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lme/internal/core"
@@ -50,8 +51,6 @@ const (
 	// DefaultSeed seeds the delay/think randomness, matching lme.Config's
 	// seed-0-means-1 handling.
 	DefaultSeed = 1
-	// DefaultTraceRing is the per-cluster event ring capacity.
-	DefaultTraceRing = 1024
 )
 
 // Config parameterises a live cluster. The field vocabulary matches
@@ -62,12 +61,6 @@ type Config struct {
 	// Default DefaultMaxMessageDelay. Only the channel transport imposes
 	// it; UDP links have whatever delay the network gives them.
 	MaxMessageDelay time.Duration
-
-	// MaxDelay is the pre-lock-service name of MaxMessageDelay.
-	//
-	// Deprecated: set MaxMessageDelay. Honoured only when
-	// MaxMessageDelay is zero.
-	MaxDelay time.Duration
 
 	// EatTime is the critical-section hold time τ of the self-driving
 	// workload (Run and the load generator). Default DefaultEatTime.
@@ -96,16 +89,14 @@ type Config struct {
 	// spans over real clocks, summarised by SpanSummary after Stop.
 	Spans bool
 
-	// TraceRing overrides the event ring capacity (default
-	// DefaultTraceRing).
+	// TraceRing keeps the last TraceRing events on the bus for
+	// Bus().Recent. The default 0 keeps none; a ring consumes every event
+	// kind, so setting it puts every frame on the bus (see Bus).
 	TraceRing int
 }
 
 // withDefaults is the single place live defaults are applied.
 func (cfg Config) withDefaults() Config {
-	if cfg.MaxMessageDelay <= 0 {
-		cfg.MaxMessageDelay = cfg.MaxDelay // deprecated alias
-	}
 	if cfg.MaxMessageDelay <= 0 {
 		cfg.MaxMessageDelay = DefaultMaxMessageDelay
 	}
@@ -126,9 +117,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = DefaultLeaseTTL
-	}
-	if cfg.TraceRing <= 0 {
-		cfg.TraceRing = DefaultTraceRing
 	}
 	return cfg
 }
@@ -162,7 +150,8 @@ const (
 	evStop
 )
 
-// mailbox is an unbounded FIFO queue with blocking pop.
+// mailbox is an unbounded FIFO queue whose consumer takes everything
+// queued at once.
 type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -187,19 +176,21 @@ func (m *mailbox) push(e event) {
 	m.cond.Signal()
 }
 
-// pop dequeues the next event, blocking; ok=false after close and drain.
-func (m *mailbox) pop() (event, bool) {
+// drain blocks until events are queued, then takes the whole queue in
+// one lock hold and leaves spare (the caller's previous batch, zeroed) as
+// the new queue — a double buffer, so a turn costs one lock hold however
+// many events it handles. ok=false after close and drain.
+func (m *mailbox) drain(spare []event) (batch []event, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for len(m.items) == 0 && !m.closed {
 		m.cond.Wait()
 	}
 	if len(m.items) == 0 {
-		return event{}, false
+		return nil, false
 	}
-	e := m.items[0]
-	m.items = m.items[1:]
-	return e, true
+	batch, m.items = m.items, spare[:0]
+	return batch, true
 }
 
 // close wakes all waiters; pending events are still drained.
@@ -224,7 +215,6 @@ type Cluster struct {
 	bus   *trace.Bus
 	busMu sync.Mutex // the bus is single-threaded; live goroutines serialise here
 	namer *trace.TypeNamer
-	reg   *metrics.Registry
 	spans *span.Collector
 
 	start   time.Time
@@ -251,6 +241,15 @@ type liveNode struct {
 	// mseq is the node's monotone message id; only the node's event loop
 	// (and Init, which runs before the loops start) sends, so no atomics.
 	mseq uint64
+
+	// out holds the frames the current turn produced, in send order, until
+	// flushOut hands them to the transport; same single owner as mseq.
+	out []Frame
+
+	// sent and delivered count the frames this node handed to the
+	// transport and the transport delivered to it. Per node, so the frame
+	// path shares no cache line across the cluster.
+	sent, delivered atomic.Uint64
 
 	// last is the previously reported state; only the node's own loop
 	// writes it (protocols report transitions synchronously from their
@@ -282,7 +281,6 @@ func New(cfg Config, g *graph.Graph, protocols []core.Protocol) (*Cluster, error
 		meals:  make([]int, g.N()),
 		bus:    trace.NewBus(cfg.TraceRing),
 		namer:  trace.NewTypeNamer(),
-		reg:    metrics.NewRegistry(),
 		grant:  metrics.NewSketch(),
 		stopCh: make(chan struct{}),
 	}
@@ -303,7 +301,6 @@ func New(cfg Config, g *graph.Graph, protocols []core.Protocol) (*Cluster, error
 		})
 	}
 	c.checker = metrics.NewSafetyChecker(topoAdapter{c})
-	metrics.Instrument(c.bus, c.reg, c.namer)
 	if cfg.Spans {
 		c.spans = span.New()
 		c.spans.Attach(c.bus)
@@ -332,7 +329,11 @@ func (t topoAdapter) Neighbors(id core.NodeID) []core.NodeID {
 
 // Bus exposes the cluster's typed event stream. Subscribe before Start;
 // the bus itself is single-threaded, so the cluster serialises publishes
-// from its goroutines internally, and subscribers run one at a time.
+// from its goroutines internally, and subscribers run one at a time. The
+// stream is pay-per-subscriber: the cluster publishes only the kinds
+// something consumes (a Subscribe, Config.Spans, a TraceRing or a sink),
+// and a cluster nobody observes publishes nothing and never takes the
+// serialising lock on the frame path.
 func (c *Cluster) Bus() *trace.Bus { return c.bus }
 
 // now is the cluster-relative clock in virtual-time units (µs).
@@ -367,6 +368,7 @@ func (c *Cluster) Start() error {
 	// queue in the inboxes until the loops drain them.
 	for _, n := range c.nodes {
 		n.proto.Init(&liveEnv{node: n})
+		n.flushOut()
 	}
 	for _, n := range c.nodes {
 		n := n
@@ -411,6 +413,7 @@ func (c *Cluster) Stop() error {
 // deliver is the transport's callback: it publishes the deliver event
 // and hands the message to the destination's event loop.
 func (c *Cluster) deliver(f Frame) {
+	c.nodes[f.To].delivered.Add(1)
 	if c.bus.Wants(trace.KindDeliver) {
 		c.busMu.Lock()
 		name, size, id := c.namer.Info(f.Msg)
@@ -428,8 +431,8 @@ func (c *Cluster) deliver(f Frame) {
 	c.nodes[f.To].inbox.push(event{kind: evMessage, from: f.From, msg: f.Msg})
 }
 
-// send stamps the frame with the node's message id and hands it to the
-// transport, publishing the send event.
+// send stamps the frame with the node's message id, publishes the send
+// event and queues the frame for the end of the turn (flushOut).
 func (n *liveNode) send(to core.NodeID, msg core.Message) {
 	c := n.c
 	n.mseq++
@@ -443,7 +446,28 @@ func (n *liveNode) send(to core.NodeID, msg core.Message) {
 		})
 		c.busMu.Unlock()
 	}
-	c.tr.Send(f)
+	n.out = append(n.out, f)
+}
+
+// flushOut ends a turn: it hands the frames the turn produced to the
+// transport in send order, each corked (Frame.More) unless it is the
+// last one for its link, so a transport that packs datagrams writes one
+// per link per turn, at once. The scan for a later frame on the same
+// link stops at the first hit, which keeps the pass O(frames × degree).
+func (n *liveNode) flushOut() {
+	out := n.out
+	if len(out) == 0 {
+		return
+	}
+	for i := range out {
+		for j := i + 1; j < len(out) && !out[i].More; j++ {
+			out[i].More = out[j].To == out[i].To
+		}
+		n.c.tr.Send(out[i])
+	}
+	n.sent.Add(uint64(len(out)))
+	clear(out) // drop the payload references, keep the capacity
+	n.out = out[:0]
 }
 
 // Run drives the cluster for the given wall-clock duration with the
@@ -557,16 +581,20 @@ func (c *Cluster) ExpiredLeases() uint64 {
 
 // MessagesSent reports protocol frames handed to the transport.
 func (c *Cluster) MessagesSent() uint64 {
-	c.busMu.Lock()
-	defer c.busMu.Unlock()
-	return c.reg.Counter(metrics.CtrSent)
+	var total uint64
+	for _, n := range c.nodes {
+		total += n.sent.Load()
+	}
+	return total
 }
 
 // MessagesDelivered reports frames the transport delivered.
 func (c *Cluster) MessagesDelivered() uint64 {
-	c.busMu.Lock()
-	defer c.busMu.Unlock()
-	return c.reg.Counter(metrics.CtrDelivered)
+	var total uint64
+	for _, n := range c.nodes {
+		total += n.delivered.Load()
+	}
+	return total
 }
 
 // SpanSummary returns the span layer's fold of the run (zero value when
@@ -600,39 +628,50 @@ func (c *Cluster) onState(n *liveNode, old, new core.State) {
 }
 
 // loop is the node's single thread of control: it is the only goroutine
-// that ever calls into the protocol after Init.
+// that ever calls into the protocol after Init. Its unit of work is the
+// turn: everything the mailbox holds is handled back to back, then the
+// frames those handlers sent leave together (flushOut).
 func (n *liveNode) loop() {
 	crashed := false
+	var spare []event
 	for {
-		e, ok := n.inbox.pop()
+		batch, ok := n.inbox.drain(spare)
 		if !ok {
 			return
 		}
-		if crashed && e.kind != evStop {
-			continue // a crashed node silently discards everything
+		for _, e := range batch {
+			if crashed && e.kind != evStop {
+				continue // a crashed node silently discards everything
+			}
+			switch e.kind {
+			case evMessage:
+				n.proto.OnMessage(e.from, e.msg)
+			case evAcquire:
+				if n.proto.State() == core.Thinking {
+					n.proto.BecomeHungry()
+				}
+			case evRelease:
+				if n.proto.State() == core.Eating {
+					n.proto.ExitCS()
+				}
+			case evCrash:
+				// A node that crashed while eating keeps occupying its
+				// critical section for safety accounting — its forks
+				// are gone with it, exactly the paper's model. What it
+				// sent earlier in this turn was sent before the crash
+				// and still leaves.
+				crashed = true
+				if n.c.bus.Wants(trace.KindCrash) {
+					n.c.emit(trace.Event{Kind: trace.KindCrash, Node: n.id, Peer: trace.NoNode})
+				}
+			case evStop:
+				n.flushOut()
+				return
+			}
 		}
-		switch e.kind {
-		case evMessage:
-			n.proto.OnMessage(e.from, e.msg)
-		case evAcquire:
-			if n.proto.State() == core.Thinking {
-				n.proto.BecomeHungry()
-			}
-		case evRelease:
-			if n.proto.State() == core.Eating {
-				n.proto.ExitCS()
-			}
-		case evCrash:
-			// A node that crashed while eating keeps occupying its
-			// critical section for safety accounting — its forks
-			// are gone with it, exactly the paper's model.
-			crashed = true
-			if n.c.bus.Wants(trace.KindCrash) {
-				n.c.emit(trace.Event{Kind: trace.KindCrash, Node: n.id, Peer: trace.NoNode})
-			}
-		case evStop:
-			return
-		}
+		n.flushOut()
+		clear(batch) // drop the message references before the buffer is reused
+		spare = batch
 	}
 }
 

@@ -30,6 +30,13 @@ type Frame struct {
 	// SentAt is the cluster-relative send instant in microseconds; the
 	// delivery path derives the link delay from it.
 	SentAt sim.Time
+	// More is the sender's cork: another frame for this same directed
+	// link follows right now, so the transport may hold this one back to
+	// share a datagram with it. The zero value means "transmit now". It
+	// is a field of Frame, not an optional interface, so it survives
+	// decorators that forward Frame by value. It is advice to Send only:
+	// it never crosses the wire and means nothing on a delivered frame.
+	More bool
 }
 
 // DeliverFunc receives frames from a transport. Calls are sequential per
@@ -51,6 +58,11 @@ type DeliverFunc func(Frame)
 //     link assumption; implementations over lossy media (UDP) restore it
 //     with sequence numbers, a reorder buffer, retransmission and
 //     duplicate suppression.
+//   - Frame.More is a hint, not a dependency: a frame sent with it is
+//     still delivered, in bounded time, if no further frame ever follows
+//     on its link (the UDP shim's retransmission covers a broken
+//     promise), and a frame sent without it is never held back to wait
+//     for company. A transport with nothing to batch ignores the bit.
 //   - No delivery on unknown links: Send on a pair that is not an edge of
 //     the cluster graph silently drops the frame.
 //   - No delivery after LinkDown(a, b): the link is removed in both
@@ -117,14 +129,16 @@ func newFrameQueue() *frameQueue {
 	return q
 }
 
-func (q *frameQueue) push(f Frame) {
+// push enqueues f and reports whether the link still takes frames.
+func (q *frameQueue) push(f Frame) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
-		return
+		return false
 	}
 	q.items = append(q.items, f)
 	q.cond.Signal()
+	return true
 }
 
 func (q *frameQueue) pop() (Frame, bool) {
@@ -139,6 +153,7 @@ func (q *frameQueue) pop() (Frame, bool) {
 		return Frame{}, false
 	}
 	f := q.items[0]
+	q.items[0] = Frame{} // the backing array must not keep the payload alive
 	q.items = q.items[1:]
 	return f, true
 }
@@ -163,12 +178,15 @@ func (q *frameQueue) close() {
 // and one forwarder goroutine per directed link, each adding a uniform
 // random delay in (0, MaxDelay] before handing the frame to the cluster.
 // It keeps the live tests hermetic (no sockets) and race-clean, and it is
-// the transport the 10k-node load generator runs on.
+// the transport the 10k-node load generator runs on. It has no datagrams
+// to share, so it ignores Frame.More.
 type ChannelTransport struct {
 	maxDelay time.Duration
 	seed     uint64
 
-	mu      sync.Mutex
+	// links is built once by the constructor and never written again, so
+	// Send reads it without a lock; a link that went down is a closed
+	// queue, not a missing entry.
 	links   map[linkKey]*frameQueue
 	started bool
 
@@ -208,8 +226,6 @@ func NewChannelTransport(g *graph.Graph, maxDelay time.Duration, seed uint64) *C
 
 // Start launches one forwarder goroutine per directed link.
 func (t *ChannelTransport) Start(deliver DeliverFunc) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.started {
 		return errAlreadyStarted
 	}
@@ -252,12 +268,8 @@ func (t *ChannelTransport) Send(f Frame) {
 	if t.closed.Load() {
 		return
 	}
-	t.mu.Lock()
-	q := t.links[linkKey{f.From, f.To}]
-	t.mu.Unlock()
-	if q != nil {
+	if q := t.links[linkKey{f.From, f.To}]; q != nil && q.push(f) {
 		t.framesSent.Add(1)
-		q.push(f)
 	}
 }
 
@@ -265,13 +277,10 @@ func (t *ChannelTransport) Send(f Frame) {
 // zeros for the reliability-shim counters — in-process queues never
 // retransmit, duplicate or reorder, and the zeros say so explicitly.
 func (t *ChannelTransport) Stats() telemetry.TransportStats {
-	t.mu.Lock()
-	links := len(t.links)
-	t.mu.Unlock()
 	return telemetry.TransportStats{
 		Schema:          telemetry.Schema,
 		Kind:            "channel",
-		Links:           links,
+		Links:           len(t.links),
 		FramesSent:      t.framesSent.Load(),
 		FramesDelivered: t.framesDelivered.Load(),
 		AckRTTUS:        metrics.NewSketch().Snapshot(),
@@ -281,16 +290,10 @@ func (t *ChannelTransport) Stats() telemetry.TransportStats {
 // LinkDown removes the link in both directions; in-flight frames on it
 // are destroyed with the queues.
 func (t *ChannelTransport) LinkDown(a, b core.NodeID) {
-	t.mu.Lock()
-	qa, qb := t.links[linkKey{a, b}], t.links[linkKey{b, a}]
-	delete(t.links, linkKey{a, b})
-	delete(t.links, linkKey{b, a})
-	t.mu.Unlock()
-	if qa != nil {
-		qa.close()
-	}
-	if qb != nil {
-		qb.close()
+	for _, key := range []linkKey{{a, b}, {b, a}} {
+		if q := t.links[key]; q != nil {
+			q.close()
+		}
 	}
 }
 
@@ -299,11 +302,7 @@ func (t *ChannelTransport) Close() error {
 	if t.closed.Swap(true) {
 		return nil
 	}
-	t.mu.Lock()
-	links := t.links
-	t.links = map[linkKey]*frameQueue{}
-	t.mu.Unlock()
-	for _, q := range links {
+	for _, q := range t.links {
 		q.close()
 	}
 	t.wg.Wait()

@@ -2,7 +2,8 @@ package livenet
 
 // Transport conformance suite: every Transport implementation must pass
 // these against the documented contract (FIFO per directed link,
-// exactly-once delivery, no delivery on downed links, quiescence after
+// exactly-once delivery whatever mix of corked and uncorked frames the
+// sender hands over, no delivery on downed links, quiescence after
 // Close). Run against both the in-proc channel transport and the UDP
 // loopback transport.
 
@@ -119,6 +120,7 @@ func TestTransportConformance(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Run("FIFOPerLink", func(t *testing.T) { testFIFOPerLink(t, mk) })
 			t.Run("ExactlyOnce", func(t *testing.T) { testExactlyOnce(t, mk) })
+			t.Run("CorkedMix", func(t *testing.T) { testCorkedMix(t, mk) })
 			t.Run("UnknownLinkDropped", func(t *testing.T) { testUnknownLink(t, mk) })
 			t.Run("NoDeliveryAfterLinkDown", func(t *testing.T) { testLinkDown(t, mk) })
 			t.Run("QuiescentAfterClose", func(t *testing.T) { testClose(t, mk) })
@@ -211,6 +213,76 @@ func testExactlyOnce(t *testing.T, mk transportMaker) {
 	}
 	if len(seen) != msgs {
 		t.Fatalf("distinct messages delivered = %d, want %d", len(seen), msgs)
+	}
+}
+
+// testCorkedMix interleaves corked runs of every length from 0 to 7 with
+// the uncorked frame that ends each, on two links of one sender and the
+// reverse link at once — the shape a node's turn produces. Frame.More may
+// change how frames share datagrams, never what is delivered: FIFO per
+// link, exactly once, and nothing left behind once the last uncorked
+// frame is out.
+func testCorkedMix(t *testing.T, mk transportMaker) {
+	g := graph.Line(3)
+	tr := mk(t, g)
+	if udp, ok := tr.(*UDPTransport); ok {
+		udp.mangle = func(pkt []byte) [][]byte { return [][]byte{pkt, pkt} }
+	}
+	col := newCollector()
+	if err := tr.Start(col.deliver); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	defer tr.Close() //nolint:errcheck
+
+	const runs = 64
+	perLink := 0
+	for r := 0; r < runs; r++ {
+		perLink += r%8 + 1
+	}
+	var wg sync.WaitGroup
+	// Node 1 sends to both neighbours from one goroutine, as a node loop
+	// does; node 0 floods the reverse link concurrently.
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		n := 0
+		for r := 0; r < runs; r++ {
+			for i := r%8 + 1; i > 0; i-- {
+				for _, to := range []core.NodeID{0, 2} {
+					tr.Send(Frame{From: 1, To: to, Msg: confMsg{N: n}, Mseq: uint64(2*n) + uint64(to)/2 + 1, More: i > 1})
+				}
+				n++
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		n := 0
+		for r := 0; r < runs; r++ {
+			for i := r%8 + 1; i > 0; i-- {
+				tr.Send(Frame{From: 0, To: 1, Msg: confMsg{N: n}, Mseq: uint64(n) + 1, More: i > 1})
+				n++
+			}
+		}
+	}()
+	wg.Wait()
+
+	links := [][2]core.NodeID{{1, 0}, {1, 2}, {0, 1}}
+	want := perLink * len(links)
+	if !waitFor(t, 5*time.Second, func() bool { return col.count() >= want }) {
+		t.Fatalf("delivered %d of %d frames", col.count(), want)
+	}
+	time.Sleep(20 * time.Millisecond) // give duplicates a moment to surface
+	for _, l := range links {
+		frames := col.link(l[0], l[1])
+		if len(frames) != perLink {
+			t.Fatalf("link %v→%v: %d frames, want exactly %d", l[0], l[1], len(frames), perLink)
+		}
+		for n, f := range frames {
+			if m := f.Msg.(confMsg); m.N != n {
+				t.Fatalf("link %v→%v: frame %d carries N=%d — FIFO violated", l[0], l[1], n, m.N)
+			}
+		}
 	}
 }
 

@@ -29,31 +29,32 @@ import (
 // datagram carries many frames for a directed link plus an optional
 // piggybacked cumulative ACK for the reverse direction (see
 // wire/dgram.go for the byte layout, DESIGN.md §15 for the rules).
-// Outbound frames accumulate in a per-link datagram buffer that is
-// flushed when it reaches the MTU budget or after a short linger
-// (FlushDelay); ACKs are never sent eagerly — the receiver owes one
-// after each data datagram, and the debt is settled by riding on the
-// next data datagram to that peer or, failing that, by a standalone ACK
-// datagram when the same linger expires. Payloads are encoded by the
+// Outbound frames accumulate in a per-link datagram buffer that Send
+// writes to the socket itself as soon as a frame arrives uncorked
+// (!Frame.More) or the buffer reaches the MTU budget — data never waits
+// on a timer. ACKs are never sent eagerly: the receiver owes one after
+// each data datagram, and the debt is settled by riding on the next data
+// datagram to that peer or, failing that, by a standalone ACK datagram
+// once it has waited RTO/8. Payloads are encoded by the
 // zero-allocation codecs each algorithm's wire.go registers with
 // internal/wire; the gob path (UDPOptions.Gob) is retained as the
 // differential-test oracle and benchmark baseline.
 const (
 	udpMaxPayload = 60 << 10
 
-	// defaultUDPMTU is the datagram coalescing budget: a flush triggers
-	// once the buffer reaches it. It is a soft budget sized to the
+	// defaultUDPMTU is the datagram coalescing budget: corked frames go
+	// out once the buffer reaches it. It is a soft budget sized to the
 	// classic ethernet-safe payload; a single oversized frame still goes
 	// out alone (loopback carries up to 64 KiB).
 	defaultUDPMTU = 1400
 
-	// defaultUDPFlushDelay is the coalescing linger: the longest a
-	// buffered frame or owed ACK may wait for company. It is two orders
-	// of magnitude below the RTO, so delayed ACKs never provoke spurious
-	// retransmission.
-	defaultUDPFlushDelay = 150 * time.Microsecond
-
 	defaultUDPRTO = 20 * time.Millisecond
+
+	// ackDelayDiv derives the delayed-ACK wait from the RTO: an owed ACK
+	// waits RTO/8 for reverse data to ride on before it costs a datagram
+	// of its own — long enough that a request's ACK rides on the reply,
+	// far enough below the RTO that it never provokes a retransmission.
+	ackDelayDiv = 8
 )
 
 // UDPOptions configures the UDP transport; zero values select the
@@ -61,8 +62,6 @@ const (
 type UDPOptions struct {
 	// RTO is the retransmission timeout (default 20ms).
 	RTO time.Duration
-	// FlushDelay is the datagram coalescing linger (default 150µs).
-	FlushDelay time.Duration
 	// MTU is the datagram coalescing budget in bytes (default 1400).
 	MTU int
 	// Gob switches payload encoding to the encoding/gob oracle (one
@@ -84,17 +83,18 @@ type udpSendLink struct {
 	unacked []udpPending
 	down    bool
 
-	// Datagram under construction. gen counts buffer hand-offs so a
-	// lingering flush-timer entry can recognise that its buffer already
-	// left (MTU overflow, LinkDown); scheduled records that a timer
-	// entry is outstanding for the current gen.
+	// Datagram under construction: corked frames waiting for the turn's
+	// last frame on this link. gen counts buffer hand-offs so a delayed-ACK
+	// queue entry can recognise that its debt already rode out on data
+	// (or the link went down); scheduled records that an entry is
+	// outstanding for the current gen.
 	buf       []byte
 	bufFrames uint64
 	gen       uint64
 	scheduled bool
 	// ackOwed/ackSeq is the cumulative-ACK debt for the reverse link:
-	// settled by piggybacking on the next flush, or by a standalone ACK
-	// datagram when the linger fires with an empty buffer.
+	// settled by piggybacking on the next data datagram, or by a
+	// standalone ACK datagram when the ACK delay expires first.
 	ackOwed bool
 	ackSeq  uint64
 
@@ -119,9 +119,9 @@ type udpPending struct {
 // udpRecvLink is the receiver half of one directed link.
 type udpRecvLink struct {
 	mu       sync.Mutex
-	nextSeq  uint64                // next in-order seq expected (1-based)
-	lastMseq uint64                // msg-id dedup guard: delivered ids are strictly increasing
-	reorder  map[uint64]udpParked  // out-of-order frames keyed by seq
+	nextSeq  uint64               // next in-order seq expected (1-based)
+	lastMseq uint64               // msg-id dedup guard: delivered ids are strictly increasing
+	reorder  map[uint64]udpParked // out-of-order frames keyed by seq
 	down     bool
 
 	// Wire telemetry, cumulative, guarded by mu.
@@ -144,10 +144,10 @@ type udpParked struct {
 // window are dropped and recovered by retransmission.
 const udpReorderCap = 1024
 
-// flushReq is one entry of the flush queue: link key, the buffer
-// generation it was scheduled for, and the deadline. Deadlines are
-// monotone (every entry is now+FlushDelay), so FIFO pop order is
-// deadline order and one goroutine drains the queue with a single timer.
+// flushReq is one entry of the delayed-ACK queue: link key, the buffer
+// generation the debt was recorded in, and the deadline. Deadlines are
+// monotone (every entry is now+RTO/8), so FIFO pop order is deadline
+// order and one goroutine drains the queue with a single timer.
 type flushReq struct {
 	key linkKey
 	gen uint64
@@ -175,15 +175,14 @@ type UDPTransport struct {
 	send map[linkKey]*udpSendLink
 	recv map[linkKey]*udpRecvLink
 
-	deliver    DeliverFunc
-	rto        time.Duration
-	flushDelay time.Duration
-	mtu        int
-	gob        bool
-	started    bool
-	closed     atomic.Bool
-	stopCh     chan struct{}
-	wg         sync.WaitGroup
+	deliver DeliverFunc
+	rto     time.Duration
+	mtu     int
+	gob     bool
+	started bool
+	closed  atomic.Bool
+	stopCh  chan struct{}
+	wg      sync.WaitGroup
 
 	flushMu   sync.Mutex
 	flushCond *sync.Cond
@@ -220,26 +219,22 @@ func NewUDPTransportOpts(g *graph.Graph, opts UDPOptions) (*UDPTransport, error)
 	if opts.RTO <= 0 {
 		opts.RTO = defaultUDPRTO
 	}
-	if opts.FlushDelay <= 0 {
-		opts.FlushDelay = defaultUDPFlushDelay
-	}
 	if opts.MTU <= 0 {
 		opts.MTU = defaultUDPMTU
 	}
 	n := g.N()
 	t := &UDPTransport{
-		n:          n,
-		nbrs:       make([][]core.NodeID, n),
-		conns:      make([]*net.UDPConn, n),
-		addrs:      make([]*net.UDPAddr, n),
-		send:       make(map[linkKey]*udpSendLink, 2*len(g.Edges())),
-		recv:       make(map[linkKey]*udpRecvLink, 2*len(g.Edges())),
-		rto:        opts.RTO,
-		flushDelay: opts.FlushDelay,
-		mtu:        opts.MTU,
-		gob:        opts.Gob,
-		stopCh:     make(chan struct{}),
-		rtt:        metrics.NewSketch(),
+		n:      n,
+		nbrs:   make([][]core.NodeID, n),
+		conns:  make([]*net.UDPConn, n),
+		addrs:  make([]*net.UDPAddr, n),
+		send:   make(map[linkKey]*udpSendLink, 2*len(g.Edges())),
+		recv:   make(map[linkKey]*udpRecvLink, 2*len(g.Edges())),
+		rto:    opts.RTO,
+		mtu:    opts.MTU,
+		gob:    opts.Gob,
+		stopCh: make(chan struct{}),
+		rtt:    metrics.NewSketch(),
 	}
 	t.flushCond = sync.NewCond(&t.flushMu)
 	for i := 0; i < n; i++ {
@@ -274,7 +269,7 @@ func (t *UDPTransport) closeConns() {
 	}
 }
 
-// Start launches one reader goroutine per socket, the flush-timer
+// Start launches one reader goroutine per socket, the delayed-ACK
 // goroutine and the retransmission loop.
 func (t *UDPTransport) Start(deliver DeliverFunc) error {
 	if t.started {
@@ -293,11 +288,14 @@ func (t *UDPTransport) Start(deliver DeliverFunc) error {
 }
 
 // Send encodes the frame into the link's datagram buffer, registers it
-// as unacknowledged, and either flushes (MTU budget reached) or arms the
-// coalescing linger. Drops silently on unknown or downed links,
-// oversized payloads, and after Close — the same semantics as the
-// channel transport. A message type with no registered codec panics:
-// the failure must be loud at the sender, not a mystery at the peer.
+// as unacknowledged, and writes the datagram on the caller's goroutine
+// unless the frame is corked (f.More) and the MTU budget still has room:
+// no timer, no hand-off. A corked frame whose follow-up never comes is
+// already in unacked, so the RTO loop transmits it. Drops silently on
+// unknown or downed links, oversized payloads, and after Close — the
+// same semantics as the channel transport. A message type with no
+// registered codec panics: the failure must be loud at the sender, not a
+// mystery at the peer.
 func (t *UDPTransport) Send(f Frame) {
 	if t.closed.Load() {
 		return
@@ -361,21 +359,14 @@ func (t *UDPTransport) Send(f Frame) {
 	copy(frame, sl.buf[frameStart:])
 	sl.unacked = append(sl.unacked, udpPending{seq: seq, frame: frame, lastSent: time.Now()})
 
-	if len(sl.buf) >= t.mtu {
-		pkt := t.takeLocked(sl)
+	if f.More && len(sl.buf) < t.mtu {
 		sl.mu.Unlock()
-		t.writeDgram(key, pkt)
-		putDgramBuf(pkt)
 		return
 	}
-	if !sl.scheduled {
-		sl.scheduled = true
-		gen := sl.gen
-		sl.mu.Unlock()
-		t.scheduleFlush(key, gen)
-		return
-	}
+	pkt := t.takeLocked(sl)
 	sl.mu.Unlock()
+	t.writeDgram(key, pkt)
+	putDgramBuf(pkt)
 }
 
 // rollbackEmpty recycles the link's datagram buffer if a rolled-back
@@ -390,7 +381,7 @@ func (t *UDPTransport) rollbackEmpty(sl *udpSendLink) {
 
 // takeLocked hands the link's datagram buffer to the caller for writing:
 // it settles any owed ACK by piggybacking, advances the buffer
-// generation (invalidating scheduled flushes) and books the wire
+// generation (invalidating the delayed-ACK entry) and books the wire
 // telemetry. Caller holds sl.mu and must putDgramBuf after writing.
 func (t *UDPTransport) takeLocked(sl *udpSendLink) []byte {
 	pkt := sl.buf
@@ -410,10 +401,9 @@ func (t *UDPTransport) takeLocked(sl *udpSendLink) []byte {
 	return pkt
 }
 
-// scheduleFlush arms the coalescing linger for one link buffer
-// generation.
+// scheduleFlush arms the ACK delay for one link buffer generation.
 func (t *UDPTransport) scheduleFlush(key linkKey, gen uint64) {
-	req := flushReq{key: key, gen: gen, at: time.Now().Add(t.flushDelay)}
+	req := flushReq{key: key, gen: gen, at: time.Now().Add(t.rto / ackDelayDiv)}
 	t.flushMu.Lock()
 	if t.flushStop {
 		t.flushMu.Unlock()
@@ -424,9 +414,9 @@ func (t *UDPTransport) scheduleFlush(key linkKey, gen uint64) {
 	t.flushMu.Unlock()
 }
 
-// flushLoop drains the flush queue: entries are appended with a uniform
-// linger, so the head is always the earliest deadline — one goroutine
-// and one timer serve every link.
+// flushLoop drains the delayed-ACK queue: entries are appended with a
+// uniform delay, so the head is always the earliest deadline — one
+// goroutine and one timer serve every link.
 func (t *UDPTransport) flushLoop() {
 	defer t.wg.Done()
 	timer := time.NewTimer(time.Hour)
@@ -459,10 +449,11 @@ func (t *UDPTransport) flushLoop() {
 	}
 }
 
-// flushLink settles one linger expiry: if the scheduled buffer
-// generation is still current it goes to the wire (data, with any owed
-// ACK riding along), or — with no buffered frames — an owed ACK goes out
-// as a standalone ACK datagram.
+// flushLink settles one ACK-delay expiry. If the generation is still
+// current no data datagram has left since the debt was recorded: the
+// owed ACK goes out standalone — or, when corked frames are buffered
+// (their follow-up has not arrived yet, or never will), on a datagram
+// with them.
 func (t *UDPTransport) flushLink(key linkKey, gen uint64) {
 	sl := t.send[key]
 	if sl == nil || t.closed.Load() {
@@ -625,38 +616,40 @@ func (t *UDPTransport) read(id core.NodeID) {
 
 // onAck discards acknowledged frames from the link's retransmit queue
 // and samples their round trips (first-transmission frames only — a
-// retransmitted frame's ACK cannot be attributed to one send).
+// retransmitted frame's ACK cannot be attributed to one send). The
+// sample spans encode → cumulative ACK, so on a link whose ACKs go
+// standalone it includes the receiver's ACK delay.
 func (t *UDPTransport) onAck(key linkKey, cum uint64) {
 	sl := t.send[key]
 	if sl == nil {
 		return
 	}
 	now := time.Now()
-	var rtts []float64
 	sl.mu.Lock()
-	keep := sl.unacked[:0]
-	for _, p := range sl.unacked {
-		if p.seq > cum {
-			keep = append(keep, p)
-		} else if !p.resent {
-			rtts = append(rtts, float64(now.Sub(p.lastSent))/float64(time.Microsecond))
-		}
+	// unacked is in seq order, so a cumulative ACK covers a prefix.
+	k := 0
+	for k < len(sl.unacked) && sl.unacked[k].seq <= cum {
+		k++
 	}
-	sl.unacked = keep
-	sl.mu.Unlock()
-	if len(rtts) > 0 {
+	if k > 0 {
 		t.rttMu.Lock()
-		for _, v := range rtts {
-			t.rtt.ObserveFloat(v)
+		for _, p := range sl.unacked[:k] {
+			if !p.resent {
+				t.rtt.ObserveFloat(float64(now.Sub(p.lastSent)) / float64(time.Microsecond))
+			}
 		}
 		t.rttMu.Unlock()
+		rest := copy(sl.unacked, sl.unacked[k:])
+		clear(sl.unacked[rest:])
+		sl.unacked = sl.unacked[:rest]
 	}
+	sl.mu.Unlock()
 }
 
 // onFrames runs the receiver shim over every frame of one datagram —
 // dedup, reorder, in-sequence delivery — then records the cumulative-ACK
-// debt on the reverse link (absorbed into pending outbound data, or sent
-// standalone when the linger fires).
+// debt on the reverse link (absorbed into the next outbound data
+// datagram, or sent standalone when the ACK delay expires).
 func (t *UDPTransport) onFrames(key linkKey, body []byte, gobbed bool) {
 	rl := t.recv[key]
 	if rl == nil {
@@ -753,8 +746,8 @@ func (t *UDPTransport) deliverLocked(rl *udpRecvLink, key linkKey, mseq uint64, 
 
 // oweAck records a cumulative-ACK debt for the data link key (the ack
 // travels key[1]→key[0], so it rides the reverse send link). The debt is
-// settled by the next data flush in that direction or, with nothing to
-// ride on, by a standalone ACK datagram after the linger.
+// settled by the next data datagram in that direction or, with nothing
+// to ride on, by a standalone ACK datagram after the ACK delay.
 func (t *UDPTransport) oweAck(key linkKey, cum uint64) {
 	rev := linkKey{key[1], key[0]}
 	sl := t.send[rev]
@@ -850,8 +843,9 @@ func (t *UDPTransport) Stats() telemetry.TransportStats {
 	return ts
 }
 
-// Close shuts every socket and waits for the readers, the flush loop and
-// the retransmission loop to exit; no delivery happens after it returns.
+// Close shuts every socket and waits for the readers, the delayed-ACK
+// loop and the retransmission loop to exit; no delivery happens after it
+// returns.
 func (t *UDPTransport) Close() error {
 	if t.closed.Swap(true) {
 		return nil

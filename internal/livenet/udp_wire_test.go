@@ -1,8 +1,8 @@
 package livenet
 
-// Tests for the fast wire path (PR 10): datagram coalescing, delayed and
-// piggybacked cumulative ACKs, and the loud-failure contract for message
-// types with no registered codec.
+// Tests for the fast wire path: datagram coalescing under Frame.More,
+// delayed and piggybacked cumulative ACKs, and the loud-failure contract
+// for message types with no registered codec.
 
 import (
 	"sync"
@@ -13,41 +13,69 @@ import (
 	"lme/internal/wire"
 )
 
-// dgramCarriesSeq reports whether any frame of the datagram carries the
-// given sequence number.
-func dgramCarriesSeq(t *testing.T, pkt []byte, seq uint64) bool {
+// walkFrames calls fn with every frame of the datagram and the number of
+// bytes the frame occupies in it.
+func walkFrames(t *testing.T, pkt []byte, fn func(f wire.FrameView, size int)) {
 	t.Helper()
 	_, body, err := wire.ParseDgram(pkt)
 	if err != nil {
 		t.Errorf("unparseable datagram: %v", err)
-		return false
+		return
 	}
 	for len(body) > 0 {
 		f, rest, err := wire.NextFrame(body)
 		if err != nil {
 			t.Errorf("unparseable frame: %v", err)
-			return false
+			return
 		}
-		if f.Seq == seq {
-			return true
-		}
+		fn(f, len(body)-len(rest))
 		body = rest
 	}
-	return false
 }
 
-// TestUDPAckCoalescing pins the per-ACK-datagram waste fix: a one-way
-// flood of N frames must produce far fewer than N standalone ACK
-// datagrams (the receiver owes one cumulative ACK per data datagram and
-// the linger merges even those), and the data direction must coalesce
-// frames into shared datagrams — all without breaking FIFO or
-// exactly-once delivery.
+// dgramCarriesSeq reports whether any frame of the datagram carries the
+// given sequence number.
+func dgramCarriesSeq(t *testing.T, pkt []byte, seq uint64) bool {
+	t.Helper()
+	found := false
+	walkFrames(t, pkt, func(f wire.FrameView, _ int) { found = found || f.Seq == seq })
+	return found
+}
+
+// TestUDPAckCoalescing states the coalescing rule with no clock in it: N
+// corked frames and one uncorked frame leave as the greedy MTU packing of
+// their bytes — every datagram but the last closes on the frame that
+// reaches the budget, the last carries the remainder — and every uncorked
+// frame after that is one datagram, written before Send returns. The
+// receiver owes one cumulative ACK per data datagram and the ACK delay
+// merges even those, so standalone ACKs stay far below N; delivery is
+// FIFO and exactly once throughout.
 func TestUDPAckCoalescing(t *testing.T) {
-	const msgs = 400
+	const (
+		corked   = 400
+		uncorked = 20
+		msgs     = corked + 1 + uncorked
+	)
 	g := graph.Line(2)
-	tr, err := NewUDPTransport(g, 0)
+	// An RTO far above the test's runtime: no retransmission may add
+	// datagrams to the count (ACK delay = RTO/8 = 50ms).
+	tr, err := NewUDPTransport(g, 400*time.Millisecond)
 	if err != nil {
 		t.Fatalf("NewUDPTransport: %v", err)
+	}
+	type dgram struct{ size, frames, lastFrame int }
+	var mu sync.Mutex
+	var dgrams []dgram
+	tr.mangle = func(pkt []byte) [][]byte {
+		d := dgram{size: len(pkt)}
+		walkFrames(t, pkt, func(_ wire.FrameView, size int) {
+			d.frames++
+			d.lastFrame = size
+		})
+		mu.Lock()
+		dgrams = append(dgrams, d)
+		mu.Unlock()
+		return [][]byte{pkt}
 	}
 	col := newCollector()
 	if err := tr.Start(col.deliver); err != nil {
@@ -55,9 +83,41 @@ func TestUDPAckCoalescing(t *testing.T) {
 	}
 	defer tr.Close() //nolint:errcheck
 
-	for n := 0; n < msgs; n++ {
+	for n := 0; n < corked+1; n++ {
+		tr.Send(Frame{From: 0, To: 1, Msg: confMsg{N: n}, Mseq: uint64(n) + 1, More: n < corked})
+	}
+	// Send wrote the burst itself: the packing is complete on return.
+	mu.Lock()
+	burst := append([]dgram(nil), dgrams...)
+	mu.Unlock()
+	frames := 0
+	for i, d := range burst {
+		frames += d.frames
+		if i == len(burst)-1 {
+			break
+		}
+		if d.size < tr.mtu || d.size-d.lastFrame >= tr.mtu {
+			t.Errorf("datagram %d of %d: %d bytes, last frame %d — not closed on the frame that reached the %d-byte budget",
+				i, len(burst), d.size, d.lastFrame, tr.mtu)
+		}
+	}
+	if frames != corked+1 {
+		t.Fatalf("the burst put %d frames on the wire in %d datagrams, want %d", frames, len(burst), corked+1)
+	}
+	if len(burst) < 2 || len(burst) > corked/4 {
+		t.Fatalf("%d frames left in %d datagrams; want the MTU packing", corked+1, len(burst))
+	}
+
+	for n := corked + 1; n < msgs; n++ {
 		tr.Send(Frame{From: 0, To: 1, Msg: confMsg{N: n}, Mseq: uint64(n) + 1})
 	}
+	mu.Lock()
+	total := len(dgrams)
+	mu.Unlock()
+	if total != len(burst)+uncorked {
+		t.Fatalf("%d uncorked frames added %d datagrams, want one each", uncorked, total-len(burst))
+	}
+
 	if !waitFor(t, 5*time.Second, func() bool { return col.count() >= msgs }) {
 		t.Fatalf("delivered %d of %d frames", col.count(), msgs)
 	}
@@ -73,34 +133,75 @@ func TestUDPAckCoalescing(t *testing.T) {
 		t.Fatalf("frames still unacked after the flood (stats %+v)", tr.Stats())
 	}
 
-	frames := col.link(0, 1)
-	seen := make(map[uint64]int, len(frames))
-	for n, f := range frames {
+	delivered := col.link(0, 1)
+	if len(delivered) != msgs {
+		t.Fatalf("delivered %d frames, want exactly %d", len(delivered), msgs)
+	}
+	for n, f := range delivered {
 		if m := f.Msg.(confMsg); m.N != n {
 			t.Fatalf("frame %d carries N=%d — FIFO violated under coalescing", n, m.N)
 		}
-		seen[f.Mseq]++
-	}
-	for mseq, c := range seen {
-		if c != 1 {
-			t.Fatalf("mseq %d delivered %d times", mseq, c)
+		if f.Mseq != uint64(n)+1 {
+			t.Fatalf("frame %d carries mseq %d — not exactly once", n, f.Mseq)
 		}
 	}
 
 	st := tr.Stats()
+	if st.Retransmits != 0 {
+		t.Fatalf("retransmits = %d; the datagram counts above are not first transmissions", st.Retransmits)
+	}
+	if data := st.DatagramsSent - st.AckDatagrams; data != uint64(total) {
+		t.Errorf("stats count %d data datagrams, the wire saw %d", data, total)
+	}
 	if st.AckDatagrams == 0 {
-		t.Errorf("ack_datagrams = 0; the one-way flood owes standalone ACKs")
+		t.Errorf("ack_datagrams = 0; one-way traffic owes standalone ACKs")
 	}
-	if st.AckDatagrams >= msgs/4 {
-		t.Errorf("ack_datagrams = %d for %d frames; delayed ACKs are not coalescing (stats %+v)",
-			st.AckDatagrams, msgs, st)
+	if st.AckDatagrams > uint64(total) || st.AckDatagrams >= msgs/4 {
+		t.Errorf("ack_datagrams = %d for %d frames in %d datagrams; delayed ACKs are not coalescing (stats %+v)",
+			st.AckDatagrams, msgs, total, st)
 	}
-	if st.FramesPerDatagram <= 1 {
-		t.Errorf("frames_per_datagram = %v, want > 1 under a flood (stats %+v)",
-			st.FramesPerDatagram, st)
-	}
-	if st.WireBytes == 0 || st.PayloadBytes == 0 || st.DatagramsSent == 0 {
+	if st.WireBytes == 0 || st.PayloadBytes == 0 {
 		t.Errorf("wire telemetry not populated: %+v", st)
+	}
+}
+
+// TestUDPBrokenCorkPromise pins the safety net under Frame.More: a corked
+// frame that no uncorked frame ever follows is not stranded in the link's
+// buffer — it is already registered as unacknowledged, so the RTO loop
+// transmits it, within 2·RTO.
+func TestUDPBrokenCorkPromise(t *testing.T) {
+	const rto = 100 * time.Millisecond
+	g := graph.Line(2)
+	tr, err := NewUDPTransport(g, rto)
+	if err != nil {
+		t.Fatalf("NewUDPTransport: %v", err)
+	}
+	col := newCollector()
+	if err := tr.Start(col.deliver); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	defer tr.Close() //nolint:errcheck
+
+	begin := time.Now()
+	tr.Send(Frame{From: 0, To: 1, Msg: confMsg{N: 7}, Mseq: 1, More: true})
+	if st := tr.Stats(); st.DatagramsSent != 0 {
+		t.Fatalf("a corked frame below the MTU budget wrote %d datagrams at once", st.DatagramsSent)
+	}
+	if !waitFor(t, 2*rto, func() bool { return col.count() >= 1 }) {
+		t.Fatalf("corked frame not delivered within 2·RTO (%v) of a broken promise (stats %+v)", 2*rto, tr.Stats())
+	}
+	if got := col.link(0, 1); len(got) != 1 || got[0].Msg.(confMsg).N != 7 {
+		t.Fatalf("delivered %v after %v, want the one corked frame", got, time.Since(begin))
+	}
+	// The frame a later Send finds still buffered is a duplicate on the
+	// wire and must be suppressed, not delivered twice.
+	tr.Send(Frame{From: 0, To: 1, Msg: confMsg{N: 8}, Mseq: 2})
+	if !waitFor(t, 5*time.Second, func() bool { return col.count() >= 2 }) {
+		t.Fatal("the follow-up frame never arrived")
+	}
+	time.Sleep(10 * time.Millisecond)
+	if got := col.link(0, 1); len(got) != 2 || got[1].Msg.(confMsg).N != 8 {
+		t.Fatalf("delivered %v, want exactly the corked frame then the follow-up", got)
 	}
 }
 
@@ -120,8 +221,9 @@ func TestUDPAckPiggyback(t *testing.T) {
 	}
 	defer tr.Close() //nolint:errcheck
 
-	// Paced bidirectional traffic: the pacing spreads the flood across
-	// many linger windows so ACK debt keeps meeting buffered reverse data.
+	// Paced bidirectional traffic: every uncorked Send is a datagram, and
+	// the pacing lets datagrams arrive between the peer's sends, so its
+	// next datagram finds an ACK debt to carry.
 	var wg sync.WaitGroup
 	for _, dir := range []linkKey{{0, 1}, {1, 0}} {
 		wg.Add(1)

@@ -129,5 +129,8 @@ type TransportStats struct {
 	// AckRTTUS sketches the send→cumulative-ACK round trip (µs),
 	// sampled only on frames acknowledged without an intervening
 	// retransmit (Karn's rule: a retransmitted frame's ACK is ambiguous).
+	// ACKs are delayed: on a link whose ACKs go out standalone rather
+	// than riding on reverse data, the sample includes the receiver's
+	// ACK delay (RTO/8). The RTO is fixed; nothing feeds back from this.
 	AckRTTUS metrics.SketchSnapshot `json:"ack_rtt_us"`
 }
