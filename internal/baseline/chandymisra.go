@@ -8,7 +8,6 @@ package baseline
 
 import (
 	"fmt"
-	"sort"
 
 	"lme/internal/core"
 )
@@ -35,33 +34,42 @@ type ChandyMisra struct {
 
 	state core.State
 
-	// fork[j] — holds the fork shared with j; dirty[j] — that fork is
-	// dirty; reqToken[j] — holds the request token for that fork. The
-	// key set of fork is the neighbour set.
-	fork, dirty, reqToken map[core.NodeID]bool
+	// peers is the neighbour set with the node's three per-neighbour
+	// bits, in ascending ID order (which is also the message emission
+	// order).
+	peers core.Slots[cmPeer]
 }
+
+// cmPeer is one neighbour's slot record: a set of the flags below.
+type cmPeer uint8
+
+const (
+	cmHolds cmPeer = 1 << iota // holds the fork shared with j
+	cmDirty                    // that fork is dirty
+	cmToken                    // holds the request token for that fork
+)
+
+func (p cmPeer) has(f cmPeer) bool { return p&f != 0 }
 
 var _ core.Protocol = (*ChandyMisra)(nil)
 
 // NewChandyMisra creates a node.
 func NewChandyMisra() *ChandyMisra {
-	return &ChandyMisra{
-		state:    core.Thinking,
-		fork:     make(map[core.NodeID]bool),
-		dirty:    make(map[core.NodeID]bool),
-		reqToken: make(map[core.NodeID]bool),
-	}
+	return &ChandyMisra{state: core.Thinking}
 }
 
 // Init implements core.Protocol.
 func (n *ChandyMisra) Init(env core.Env) {
 	n.env = env
 	me := env.ID()
-	for _, j := range env.Neighbors() {
-		holds := me < j
-		n.fork[j] = holds
-		n.dirty[j] = holds // all forks start dirty
-		n.reqToken[j] = !holds
+	neighbors := env.Neighbors()
+	n.peers.Reset(neighbors)
+	for i, j := range neighbors {
+		if me < j {
+			*n.peers.At(i) = cmHolds | cmDirty // all forks start dirty
+		} else {
+			*n.peers.At(i) = cmToken
+		}
 	}
 }
 
@@ -69,7 +77,14 @@ func (n *ChandyMisra) Init(env core.Env) {
 func (n *ChandyMisra) State() core.State { return n.state }
 
 // HasFork reports fork possession for neighbour j (for tests).
-func (n *ChandyMisra) HasFork(j core.NodeID) bool { return n.fork[j] }
+func (n *ChandyMisra) HasFork(j core.NodeID) bool { return n.flag(j, cmHolds) }
+
+// flag reports whether neighbour j has flag f set; false for a
+// non-neighbour.
+func (n *ChandyMisra) flag(j core.NodeID, f cmPeer) bool {
+	i := n.peers.Find(j)
+	return i >= 0 && n.peers.At(i).has(f)
+}
 
 // BecomeHungry implements core.Protocol.
 func (n *ChandyMisra) BecomeHungry() {
@@ -88,34 +103,34 @@ func (n *ChandyMisra) ExitCS() {
 		return
 	}
 	n.setState(core.Thinking)
-	for _, j := range n.sorted(n.fork) {
-		n.dirty[j] = true
+	for i := 0; i < n.peers.Len(); i++ {
+		*n.peers.At(i) |= cmDirty
 	}
 	n.serveDeferred()
 }
 
 // OnMessage implements core.Protocol.
 func (n *ChandyMisra) OnMessage(from core.NodeID, msg core.Message) {
-	if _, ok := n.fork[from]; !ok {
+	i := n.peers.Find(from)
+	if i < 0 {
 		return
 	}
+	p := n.peers.At(i)
 	switch msg.(type) {
 	case cmReq:
-		n.reqToken[from] = true
-		n.maybeYield(from)
+		*p |= cmToken
+		n.maybeYield(i)
 	case cmFork:
-		n.fork[from] = true
-		n.dirty[from] = false
+		*p = *p&^cmDirty | cmHolds
 		n.maybeEat()
 	}
 }
 
 // OnLinkUp implements core.Protocol (MANET adaptation).
-func (n *ChandyMisra) OnLinkUp(peer core.NodeID, iAmMoving bool) {
+func (n *ChandyMisra) OnLinkUp(j core.NodeID, iAmMoving bool) {
+	i, _ := n.peers.Insert(j)
 	if iAmMoving {
-		n.fork[peer] = false
-		n.dirty[peer] = false
-		n.reqToken[peer] = true
+		*n.peers.At(i) = cmToken
 		if n.state == core.Eating {
 			n.setState(core.Hungry)
 		}
@@ -124,59 +139,55 @@ func (n *ChandyMisra) OnLinkUp(peer core.NodeID, iAmMoving bool) {
 		}
 		return
 	}
-	n.fork[peer] = true
-	n.dirty[peer] = true
-	n.reqToken[peer] = false
+	*n.peers.At(i) = cmHolds | cmDirty
 }
 
 // OnLinkDown implements core.Protocol.
 func (n *ChandyMisra) OnLinkDown(j core.NodeID) {
-	delete(n.fork, j)
-	delete(n.dirty, j)
-	delete(n.reqToken, j)
+	n.peers.Remove(j)
 	n.maybeEat()
 }
 
 // requestMissing sends the request token for every missing fork.
 func (n *ChandyMisra) requestMissing() {
-	for _, j := range n.sorted(n.fork) {
-		if !n.fork[j] && n.reqToken[j] {
-			n.reqToken[j] = false
-			n.env.Send(j, cmReq{})
+	for i := 0; i < n.peers.Len(); i++ {
+		if p := n.peers.At(i); *p&(cmHolds|cmToken) == cmToken {
+			*p &^= cmToken
+			n.env.Send(n.peers.ID(i), cmReq{})
 		}
 	}
 }
 
 // maybeYield applies the hygienic rule to a pending request from j.
-func (n *ChandyMisra) maybeYield(j core.NodeID) {
-	if !n.fork[j] || !n.reqToken[j] {
+func (n *ChandyMisra) maybeYield(i int) {
+	p, j := n.peers.At(i), n.peers.ID(i)
+	if *p&(cmHolds|cmToken) != cmHolds|cmToken {
 		return
 	}
 	switch n.state {
 	case core.Eating:
 		return // defer until exit
 	case core.Hungry:
-		if !n.dirty[j] {
+		if !p.has(cmDirty) {
 			return // clean fork is kept while hungry
 		}
 	case core.Thinking:
 		// always yield
 	}
-	n.fork[j] = false
-	n.dirty[j] = false
+	*p &^= cmHolds | cmDirty
 	n.env.Send(j, cmFork{})
 	// A hungry node that yielded a dirty fork immediately wants it
 	// back.
 	if n.state == core.Hungry {
-		n.reqToken[j] = false
+		*p &^= cmToken
 		n.env.Send(j, cmReq{})
 	}
 }
 
 // serveDeferred yields every dirty requested fork (after eating).
 func (n *ChandyMisra) serveDeferred() {
-	for _, j := range n.sorted(n.fork) {
-		n.maybeYield(j)
+	for i := 0; i < n.peers.Len(); i++ {
+		n.maybeYield(i)
 	}
 }
 
@@ -184,8 +195,8 @@ func (n *ChandyMisra) maybeEat() {
 	if n.state != core.Hungry {
 		return
 	}
-	for _, have := range n.fork {
-		if !have {
+	for i := 0; i < n.peers.Len(); i++ {
+		if !n.peers.At(i).has(cmHolds) {
 			return
 		}
 	}
@@ -198,15 +209,6 @@ func (n *ChandyMisra) setState(s core.State) {
 	}
 	n.state = s
 	n.env.SetState(s)
-}
-
-func (n *ChandyMisra) sorted(m map[core.NodeID]bool) []core.NodeID {
-	out := make([]core.NodeID, 0, len(m))
-	for j := range m {
-		out = append(out, j)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // String identifies the algorithm in tables.

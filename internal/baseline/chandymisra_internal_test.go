@@ -59,14 +59,14 @@ func newCMNode(id core.NodeID, neighbors ...core.NodeID) (*ChandyMisra, *fakeEnv
 func TestCMInitialHygiene(t *testing.T) {
 	n, _ := newCMNode(1, 0, 2)
 	// Smaller ID holds a dirty fork; the other side holds the token.
-	if n.fork[0] || !n.fork[2] {
-		t.Fatalf("initial forks wrong: %v", n.fork)
+	if n.flag(0, cmHolds) || !n.flag(2, cmHolds) {
+		t.Fatal("initial forks wrong")
 	}
-	if !n.dirty[2] {
+	if !n.flag(2, cmDirty) {
 		t.Fatal("initial fork not dirty")
 	}
-	if !n.reqToken[0] || n.reqToken[2] {
-		t.Fatalf("initial tokens wrong: %v", n.reqToken)
+	if !n.flag(0, cmToken) || n.flag(2, cmToken) {
+		t.Fatal("initial tokens wrong")
 	}
 }
 
@@ -76,7 +76,7 @@ func TestCMThinkingYieldsDirtyFork(t *testing.T) {
 	if env.forksTo(2) != 1 {
 		t.Fatal("thinking node kept a requested dirty fork")
 	}
-	if n.fork[2] || n.dirty[2] {
+	if n.flag(2, cmHolds) || n.flag(2, cmDirty) {
 		t.Fatal("fork state not cleared after yield")
 	}
 }
@@ -137,7 +137,7 @@ func TestCMEatingDirtiesForks(t *testing.T) {
 		t.Fatalf("state = %v", n.State())
 	}
 	n.ExitCS()
-	if !n.dirty[1] || !n.dirty[2] {
+	if !n.flag(1, cmDirty) || !n.flag(2, cmDirty) {
 		t.Fatal("forks not dirtied by eating")
 	}
 }
@@ -146,11 +146,11 @@ func TestCMLinkChurn(t *testing.T) {
 	n, env := newCMNode(1, 0)
 	// Static side of a new link: fork arrives dirty with no token.
 	n.OnLinkUp(5, false)
-	if !n.fork[5] || !n.dirty[5] || n.reqToken[5] {
+	if !n.flag(5, cmHolds) || !n.flag(5, cmDirty) || n.flag(5, cmToken) {
 		t.Fatal("static link-up state wrong")
 	}
 	// Moving side: token, no fork; an eating mover demotes.
-	n.fork[0] = true
+	*n.peers.At(n.peers.Find(0)) |= cmHolds
 	n.BecomeHungry()
 	if n.State() != core.Eating {
 		t.Fatalf("state = %v", n.State())
@@ -159,7 +159,7 @@ func TestCMLinkChurn(t *testing.T) {
 	if n.State() != core.Hungry {
 		t.Fatal("eating mover not demoted")
 	}
-	if n.fork[7] {
+	if n.flag(7, cmHolds) {
 		t.Fatal("mover owns the new fork")
 	}
 	// The demoted mover immediately spends its request token on the
@@ -172,12 +172,12 @@ func TestCMLinkChurn(t *testing.T) {
 			}
 		}
 	}
-	if n.reqToken[7] || reqsTo7 != 1 {
-		t.Fatalf("moving link-up state wrong (token=%v reqs=%d)", n.reqToken[7], reqsTo7)
+	if n.flag(7, cmToken) || reqsTo7 != 1 {
+		t.Fatalf("moving link-up state wrong (token=%v reqs=%d)", n.flag(7, cmToken), reqsTo7)
 	}
 	// Link loss erases all edge state and may unblock.
 	n.OnLinkDown(7)
-	if _, ok := n.fork[7]; ok {
+	if n.peers.Find(7) >= 0 {
 		t.Fatal("fork state survived link loss")
 	}
 	if n.State() != core.Eating {

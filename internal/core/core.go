@@ -12,11 +12,7 @@
 // execution model.
 package core
 
-import (
-	"slices"
-
-	"lme/internal/sim"
-)
+import "lme/internal/sim"
 
 // NodeID uniquely identifies a node in the system. IDs are comparable and
 // totally ordered; the algorithms use the order for symmetry breaking
@@ -130,28 +126,6 @@ type Env interface {
 	// every transition through this call so that workloads and checkers
 	// observe them; the runtime forwards transitions to listeners.
 	SetState(s State)
-}
-
-// InsertID inserts id into the ascending-sorted slice s, keeping it
-// sorted; inserting an ID already present is a no-op. It is the
-// incremental-update half of the sorted neighbour sets the runtimes and
-// protocols maintain in place of per-call map sorts.
-func InsertID(s []NodeID, id NodeID) []NodeID {
-	i, found := slices.BinarySearch(s, id)
-	if found {
-		return s
-	}
-	return slices.Insert(s, i, id)
-}
-
-// RemoveID deletes id from the ascending-sorted slice s, keeping it
-// sorted; removing an absent ID is a no-op.
-func RemoveID(s []NodeID, id NodeID) []NodeID {
-	i, found := slices.BinarySearch(s, id)
-	if !found {
-		return s
-	}
-	return slices.Delete(s, i, i+1)
 }
 
 // Listener observes dining-state transitions of all nodes. Implemented by

@@ -20,8 +20,7 @@ package doorway
 
 import (
 	"fmt"
-
-	"lme/internal/core"
+	"slices"
 )
 
 // Kind distinguishes the two doorway flavours of Figure 2.
@@ -67,19 +66,22 @@ func (p Pos) String() string {
 	}
 }
 
-// Doorway is one node's view of one doorway instance.
+// Doorway is one node's view of one doorway instance. Neighbours are
+// addressed by slot: the position of the neighbour in the owner's sorted
+// neighbour table (core.Slots), which the owner resolves once per event and
+// keeps aligned with this doorway through Add and Forget. A slot number is
+// therefore valid only until the next Add or Forget.
 type Doorway struct {
 	kind     Kind
 	pos      Pos
 	entering bool
 
-	// l is the paper's L[] array restricted to this doorway: the last
-	// observed position of each current neighbour.
-	l map[core.NodeID]Pos
-
-	// seen marks neighbours observed outside at least once since entry
-	// began (asynchronous doorways only).
-	seen map[core.NodeID]bool
+	// obs is the paper's L[] array restricted to this doorway, one byte
+	// per neighbour slot: obsBehind is the last observed position, obsSeen
+	// marks a neighbour observed outside at least once since entry began
+	// (consulted by asynchronous doorways only). The mark is sticky: only
+	// BeginEntry resets it.
+	obs []uint8
 
 	// announce broadcasts this node's own position change (true = cross
 	// message, false = exit message). Provided by the owner so doorway
@@ -90,21 +92,21 @@ type Doorway struct {
 	onCross func()
 }
 
-// New creates a doorway of the given kind with the initial neighbour set
-// (all considered outside, per Figure 2's initialisation).
-func New(kind Kind, neighbors []core.NodeID, announce func(cross bool), onCross func()) *Doorway {
-	d := &Doorway{
+const (
+	obsBehind uint8 = 1 << iota
+	obsSeen
+)
+
+// New creates a doorway of the given kind over n neighbours, occupying
+// slots 0..n-1 (all considered outside, per Figure 2's initialisation).
+func New(kind Kind, n int, announce func(cross bool), onCross func()) *Doorway {
+	return &Doorway{
 		kind:     kind,
 		pos:      Outside,
-		l:        make(map[core.NodeID]Pos, len(neighbors)),
-		seen:     make(map[core.NodeID]bool, len(neighbors)),
+		obs:      make([]uint8, n),
 		announce: announce,
 		onCross:  onCross,
 	}
-	for _, j := range neighbors {
-		d.l[j] = Outside
-	}
-	return d
 }
 
 // Behind reports whether this node is behind the doorway.
@@ -113,11 +115,11 @@ func (d *Doorway) Behind() bool { return d.pos == Behind }
 // Entering reports whether the entry code is in progress.
 func (d *Doorway) Entering() bool { return d.entering }
 
-// ObservedPos returns the last observed position of neighbour j (Outside
-// if never observed).
-func (d *Doorway) ObservedPos(j core.NodeID) Pos {
-	if p, ok := d.l[j]; ok {
-		return p
+// ObservedPos returns the last observed position of the neighbour in slot
+// i (Outside until an observation says otherwise).
+func (d *Doorway) ObservedPos(i int) Pos {
+	if d.obs[i]&obsBehind != 0 {
+		return Behind
 	}
 	return Outside
 }
@@ -131,12 +133,11 @@ func (d *Doorway) BeginEntry() {
 		panic(fmt.Sprintf("doorway: BeginEntry while behind %v doorway", d.kind))
 	}
 	d.entering = true
-	if d.kind == Asynchronous {
-		clear(d.seen)
-		for j, p := range d.l {
-			if p == Outside {
-				d.seen[j] = true
-			}
+	for i, o := range d.obs {
+		if o&obsBehind != 0 {
+			d.obs[i] = obsBehind
+		} else {
+			d.obs[i] = obsSeen
 		}
 	}
 	d.tryCross()
@@ -160,57 +161,58 @@ func (d *Doorway) Abort() {
 	d.entering = false
 }
 
-// Observe records that neighbour j reported the given position (a cross or
-// exit message, or a position carried by a status message to a newly
-// arrived node), then re-evaluates the entry condition.
-func (d *Doorway) Observe(j core.NodeID, p Pos) {
-	d.l[j] = p
-	if p == Outside {
-		d.seen[j] = true
-	}
+// Observe records that the neighbour in slot i reported the given position
+// (a cross or exit message, or a position carried by a status message to a
+// newly arrived node), then re-evaluates the entry condition.
+func (d *Doorway) Observe(i int, p Pos) {
+	d.Set(i, p)
 	d.tryCross()
 }
 
-// AddNeighbor installs a new neighbour with a known position (Outside for
-// the paper's "a new neighboring node is considered to be outside").
-func (d *Doorway) AddNeighbor(j core.NodeID, p Pos) {
-	d.l[j] = p
+// Set records the position of the neighbour in slot i without
+// re-evaluating the entry condition.
+func (d *Doorway) Set(i int, p Pos) {
 	if p == Outside {
-		d.seen[j] = true
+		d.obs[i] = obsSeen
+	} else {
+		d.obs[i] |= obsBehind
 	}
+}
+
+// Add installs a new neighbour in slot i with a known position (Outside
+// for the paper's "a new neighboring node is considered to be outside"),
+// shifting the slots from i upward by one.
+func (d *Doorway) Add(i int, p Pos) {
+	d.obs = slices.Insert(d.obs, i, 0)
+	d.Set(i, p)
 	// No tryCross here: a *new* neighbour can only weaken the entry
 	// condition if it is behind, never satisfy it; and whether a node in
 	// the middle of an entry may cross upon a topology change is the
 	// owner's decision (the paper's movers restart their entry).
 }
 
-// Forget drops a departed neighbour and re-evaluates the entry condition
-// (losing a behind-the-doorway neighbour can enable crossing).
-func (d *Doorway) Forget(j core.NodeID) {
-	delete(d.l, j)
-	delete(d.seen, j)
+// Forget drops the departed neighbour in slot i, shifting the slots above
+// it down by one, and re-evaluates the entry condition (losing a
+// behind-the-doorway neighbour can enable crossing).
+func (d *Doorway) Forget(i int) {
+	d.obs = slices.Delete(d.obs, i, i+1)
 	d.tryCross()
 }
 
-// tryCross crosses the doorway if the entry condition of Figure 2 holds.
+// tryCross crosses the doorway if the entry condition of Figure 2 holds:
+// all neighbours observed outside simultaneously (synchronous), or each
+// neighbour observed outside at least once since entry (asynchronous).
 func (d *Doorway) tryCross() {
 	if !d.entering || d.pos == Behind {
 		return
 	}
-	switch d.kind {
-	case Synchronous:
-		// All neighbours observed outside simultaneously.
-		for _, p := range d.l {
-			if p != Outside {
-				return
-			}
-		}
-	case Asynchronous:
-		// Each neighbour observed outside at least once since entry.
-		for j := range d.l {
-			if !d.seen[j] {
-				return
-			}
+	blocked, want := obsBehind, uint8(0)
+	if d.kind == Asynchronous {
+		blocked, want = obsSeen, obsSeen
+	}
+	for _, o := range d.obs {
+		if o&blocked != want {
+			return
 		}
 	}
 	d.entering = false

@@ -1,10 +1,6 @@
 package doorway
 
-import (
-	"testing"
-
-	"lme/internal/core"
-)
+import "testing"
 
 // recorder captures announce/cross callbacks.
 type recorder struct {
@@ -12,9 +8,10 @@ type recorder struct {
 	crossings int
 }
 
-func newDoorway(kind Kind, neighbors ...core.NodeID) (*Doorway, *recorder) {
+// newDoorway builds a doorway over n neighbours, in slots 0..n-1.
+func newDoorway(kind Kind, n int) (*Doorway, *recorder) {
 	r := &recorder{}
-	d := New(kind, neighbors,
+	d := New(kind, n,
 		func(cross bool) { r.announces = append(r.announces, cross) },
 		func() { r.crossings++ })
 	return d, r
@@ -22,7 +19,7 @@ func newDoorway(kind Kind, neighbors ...core.NodeID) (*Doorway, *recorder) {
 
 func TestCrossImmediatelyWhenAlone(t *testing.T) {
 	for _, kind := range []Kind{Synchronous, Asynchronous} {
-		d, r := newDoorway(kind)
+		d, r := newDoorway(kind, 0)
 		d.BeginEntry()
 		if !d.Behind() || r.crossings != 1 {
 			t.Fatalf("%v: lone node did not cross", kind)
@@ -35,7 +32,7 @@ func TestCrossImmediatelyWhenAlone(t *testing.T) {
 
 func TestCrossWhenAllNeighborsOutside(t *testing.T) {
 	for _, kind := range []Kind{Synchronous, Asynchronous} {
-		d, r := newDoorway(kind, 1, 2)
+		d, r := newDoorway(kind, 2)
 		d.BeginEntry()
 		if !d.Behind() || r.crossings != 1 {
 			t.Fatalf("%v: did not cross with all neighbours outside", kind)
@@ -46,7 +43,7 @@ func TestCrossWhenAllNeighborsOutside(t *testing.T) {
 func TestBlockedByBehindNeighbor(t *testing.T) {
 	for _, kind := range []Kind{Synchronous, Asynchronous} {
 		d, r := newDoorway(kind, 1)
-		d.Observe(1, Behind)
+		d.Observe(0, Behind)
 		d.BeginEntry()
 		if d.Behind() {
 			t.Fatalf("%v: crossed past a behind neighbour", kind)
@@ -54,7 +51,7 @@ func TestBlockedByBehindNeighbor(t *testing.T) {
 		if !d.Entering() {
 			t.Fatalf("%v: entry not in progress", kind)
 		}
-		d.Observe(1, Outside)
+		d.Observe(0, Outside)
 		if !d.Behind() || r.crossings != 1 {
 			t.Fatalf("%v: did not cross after neighbour exited", kind)
 		}
@@ -65,14 +62,14 @@ func TestBlockedByBehindNeighbor(t *testing.T) {
 // asynchronous doorway only needs each neighbour outside at least once,
 // even if it is behind again by the time the last observation arrives.
 func TestAsyncSeenOnceSemantics(t *testing.T) {
-	d, r := newDoorway(Asynchronous, 1, 2)
-	d.Observe(2, Behind) // 2 is behind before we start
-	d.BeginEntry()       // 1 seen outside immediately; waiting for 2
+	d, r := newDoorway(Asynchronous, 2)
+	d.Observe(1, Behind) // slot 1 is behind before we start
+	d.BeginEntry()       // slot 0 seen outside immediately; waiting for slot 1
 	if d.Behind() {
-		t.Fatal("crossed without seeing 2 outside")
+		t.Fatal("crossed without seeing slot 1 outside")
 	}
-	d.Observe(1, Behind)  // 1 crosses; we already saw it outside
-	d.Observe(2, Outside) // 2 exits: now every neighbour was seen outside
+	d.Observe(0, Behind)  // slot 0 crosses; we already saw it outside
+	d.Observe(1, Outside) // slot 1 exits: now every neighbour was seen outside
 	if !d.Behind() || r.crossings != 1 {
 		t.Fatal("async doorway did not cross on seen-once condition")
 	}
@@ -82,15 +79,15 @@ func TestAsyncSeenOnceSemantics(t *testing.T) {
 // neighbours outside at the same evaluation, so the async scenario above
 // does not let it through.
 func TestSyncNeedsSimultaneity(t *testing.T) {
-	d, _ := newDoorway(Synchronous, 1, 2)
-	d.Observe(2, Behind)
-	d.BeginEntry()
+	d, _ := newDoorway(Synchronous, 2)
 	d.Observe(1, Behind)
-	d.Observe(2, Outside)
+	d.BeginEntry()
+	d.Observe(0, Behind)
+	d.Observe(1, Outside)
 	if d.Behind() {
 		t.Fatal("sync doorway crossed without simultaneous outside view")
 	}
-	d.Observe(1, Outside)
+	d.Observe(0, Outside)
 	if !d.Behind() {
 		t.Fatal("sync doorway did not cross once views aligned")
 	}
@@ -98,13 +95,13 @@ func TestSyncNeedsSimultaneity(t *testing.T) {
 
 func TestForgetUnblocks(t *testing.T) {
 	for _, kind := range []Kind{Synchronous, Asynchronous} {
-		d, _ := newDoorway(kind, 1, 2)
-		d.Observe(1, Behind)
+		d, _ := newDoorway(kind, 2)
+		d.Observe(0, Behind)
 		d.BeginEntry()
 		if d.Behind() {
 			t.Fatalf("%v: crossed prematurely", kind)
 		}
-		d.Forget(1) // the blocking neighbour moved away
+		d.Forget(0) // the blocking neighbour moved away
 		if !d.Behind() {
 			t.Fatalf("%v: did not cross after Forget", kind)
 		}
@@ -113,26 +110,26 @@ func TestForgetUnblocks(t *testing.T) {
 
 func TestAddNeighborDoesNotTriggerCross(t *testing.T) {
 	d, _ := newDoorway(Synchronous, 1)
-	d.Observe(1, Behind)
+	d.Observe(0, Behind)
 	d.BeginEntry()
-	d.AddNeighbor(2, Outside)
+	d.Add(1, Outside)
 	if d.Behind() {
 		t.Fatal("AddNeighbor caused a crossing")
 	}
 	// But the added neighbour participates in the condition.
-	d.AddNeighbor(3, Behind)
-	d.Observe(1, Outside)
+	d.Add(2, Behind)
+	d.Observe(0, Outside)
 	if d.Behind() {
-		t.Fatal("crossed past behind new neighbour 3")
+		t.Fatal("crossed past the behind new neighbour")
 	}
-	d.Observe(3, Outside)
+	d.Observe(2, Outside)
 	if !d.Behind() {
 		t.Fatal("did not cross after all outside")
 	}
 }
 
 func TestExitAnnouncesOnceAndIsIdempotent(t *testing.T) {
-	d, r := newDoorway(Synchronous)
+	d, r := newDoorway(Synchronous, 0)
 	d.BeginEntry()
 	d.Exit()
 	d.Exit()
@@ -147,13 +144,13 @@ func TestExitAnnouncesOnceAndIsIdempotent(t *testing.T) {
 
 func TestAbortCancelsEntrySilently(t *testing.T) {
 	d, r := newDoorway(Asynchronous, 1)
-	d.Observe(1, Behind)
+	d.Observe(0, Behind)
 	d.BeginEntry()
 	d.Abort()
 	if d.Entering() {
 		t.Fatal("still entering after abort")
 	}
-	d.Observe(1, Outside) // must not cross: entry was aborted
+	d.Observe(0, Outside) // must not cross: entry was aborted
 	if d.Behind() || len(r.announces) != 0 {
 		t.Fatalf("aborted entry crossed anyway (announces=%v)", r.announces)
 	}
@@ -170,7 +167,7 @@ func TestReentryAfterExit(t *testing.T) {
 }
 
 func TestBeginEntryWhileBehindPanics(t *testing.T) {
-	d, _ := newDoorway(Synchronous)
+	d, _ := newDoorway(Synchronous, 0)
 	d.BeginEntry()
 	defer func() {
 		if recover() == nil {
@@ -182,12 +179,16 @@ func TestBeginEntryWhileBehindPanics(t *testing.T) {
 
 func TestObservedPosDefaultsOutside(t *testing.T) {
 	d, _ := newDoorway(Synchronous, 1)
-	if d.ObservedPos(99) != Outside {
-		t.Fatal("unknown neighbour not outside")
+	if d.ObservedPos(0) != Outside {
+		t.Fatal("unobserved neighbour not outside")
 	}
-	d.Observe(1, Behind)
-	if d.ObservedPos(1) != Behind {
+	d.Observe(0, Behind)
+	if d.ObservedPos(0) != Behind {
 		t.Fatal("observation lost")
+	}
+	d.Add(1, Outside)
+	if d.ObservedPos(1) != Outside || d.ObservedPos(0) != Behind {
+		t.Fatal("added neighbour not outside, or it disturbed slot 0")
 	}
 }
 
@@ -198,12 +199,12 @@ func TestAsyncRestartsSeenSetOnReentry(t *testing.T) {
 	d, _ := newDoorway(Asynchronous, 1)
 	d.BeginEntry() // 1 outside → cross
 	d.Exit()
-	d.Observe(1, Behind)
+	d.Observe(0, Behind)
 	d.BeginEntry()
 	if d.Behind() {
 		t.Fatal("stale seen set let re-entry through")
 	}
-	d.Observe(1, Outside)
+	d.Observe(0, Outside)
 	if !d.Behind() {
 		t.Fatal("re-entry never crossed")
 	}

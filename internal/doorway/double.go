@@ -12,21 +12,27 @@ import "lme/internal/core"
 // Like Doorway, Double is a passive single-threaded component: the owner
 // routes observations to the inner and outer doorways through Observe and
 // the link-change methods, and learns about full entry through onEnter.
+// Unlike Doorway it addresses neighbours by ID: it owns the sorted
+// neighbour table both sub-doorways are aligned with and resolves each ID
+// to its slot once per call.
 type Double struct {
+	nbrs  core.Slots[struct{}]
 	outer *Doorway // asynchronous
 	inner *Doorway // synchronous
 }
 
-// NewDouble builds a double doorway over the given neighbour set. announce
-// reports this node's own position changes per sub-doorway (inner=true for
-// the synchronous one); onEnter fires when the synchronous doorway is
-// crossed, i.e. the node is fully behind the double doorway.
+// NewDouble builds a double doorway over the given neighbour set (ascending
+// IDs, as Env.Neighbors returns them). announce reports this node's own
+// position changes per sub-doorway (inner=true for the synchronous one);
+// onEnter fires when the synchronous doorway is crossed, i.e. the node is
+// fully behind the double doorway.
 func NewDouble(neighbors []core.NodeID, announce func(inner, cross bool), onEnter func()) *Double {
 	d := &Double{}
-	d.inner = New(Synchronous, neighbors,
+	d.nbrs.Reset(neighbors)
+	d.inner = New(Synchronous, len(neighbors),
 		func(cross bool) { announce(true, cross) },
 		onEnter)
-	d.outer = New(Asynchronous, neighbors,
+	d.outer = New(Asynchronous, len(neighbors),
 		func(cross bool) { announce(false, cross) },
 		func() { d.inner.BeginEntry() })
 	return d
@@ -74,23 +80,41 @@ func (d *Double) BehindOuter() bool { return d.outer.Behind() }
 func (d *Double) Entering() bool { return d.outer.Entering() || d.inner.Entering() }
 
 // Observe records a neighbour's position announcement for the selected
-// sub-doorway.
+// sub-doorway. An announcement from a node that is not a neighbour is
+// ignored: its link is gone, and the message with it.
 func (d *Double) Observe(j core.NodeID, inner bool, p Pos) {
+	i := d.nbrs.Find(j)
+	if i < 0 {
+		return
+	}
 	if inner {
-		d.inner.Observe(j, p)
+		d.inner.Observe(i, p)
 	} else {
-		d.outer.Observe(j, p)
+		d.outer.Observe(i, p)
 	}
 }
 
-// AddNeighbor installs a new neighbour in both sub-doorways.
+// AddNeighbor installs a new neighbour in both sub-doorways. Re-adding a
+// current neighbour overwrites its observed positions in place; like a
+// genuine addition it never triggers a crossing.
 func (d *Double) AddNeighbor(j core.NodeID, innerPos, outerPos Pos) {
-	d.inner.AddNeighbor(j, innerPos)
-	d.outer.AddNeighbor(j, outerPos)
+	i, fresh := d.nbrs.Insert(j)
+	if !fresh {
+		d.inner.Set(i, innerPos)
+		d.outer.Set(i, outerPos)
+		return
+	}
+	d.inner.Add(i, innerPos)
+	d.outer.Add(i, outerPos)
 }
 
-// Forget drops a departed neighbour from both sub-doorways.
+// Forget drops a departed neighbour from both sub-doorways; a node that
+// is not a neighbour is ignored.
 func (d *Double) Forget(j core.NodeID) {
-	d.inner.Forget(j)
-	d.outer.Forget(j)
+	i, _ := d.nbrs.Remove(j)
+	if i < 0 {
+		return
+	}
+	d.inner.Forget(i)
+	d.outer.Forget(i)
 }

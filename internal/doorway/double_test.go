@@ -151,3 +151,46 @@ func TestDoubleLinkChurn(t *testing.T) {
 		t.Fatal("departure did not unblock the inner entry")
 	}
 }
+
+// TestDoubleNonNeighbor pins what the ID-keyed layer does with a node it
+// has no slot for: an announcement from it is dropped (it must not grow
+// the neighbour set — nothing would ever Forget it) and forgetting it
+// changes nothing, not even by re-evaluating a pending entry.
+func TestDoubleNonNeighbor(t *testing.T) {
+	d, r := newDouble(1)
+	d.Observe(1, false, Behind)
+	d.BeginEntry() // outer blocked by 1
+	d.Observe(7, false, Behind)
+	d.Observe(7, true, Behind)
+	d.Forget(7)
+	if d.BehindOuter() || len(r.announces) != 0 {
+		t.Fatalf("non-neighbour traffic moved the doorway (announces=%v)", r.announces)
+	}
+	d.Observe(1, false, Outside)
+	if !d.Behind() {
+		t.Fatal("a dropped non-neighbour observation still blocks the entry")
+	}
+}
+
+// TestDoubleAddExistingNeighbor pins re-adding a current neighbour: its
+// observed positions are overwritten in place — no second slot, so one
+// Forget removes it — the asynchronous doorway's sticky seen-outside mark
+// survives, and like any AddNeighbor it does not itself cross.
+func TestDoubleAddExistingNeighbor(t *testing.T) {
+	d, r := newDouble(1, 2)
+	d.Observe(2, false, Behind)
+	d.BeginEntry()                   // 1 seen outside; waiting for 2
+	d.AddNeighbor(1, Behind, Behind) // 1 re-added behind both: still seen
+	d.AddNeighbor(2, Outside, Outside)
+	if d.BehindOuter() || len(r.announces) != 0 {
+		t.Fatal("AddNeighbor of an existing neighbour caused a crossing")
+	}
+	d.Observe(2, false, Outside) // re-evaluates: both seen outside once
+	if !d.BehindOuter() || d.Behind() {
+		t.Fatalf("outer=%v inner=%v, want across the outer doorway, held at the inner by 1", d.BehindOuter(), d.Behind())
+	}
+	d.Forget(1) // one Forget suffices: the re-add made no duplicate
+	if !d.Behind() {
+		t.Fatal("re-added neighbour left a second slot behind")
+	}
+}

@@ -20,6 +20,7 @@ type dwMsg struct {
 // exits.
 type dwProto struct {
 	env      core.Env
+	nbrs     core.Slots[struct{}] // the neighbour table d's slots follow
 	d        *doorway.Doorway
 	kind     doorway.Kind
 	holdTime sim.Time
@@ -32,7 +33,8 @@ type dwProto struct {
 
 func (p *dwProto) Init(env core.Env) {
 	p.env = env
-	p.d = doorway.New(p.kind, env.Neighbors(),
+	p.nbrs.Reset(env.Neighbors())
+	p.d = doorway.New(p.kind, p.nbrs.Len(),
 		func(cross bool) { env.Broadcast(dwMsg{Cross: cross}) },
 		p.onCross)
 }
@@ -60,14 +62,22 @@ func (p *dwProto) OnMessage(from core.NodeID, msg core.Message) {
 	if m.Cross {
 		pos = doorway.Behind
 	}
-	p.d.Observe(from, pos)
+	if i := p.nbrs.Find(from); i >= 0 {
+		p.d.Observe(i, pos)
+	}
 }
 
 func (p *dwProto) OnLinkUp(peer core.NodeID, iAmMoving bool) {
-	p.d.AddNeighbor(peer, doorway.Outside)
+	if i, fresh := p.nbrs.Insert(peer); fresh {
+		p.d.Add(i, doorway.Outside)
+	}
 }
 
-func (p *dwProto) OnLinkDown(peer core.NodeID) { p.d.Forget(peer) }
+func (p *dwProto) OnLinkDown(peer core.NodeID) {
+	if i, _ := p.nbrs.Remove(peer); i >= 0 {
+		p.d.Forget(i)
+	}
+}
 
 func (p *dwProto) BecomeHungry()     {}
 func (p *dwProto) ExitCS()           {}

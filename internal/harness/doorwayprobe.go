@@ -19,8 +19,7 @@ type probeMsg struct {
 // experiment E7's instrument for Lemma 1's O(δT) traversal bound.
 type probeProto struct {
 	env core.Env
-	ad  *doorway.Doorway
-	sd  *doorway.Doorway
+	dd  *doorway.Double
 
 	entryAt sim.Time
 	waiting bool
@@ -32,11 +31,8 @@ var _ core.Protocol = (*probeProto)(nil)
 
 func (p *probeProto) Init(env core.Env) {
 	p.env = env
-	p.ad = doorway.New(doorway.Asynchronous, env.Neighbors(),
-		func(cross bool) { env.Broadcast(probeMsg{Sync: false, Cross: cross}) },
-		func() { p.sd.BeginEntry() })
-	p.sd = doorway.New(doorway.Synchronous, env.Neighbors(),
-		func(cross bool) { env.Broadcast(probeMsg{Sync: true, Cross: cross}) },
+	p.dd = doorway.NewDouble(env.Neighbors(),
+		func(inner, cross bool) { env.Broadcast(probeMsg{Sync: inner, Cross: cross}) },
 		func() {
 			if p.waiting {
 				p.waiting = false
@@ -52,14 +48,11 @@ func (p *probeProto) Init(env core.Env) {
 func (p *probeProto) enter() {
 	p.entryAt = p.env.Now()
 	p.waiting = true
-	p.ad.BeginEntry()
+	p.dd.BeginEntry()
 }
 
 // leave runs the double-doorway exit code.
-func (p *probeProto) leave() {
-	p.sd.Exit()
-	p.ad.Exit()
-}
+func (p *probeProto) leave() { p.dd.Exit() }
 
 func (p *probeProto) OnMessage(from core.NodeID, msg core.Message) {
 	m, ok := msg.(probeMsg)
@@ -70,21 +63,15 @@ func (p *probeProto) OnMessage(from core.NodeID, msg core.Message) {
 	if m.Cross {
 		pos = doorway.Behind
 	}
-	if m.Sync {
-		p.sd.Observe(from, pos)
-	} else {
-		p.ad.Observe(from, pos)
-	}
+	p.dd.Observe(from, m.Sync, pos)
 }
 
 func (p *probeProto) OnLinkUp(peer core.NodeID, iAmMoving bool) {
-	p.ad.AddNeighbor(peer, doorway.Outside)
-	p.sd.AddNeighbor(peer, doorway.Outside)
+	p.dd.AddNeighbor(peer, doorway.Outside, doorway.Outside)
 }
 
 func (p *probeProto) OnLinkDown(peer core.NodeID) {
-	p.ad.Forget(peer)
-	p.sd.Forget(peer)
+	p.dd.Forget(peer)
 }
 
 func (p *probeProto) BecomeHungry()     {}

@@ -1268,8 +1268,7 @@ func FIFOAblation(q Quality, replicas int) (*Plan, error) {
 					if err := r.Start(); err != nil {
 						return nil, err
 					}
-					sched := r.World.Scheduler()
-					if err := sched.RunUntil(horizon, uint64(n)*uint64(horizon/50+1_000_000)); err != nil {
+					if _, err := r.runUntil(horizon, uint64(n)*uint64(horizon/50+1_000_000)); err != nil {
 						return nil, err
 					}
 					return ablationResult{

@@ -217,7 +217,6 @@ func Build(spec Spec) (*Run, error) {
 			})
 		}
 	}
-	w.SetEventHook(func(sim.Time) { totalEvents.Add(1) })
 	w.AddStateListener(r.Checker)
 	w.AddStateListener(r.Recorder)
 	w.AddStateListener(r.Prober)
@@ -279,13 +278,13 @@ func (r *Run) RunContext(ctx context.Context, d sim.Time) error {
 		if next > deadline {
 			next = deadline
 		}
-		before := w.Processed()
-		if err := w.RunUntil(next, remaining); err != nil {
+		ran, err := r.runUntil(next, remaining)
+		if err != nil {
 			return err
 		}
 		// RunUntil errors when it exhausts the budget, so on success
 		// strictly fewer events ran and the remainder stays positive.
-		remaining -= w.Processed() - before
+		remaining -= ran
 		if r.progress != nil {
 			r.progress.Tick()
 		}
@@ -295,6 +294,18 @@ func (r *Run) RunContext(ctx context.Context, d sim.Time) error {
 	}
 	r.foldTraceLoss()
 	return r.Checker.Err()
+}
+
+// runUntil advances the world to deadline within the event budget and
+// credits the events it executed to the process-wide EventsProcessed
+// total — one atomic add per call, where a per-event hook would have
+// every shard worker and fleet job contend on the counter.
+func (r *Run) runUntil(deadline sim.Time, maxEvents uint64) (ran uint64, err error) {
+	before := r.World.Processed()
+	err = r.World.RunUntil(deadline, maxEvents)
+	ran = r.World.Processed() - before
+	totalEvents.Add(ran)
+	return ran, err
 }
 
 // AttachProgress binds a heartbeat reporter to this run's gauges; it is

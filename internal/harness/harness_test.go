@@ -42,6 +42,36 @@ func TestRunLifecycle(t *testing.T) {
 	}
 }
 
+// TestEventsProcessedMatchesWorld: the process-wide event total advances
+// by exactly what each run's world executed — under both engines, across
+// repeated RunFor calls — now that it is fed from the per-slice
+// World.Processed delta rather than a per-event hook. (Not parallel: no
+// other run may feed the total meanwhile.)
+func TestEventsProcessedMatchesWorld(t *testing.T) {
+	for _, tiles := range []int{0, 3} {
+		r, err := Build(Spec{
+			Seed:        7,
+			Points:      GridPoints(6, 6, 0.1),
+			Radius:      0.11,
+			Tiles:       tiles,
+			NewProtocol: func(core.NodeID) core.Protocol { return lme2.New() },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := EventsProcessed()
+		for i := 0; i < 3; i++ {
+			if err := r.RunFor(200_000); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, want := EventsProcessed()-before, r.World.Processed()
+		if want == 0 || got != want {
+			t.Fatalf("tiles=%d: EventsProcessed advanced by %d, world executed %d", tiles, got, want)
+		}
+	}
+}
+
 func TestPointHelpers(t *testing.T) {
 	if got := len(LinePoints(5, 0.1)); got != 5 {
 		t.Fatalf("LinePoints: %d", got)

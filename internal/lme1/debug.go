@@ -2,7 +2,6 @@ package lme1
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"lme/internal/doorway"
@@ -22,25 +21,22 @@ func (n *Node) DebugString() string {
 		}
 		fmt.Fprintf(&b, " %v=%s", d, pos)
 	}
-	keys := n.sortedNeighbors()
 	fmt.Fprintf(&b, " at={")
-	for _, j := range keys {
-		c, ok := n.colors[j]
+	var susp, pend []int
+	for i := 0; i < n.peers.Len(); i++ {
+		j, p := n.peers.ID(i), n.peers.At(i)
 		cs := "⊥"
-		if ok {
-			cs = fmt.Sprint(c)
+		if p.has(pColored) {
+			cs = fmt.Sprint(p.color)
 		}
-		fmt.Fprintf(&b, "%d(c=%s,fork=%v,L=%v) ", j, cs, n.at[j], n.dws[sdf].ObservedPos(j) == doorway.Behind)
+		fmt.Fprintf(&b, "%d(c=%s,fork=%v,L=%v) ", j, cs, p.has(pFork), n.dws[sdf].ObservedPos(i) == doorway.Behind)
+		if p.has(pSuspended) {
+			susp = append(susp, int(j))
+		}
+		if p.has(pPending) {
+			pend = append(pend, int(j))
+		}
 	}
-	fmt.Fprintf(&b, "} S=%v pend=%v recActive=%v", setKeys(n.suspended), setKeys(n.pendingStatus), n.rec.active)
+	fmt.Fprintf(&b, "} S=%v pend=%v recActive=%v", susp, pend, n.rec.active)
 	return b.String()
-}
-
-func setKeys[K ~int](m map[K]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, int(k))
-	}
-	sort.Ints(out)
-	return out
 }

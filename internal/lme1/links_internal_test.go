@@ -15,10 +15,10 @@ func TestLinkUpStaticSendsStatus(t *testing.T) {
 	n := New(Config{})
 	n.Init(env)
 	n.OnLinkUp(7, false)
-	if !n.at[7] {
+	if !n.flag(7, pFork) {
 		t.Fatal("static side does not own the new fork")
 	}
-	if _, known := n.colors[7]; known {
+	if _, known := n.colorOf(7); known {
 		t.Fatal("newcomer's colour not cleared to ⊥")
 	}
 	var status *msgStatus
@@ -87,7 +87,10 @@ func TestMoverWaitsForAllStatuses(t *testing.T) {
 	if !n.needsRecolor && !n.rec.active && n.Color() >= 0 {
 		t.Fatal("mover skipped recolouring")
 	}
-	if n.colors[8] != 3 || n.colors[9] != 4 {
+	if c8, _ := n.colorOf(8); c8 != 3 {
+		t.Fatal("status colours not recorded")
+	}
+	if c9, _ := n.colorOf(9); c9 != 4 {
 		t.Fatal("status colours not recorded")
 	}
 }
@@ -124,9 +127,9 @@ func TestReturnPathUnit(t *testing.T) {
 	if !n.dws[sdf].Behind() {
 		t.Fatalf("not behind SD^f (ph=%d)", n.ph)
 	}
-	n.at[0] = false
-	n.at[2] = true
-	n.suspended[2] = true
+	n.setFlag(0, pFork, false)
+	n.setFlag(2, pFork, true)
+	n.setFlag(2, pSuspended, true)
 	forksBefore := env.count(func(m core.Message) bool { _, ok := m.(msgFork); return ok })
 	n.OnLinkDown(0)
 	if got := env.count(func(m core.Message) bool { _, ok := m.(msgFork); return ok }); got != forksBefore+1 {
@@ -159,7 +162,7 @@ func TestHighNeighborDepartureUnblocks(t *testing.T) {
 	n := New(Config{InitialColor: func(id core.NodeID) int { return colors[id] }})
 	n.Init(env)
 	n.BecomeHungry()
-	n.at[2] = false // high neighbour holds the fork
+	n.setFlag(2, pFork, false) // high neighbour holds the fork
 	if n.State() == core.Eating {
 		t.Skip("ate before arrangement") // cannot happen: at[2]=false set after
 	}
@@ -179,19 +182,19 @@ func TestEaterSuspendsRequestsEvenAtEntry(t *testing.T) {
 	n.Init(env)
 	// Block the SD^f entry by observing the neighbour behind it, then
 	// make the node hungry and hand it the last fork while it waits.
-	n.dws[sdf].Observe(0, doorway.Behind)
+	n.dws[sdf].Observe(n.peers.Find(0), doorway.Behind)
 	n.BecomeHungry()
 	if n.dws[sdf].Behind() {
 		t.Fatal("setup: crossed SD^f despite behind neighbour")
 	}
-	n.at[0] = false
+	n.setFlag(0, pFork, false)
 	n.OnMessage(0, msgFork{})
 	if n.State() != core.Eating {
 		t.Fatalf("state = %v, want eating at the doorway entry (Line 19)", n.State())
 	}
 	// A request arriving now must be suspended, not granted.
 	n.OnMessage(0, msgReq{})
-	if !n.suspended[0] {
+	if !n.flag(0, pSuspended) {
 		t.Fatal("eater at the doorway entry granted a fork mid-CS")
 	}
 	// And the mover demotion applies to it too.

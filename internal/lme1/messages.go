@@ -2,6 +2,7 @@ package lme1
 
 import (
 	"lme/internal/coloring"
+	"lme/internal/core"
 	"lme/internal/doorway"
 )
 
@@ -36,6 +37,25 @@ func (d dwIndex) String() string {
 type msgDoorway struct {
 	D     dwIndex
 	Cross bool
+}
+
+// doorwayMsgs holds the eight possible doorway announcements boxed once:
+// a msgDoorway is two words, so converting a fresh one to core.Message
+// would allocate on every cross and exit.
+var doorwayMsgs = func() (t [numDoorways][2]core.Message) {
+	for d := range t {
+		t[d][0] = msgDoorway{D: dwIndex(d)}
+		t[d][1] = msgDoorway{D: dwIndex(d), Cross: true}
+	}
+	return t
+}()
+
+// doorwayMsg returns the announcement of a cross or exit of doorway d.
+func doorwayMsg(d dwIndex, cross bool) core.Message {
+	if cross {
+		return doorwayMsgs[d][1]
+	}
+	return doorwayMsgs[d][0]
 }
 
 // msgUpdateColor carries a node's freshly chosen colour (Lines 7 and 39).

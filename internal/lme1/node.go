@@ -10,7 +10,6 @@ package lme1
 
 import (
 	"fmt"
-	"sort"
 
 	"lme/internal/core"
 	"lme/internal/doorway"
@@ -110,22 +109,17 @@ type Node struct {
 	state core.State
 	ph    phase
 
-	// myColor is color[i]; colors holds the known colours of current
-	// neighbours (absence = the paper's ⊥).
+	// myColor is color[i].
 	myColor int
-	colors  map[core.NodeID]int
 
-	// at[j] — this node holds the fork shared with j. The key set of at
-	// is exactly the current neighbour set N.
-	at map[core.NodeID]bool
-
-	// nbrs mirrors the key set of at as a sorted ID slice, maintained
-	// incrementally on link up/down so deterministic message emission
-	// never sorts a fresh map snapshot.
-	nbrs []core.NodeID
-
-	// suspended is S: neighbours with suspended fork requests.
-	suspended map[core.NodeID]bool
+	// peers is the current neighbour set N with everything this node
+	// tracks per neighbour, in ascending ID order (which is also the
+	// message emission order). The four doorways keep their L[] entries
+	// aligned with it: slot i of every doorway is the neighbour in slot i
+	// here. Handlers resolve the sender to its slot once and pass the slot
+	// down; OnLinkUp and OnLinkDown shift slots, so none is held across
+	// them.
+	peers core.Slots[peer]
 
 	dws [numDoorways]*doorway.Doorway
 
@@ -138,11 +132,36 @@ type Node struct {
 	// of the first double doorway (Figure 5).
 	viaRecolor bool
 
-	// pendingStatus holds new neighbours whose status message (Line 46)
-	// the mover still awaits (Line 53).
-	pendingStatus map[core.NodeID]bool
-
 	rec recolorRun
+}
+
+// peer is one neighbour's slot record.
+type peer struct {
+	// color is color[j], meaningful only with pColored set.
+	color int
+	flags uint8
+}
+
+// The peer flags.
+const (
+	pColored   uint8 = 1 << iota // color[j] is known (clear = the paper's ⊥)
+	pFork                        // at[j]: this node holds the fork shared with j
+	pSuspended                   // j ∈ S: j's fork request is suspended
+	pPending                     // j's status message (Line 46) is still awaited (Line 53)
+	pRecolor                     // j ∈ R: j takes part in the running recolouring
+)
+
+func (p *peer) has(f uint8) bool { return p.flags&f != 0 }
+
+// lower and higher compare j's colour with the node's own; a neighbour of
+// unknown colour is neither.
+func (p *peer) lower(my int) bool  { return p.flags&pColored != 0 && p.color < my }
+func (p *peer) higher(my int) bool { return p.flags&pColored != 0 && p.color > my }
+
+// setColor records j's announced colour.
+func (p *peer) setColor(c int) {
+	p.color = c
+	p.flags |= pColored
 }
 
 var _ core.Protocol = (*Node)(nil)
@@ -155,14 +174,7 @@ func New(cfg Config) *Node {
 	if cfg.InitialColor == nil {
 		cfg.InitialColor = func(id core.NodeID) int { return int(id) }
 	}
-	return &Node{
-		cfg:           cfg,
-		state:         core.Thinking,
-		colors:        make(map[core.NodeID]int),
-		at:            make(map[core.NodeID]bool),
-		suspended:     make(map[core.NodeID]bool),
-		pendingStatus: make(map[core.NodeID]bool),
-	}
+	return &Node{cfg: cfg, state: core.Thinking}
 }
 
 // Init implements core.Protocol: initial forks go to the smaller ID of
@@ -180,10 +192,13 @@ func (n *Node) Init(env core.Env) {
 	n.myColor = n.cfg.InitialColor(me)
 	n.needsRecolor = n.cfg.RecolorFirst
 	neighbors := env.Neighbors()
-	n.nbrs = append(n.nbrs[:0], neighbors...) // copy: Neighbors is a view
-	for _, j := range neighbors {
-		n.at[j] = me < j
-		n.colors[j] = n.cfg.InitialColor(j)
+	n.peers.Reset(neighbors)
+	for i, j := range neighbors {
+		p := n.peers.At(i)
+		p.setColor(n.cfg.InitialColor(j))
+		if me < j {
+			p.flags |= pFork
+		}
 	}
 	for d := dwIndex(0); d < numDoorways; d++ {
 		d := d
@@ -191,10 +206,10 @@ func (n *Node) Init(env core.Env) {
 		if d == sdr || d == sdf {
 			kind = doorway.Synchronous
 		}
-		n.dws[d] = doorway.New(kind, neighbors,
+		n.dws[d] = doorway.New(kind, len(neighbors),
 			func(cross bool) {
 				n.emitDoorway(d, cross)
-				env.Broadcast(msgDoorway{D: d, Cross: cross})
+				env.Broadcast(doorwayMsg(d, cross))
 			},
 			func() { n.onCross(d) })
 	}
@@ -223,7 +238,7 @@ func (n *Node) BecomeHungry() {
 // startJourney routes a hungry node into Figure 5's pipeline.
 func (n *Node) startJourney() {
 	switch {
-	case len(n.pendingStatus) > 0:
+	case n.anyPeer(pPending):
 		// Line 53: still waiting for new neighbours' status.
 		n.ph = phAwaitStatus
 	case n.needsRecolor:
@@ -283,9 +298,7 @@ func (n *Node) ExitCS() {
 	n.myColor = n.smallestFreeColor()
 	n.needsRecolor = false
 	n.env.Broadcast(msgUpdateColor{Color: n.myColor})
-	for _, j := range n.sortedSuspended() {
-		n.sendFork(j)
-	}
+	n.releaseSuspended()
 	// Line 9 exits the fork doorways. A node that ate from a doorway
 	// *entry* (the Line 19 corner in maybeEat) can still hold pending —
 	// or, after an interrupted recolouring journey, crossed — entries in
@@ -298,7 +311,8 @@ func (n *Node) ExitCS() {
 
 // OnMessage implements core.Protocol.
 func (n *Node) OnMessage(from core.NodeID, msg core.Message) {
-	if _, isNeighbor := n.at[from]; !isNeighbor {
+	i := n.peers.Find(from)
+	if i < 0 {
 		// The link vanished while the message was queued locally;
 		// treat as destroyed with the link.
 		return
@@ -309,22 +323,22 @@ func (n *Node) OnMessage(from core.NodeID, msg core.Message) {
 		if m.Cross {
 			pos = doorway.Behind
 		}
-		n.dws[m.D].Observe(from, pos)
+		n.dws[m.D].Observe(i, pos)
 	case msgUpdateColor:
-		n.colors[from] = m.Color
-		n.onColorChanged(from)
+		n.peers.At(i).setColor(m.Color)
+		n.onColorChanged(i)
 	case msgStatus:
-		n.onStatus(from, m)
+		n.onStatus(i, m)
 	case msgReq:
-		n.onReq(from)
+		n.onReq(i)
 	case msgFork:
-		n.onFork(from, m.Flag)
+		n.onFork(i, m.Flag)
 	case msgNACK:
-		n.rec.onNACK(n, from)
+		n.rec.onNACK(n, i)
 	case msgGraph:
-		n.onRecolorMsg(from, m)
+		n.onRecolorMsg(i, m)
 	case msgTempColor:
-		n.onRecolorMsg(from, m)
+		n.onRecolorMsg(i, m)
 	default:
 		n.tracef("unknown message %T from %d", msg, from)
 	}
@@ -338,12 +352,12 @@ func (n *Node) OnMessage(from core.NodeID, msg core.Message) {
 // pseudo-code leaves this re-evaluation implicit; see the erratum notes in
 // DESIGN.md). Duplicate requests are harmless: a request arriving while
 // the fork is already in transit to the requester is dropped.
-func (n *Node) onColorChanged(j core.NodeID) {
+func (n *Node) onColorChanged(i int) {
 	if n.state != core.Hungry || !n.dws[sdf].Behind() {
 		return
 	}
-	if c, ok := n.colors[j]; ok && !n.at[j] && c < n.myColor {
-		n.env.Send(j, msgReq{})
+	if p := n.peers.At(i); !p.has(pFork) && p.lower(n.myColor) {
+		n.env.Send(n.peers.ID(i), msgReq{})
 	}
 	if n.allLowForks() {
 		// The change may also have flipped a missing low fork to
@@ -353,51 +367,44 @@ func (n *Node) onColorChanged(j core.NodeID) {
 }
 
 // onStatus handles the static neighbour's reply of Line 46 at the mover.
-func (n *Node) onStatus(from core.NodeID, m msgStatus) {
-	n.colors[from] = m.Color
+func (n *Node) onStatus(i int, m msgStatus) {
+	n.peers.At(i).setColor(m.Color)
 	for d := dwIndex(0); d < numDoorways; d++ {
-		n.dws[d].Observe(from, m.Pos[d])
+		n.dws[d].Observe(i, m.Pos[d])
 	}
-	delete(n.pendingStatus, from)
+	n.peers.At(i).flags &^= pPending
 	n.checkStatusDrain()
 }
 
 // checkStatusDrain resumes a waiting hungry mover once every awaited
 // status message arrived (Lines 53–55).
 func (n *Node) checkStatusDrain() {
-	if len(n.pendingStatus) > 0 {
-		return
-	}
-	if n.state == core.Hungry && n.ph == phAwaitStatus {
+	if n.state == core.Hungry && n.ph == phAwaitStatus && !n.anyPeer(pPending) {
 		n.startJourney()
 	}
 }
 
 // onReq is Lines 10–16.
-func (n *Node) onReq(j core.NodeID) {
-	if !n.at[j] {
+func (n *Node) onReq(i int) {
+	p := n.peers.At(i)
+	if !p.has(pFork) {
 		// The fork is in transit to j (FIFO makes any other
 		// interleaving impossible); the request is moot.
 		return
 	}
-	cj, known := n.colors[j]
-	if !known {
-		// Cannot rank an uncoloured requester; suspend (it will be
-		// granted at the latest when this node leaves the critical
-		// section). The protocol never produces this case because a
-		// node broadcasts its colour before requesting.
-		n.suspended[j] = true
-		return
-	}
+	// An uncoloured requester cannot be ranked and falls through to the
+	// default: suspended (it will be granted at the latest when this node
+	// leaves the critical section). The protocol never produces this case
+	// because a node broadcasts its colour before requesting.
 	busy := n.collecting()
 	switch {
-	case cj > n.myColor && (!n.allLowForks() || !busy):
-		n.sendFork(j)
-	case cj < n.myColor && (!n.allForks() || !busy):
-		n.sendFork(j)
+	case p.higher(n.myColor) && (!n.allLowForks() || !busy):
+		n.sendFork(i)
+	case p.lower(n.myColor) && (!n.allForks() || !busy):
+		n.sendFork(i)
 		n.releaseHighForks()
 	default:
-		n.suspended[j] = true
+		p.flags |= pSuspended
 	}
 }
 
@@ -411,24 +418,24 @@ func (n *Node) collecting() bool {
 }
 
 // onFork is Lines 17–23.
-func (n *Node) onFork(j core.NodeID, flag bool) {
-	n.at[j] = true
+func (n *Node) onFork(i int, flag bool) {
+	n.peers.At(i).flags |= pFork
 	if n.state == core.Thinking {
 		// Stale arrival after the hungry journey ended; honour the
 		// want-back flag and keep the fork otherwise.
 		if flag {
-			n.sendFork(j)
+			n.sendFork(i)
 		}
 		return
 	}
 	n.maybeEat()
 	if n.allLowForks() {
 		if flag {
-			n.suspended[j] = true
+			n.peers.At(i).flags |= pSuspended
 		}
 		n.requestHighForks()
 	} else if flag {
-		n.sendFork(j)
+		n.sendFork(i)
 	}
 }
 
@@ -441,14 +448,27 @@ func (n *Node) OnLinkUp(peer core.NodeID, iAmMoving bool) {
 	}
 }
 
+// addPeer installs j as a neighbour with the given flags, colour ⊥ until
+// it announces one, and the given assumed position at all four doorways.
+// A link-up for a current neighbour (no runtime produces one) resets its
+// slot in place.
+func (n *Node) addPeer(j core.NodeID, flags uint8, pos doorway.Pos) {
+	i, fresh := n.peers.Insert(j)
+	*n.peers.At(i) = peer{flags: flags}
+	for _, dw := range n.dws {
+		if fresh {
+			dw.Add(i, pos)
+		} else {
+			dw.Set(i, pos)
+		}
+	}
+}
+
 // onLinkUpStatic is Lines 44–46.
 func (n *Node) onLinkUpStatic(j core.NodeID) {
-	n.nbrs = core.InsertID(n.nbrs, j)
-	n.at[j] = true
-	delete(n.colors, j) // ⊥ until the newcomer announces its colour
+	n.addPeer(j, pFork, doorway.Outside)
 	var pos [numDoorways]doorway.Pos
 	for d := dwIndex(0); d < numDoorways; d++ {
-		n.dws[d].AddNeighbor(j, doorway.Outside)
 		pos[d] = doorway.Outside
 		if n.dws[d].Behind() {
 			pos[d] = doorway.Behind
@@ -459,9 +479,10 @@ func (n *Node) onLinkUpStatic(j core.NodeID) {
 
 // onLinkUpMoving is Lines 47–55.
 func (n *Node) onLinkUpMoving(j core.NodeID) {
-	n.nbrs = core.InsertID(n.nbrs, j)
-	n.at[j] = false
-	delete(n.colors, j)
+	// Until the status message arrives, the newcomer's doorway
+	// positions are unknown; assume Behind (conservative — prevents
+	// crossing past an unobserved neighbour).
+	n.addPeer(j, pPending, doorway.Behind)
 	if n.collecting() {
 		if n.state == core.Eating {
 			// Line 50: preserve safety — the newcomer's fork is
@@ -470,21 +491,12 @@ func (n *Node) onLinkUpMoving(j core.NodeID) {
 			// eating at the doorway entry.)
 			n.setState(core.Hungry)
 		}
-		for _, k := range n.sortedSuspended() {
-			n.sendFork(k)
-		}
+		n.releaseSuspended()
 	}
 	n.rec.abort(n)
 	n.exitAllDoorways()
 	n.viaRecolor = false
 	n.needsRecolor = true
-	// Until the status message arrives, the newcomer's doorway
-	// positions are unknown; assume Behind (conservative — prevents
-	// crossing past an unobserved neighbour).
-	for d := dwIndex(0); d < numDoorways; d++ {
-		n.dws[d].AddNeighbor(j, doorway.Behind)
-	}
-	n.pendingStatus[j] = true
 	if n.state == core.Hungry {
 		n.ph = phAwaitStatus
 	}
@@ -494,14 +506,16 @@ func (n *Node) onLinkUpMoving(j core.NodeID) {
 // cleanup performed by the link-level protocol (the shared fork is
 // destroyed with the link).
 func (n *Node) OnLinkDown(j core.NodeID) {
-	hadFork := n.at[j]
-	cj, known := n.colors[j]
-	wasLow := known && cj < n.myColor
-	n.nbrs = core.RemoveID(n.nbrs, j)
-	delete(n.at, j)
-	delete(n.colors, j)
-	delete(n.suspended, j)
-	delete(n.pendingStatus, j)
+	i, gone := n.peers.Remove(j)
+	if i < 0 {
+		return
+	}
+	hadFork := gone.has(pFork)
+	wasLow := gone.lower(n.myColor)
+	// The doorways drop slot i only below, at the points where the entry
+	// conditions are to be re-evaluated; until then their slots are one
+	// off from peers', which nothing in between relies on (the doorways
+	// never look at peers, and no handler runs with a slot in hand).
 	n.rec.onNeighborLost(n, j)
 
 	behindFork := n.dws[sdf].Behind()
@@ -511,19 +525,17 @@ func (n *Node) OnLinkDown(j core.NodeID) {
 		// doorway, release the suspended requests, and return to its
 		// entry code.
 		n.tracef("return path: low neighbour %d left with our fork", j)
-		for _, k := range n.sortedSuspended() {
-			n.sendFork(k)
-		}
+		n.releaseSuspended()
 		n.dws[sdf].Exit()
-		for d := dwIndex(0); d < numDoorways; d++ {
-			n.dws[d].Forget(j)
+		for _, dw := range n.dws {
+			dw.Forget(i)
 		}
 		n.ph = phEnterSDf
 		n.enterDoorway(sdf)
 		return
 	}
-	for d := dwIndex(0); d < numDoorways; d++ {
-		n.dws[d].Forget(j)
+	for _, dw := range n.dws {
+		dw.Forget(i)
 	}
 	n.checkStatusDrain()
 	if behindFork && n.state == core.Hungry {
@@ -550,7 +562,7 @@ func (n *Node) maybeEat() {
 	if n.state != core.Hungry || !n.allForks() {
 		return
 	}
-	if n.rec.active || len(n.pendingStatus) > 0 {
+	if n.rec.active || n.anyPeer(pPending) {
 		n.tracef("all forks while recolouring/awaiting status — not eating")
 		return
 	}
@@ -576,10 +588,20 @@ func (n *Node) exitAllDoorways() {
 	n.ph = phIdle
 }
 
+// anyPeer reports whether some neighbour has flag f set.
+func (n *Node) anyPeer(f uint8) bool {
+	for i := 0; i < n.peers.Len(); i++ {
+		if n.peers.At(i).has(f) {
+			return true
+		}
+	}
+	return false
+}
+
 // allForks is the all-forks macro.
 func (n *Node) allForks() bool {
-	for _, have := range n.at {
-		if !have {
+	for i := 0; i < n.peers.Len(); i++ {
+		if !n.peers.At(i).has(pFork) {
 			return false
 		}
 	}
@@ -590,11 +612,8 @@ func (n *Node) allForks() bool {
 // neighbours. Neighbours with unknown colour are newly arrived movers
 // whose fork this node owns by construction, so they never block it.
 func (n *Node) allLowForks() bool {
-	for j, have := range n.at {
-		if have {
-			continue
-		}
-		if c, ok := n.colors[j]; ok && c < n.myColor {
+	for i := 0; i < n.peers.Len(); i++ {
+		if p := n.peers.At(i); !p.has(pFork) && p.lower(n.myColor) {
 			return false
 		}
 	}
@@ -603,54 +622,62 @@ func (n *Node) allLowForks() bool {
 
 // requestLowForks is Lines 24–26.
 func (n *Node) requestLowForks() {
-	for _, j := range n.sortedNeighbors() {
-		if c, ok := n.colors[j]; ok && c < n.myColor && !n.at[j] {
-			n.env.Send(j, msgReq{})
+	for i := 0; i < n.peers.Len(); i++ {
+		if p := n.peers.At(i); !p.has(pFork) && p.lower(n.myColor) {
+			n.env.Send(n.peers.ID(i), msgReq{})
 		}
 	}
 }
 
 // requestHighForks is Lines 27–29.
 func (n *Node) requestHighForks() {
-	for _, j := range n.sortedNeighbors() {
-		if c, ok := n.colors[j]; ok && c > n.myColor && !n.at[j] {
-			n.env.Send(j, msgReq{})
+	for i := 0; i < n.peers.Len(); i++ {
+		if p := n.peers.At(i); !p.has(pFork) && p.higher(n.myColor) {
+			n.env.Send(n.peers.ID(i), msgReq{})
 		}
 	}
 }
 
 // sendFork is Lines 30–32.
-func (n *Node) sendFork(j core.NodeID) {
-	if !n.at[j] {
+func (n *Node) sendFork(i int) {
+	p := n.peers.At(i)
+	if !p.has(pFork) {
 		return
 	}
-	flag := false
-	if c, ok := n.colors[j]; ok {
-		flag = c < n.myColor && n.collecting() && n.state != core.Eating
-	}
-	n.env.Send(j, msgFork{Flag: flag})
-	n.at[j] = false
-	delete(n.suspended, j)
+	flag := p.lower(n.myColor) && n.collecting() && n.state != core.Eating
+	n.env.Send(n.peers.ID(i), msgFork{Flag: flag})
+	p.flags &^= pFork | pSuspended
 }
 
-// releaseHighForks is Lines 33–35.
-func (n *Node) releaseHighForks() {
-	for _, j := range n.sortedSuspended() {
-		if c, ok := n.colors[j]; ok && c > n.myColor && n.at[j] {
-			n.sendFork(j)
+// releaseSuspended grants every suspended request (S in ascending ID
+// order). sendFork clears the slot's pSuspended as the loop passes it,
+// which moves no slot.
+func (n *Node) releaseSuspended() {
+	for i := 0; i < n.peers.Len(); i++ {
+		if n.peers.At(i).has(pSuspended) {
+			n.sendFork(i)
 		}
 	}
 }
 
-// smallestFreeColor implements Line 6.
-func (n *Node) smallestFreeColor() int {
-	used := make(map[int]bool, len(n.colors))
-	for _, c := range n.colors {
-		used[c] = true
+// releaseHighForks is Lines 33–35.
+func (n *Node) releaseHighForks() {
+	for i := 0; i < n.peers.Len(); i++ {
+		if p := n.peers.At(i); p.has(pSuspended) && p.higher(n.myColor) {
+			n.sendFork(i)
+		}
 	}
+}
+
+// smallestFreeColor implements Line 6. The result is at most the number
+// of coloured neighbours, so the rescan per candidate stays within δ².
+func (n *Node) smallestFreeColor() int {
 	c := 0
-	for used[c] {
-		c++
+	for i := 0; i < n.peers.Len(); i++ {
+		if p := n.peers.At(i); p.has(pColored) && p.color == c {
+			c++
+			i = -1
+		}
 	}
 	return c
 }
@@ -661,23 +688,6 @@ func (n *Node) setState(s core.State) {
 	}
 	n.state = s
 	n.env.SetState(s)
-}
-
-// sortedNeighbors returns the key set of at (= N) in ID order, for
-// deterministic message emission. The returned slice is the node's
-// incrementally maintained adjacency cache: a read-only view, valid until
-// the next link change.
-func (n *Node) sortedNeighbors() []core.NodeID {
-	return n.nbrs
-}
-
-func (n *Node) sortedSuspended() []core.NodeID {
-	out := make([]core.NodeID, 0, len(n.suspended))
-	for j := range n.suspended {
-		out = append(out, j)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // enterDoorway publishes the doorway "enter" event and begins the entry

@@ -16,9 +16,8 @@ type recolorRun struct {
 	active  bool
 	variant Variant
 
-	// r is the participant set R, initially N (Line 37); NACKs and
-	// departures shrink it.
-	r map[core.NodeID]bool
+	// The participant set R, initially N (Line 37) and shrunk by NACKs
+	// and departures, is the pRecolor flag of the node's peer slots.
 
 	// queue buffers colouring messages per sender; each iteration
 	// consumes exactly one message from every member of R, which keeps
@@ -47,9 +46,8 @@ func (n *Node) startRecolor() {
 	rec := &n.rec
 	rec.active = true
 	rec.variant = n.cfg.Variant
-	rec.r = make(map[core.NodeID]bool)
-	for _, j := range n.sortedNeighbors() {
-		rec.r[j] = true
+	for i := 0; i < n.peers.Len(); i++ {
+		n.peers.At(i).flags |= pRecolor
 	}
 	rec.queue = make(map[core.NodeID][]core.Message)
 	rec.finishedSeen = false
@@ -101,18 +99,25 @@ func (n *Node) beginRecolorIteration() {
 	default:
 		msg = msgGraph{Edges: rec.g.Edges(), Finished: false}
 	}
-	for _, j := range n.sortedNeighbors() {
-		if rec.r[j] {
-			n.env.Send(j, msg)
-		}
-	}
+	n.sendToParticipants(msg)
 	n.tryCompleteIteration()
 }
 
+// sendToParticipants sends msg to every member of R, in ascending ID
+// order.
+func (n *Node) sendToParticipants(msg core.Message) {
+	for i := 0; i < n.peers.Len(); i++ {
+		if n.peers.At(i).has(pRecolor) {
+			n.env.Send(n.peers.ID(i), msg)
+		}
+	}
+}
+
 // onRecolorMsg handles an incoming colouring-procedure message.
-func (n *Node) onRecolorMsg(from core.NodeID, msg core.Message) {
+func (n *Node) onRecolorMsg(i int, msg core.Message) {
 	rec := &n.rec
-	if !rec.active || !rec.r[from] {
+	from := n.peers.ID(i)
+	if !rec.active || !n.peers.At(i).has(pRecolor) {
 		// Not participating (Lines 40–41), or the sender is no
 		// longer a participant from this node's perspective.
 		n.env.Send(from, msgNACK{})
@@ -129,25 +134,25 @@ func (n *Node) tryCompleteIteration() {
 	if !rec.active {
 		return
 	}
-	if len(rec.r) == 0 {
+	if !n.anyPeer(pRecolor) {
 		// No neighbour is recolouring concurrently: both procedures
 		// return 0 immediately (Algorithm 4 Line 69 / Algorithm 5
 		// Line 71).
 		n.finishRecolor(0)
 		return
 	}
-	for j := range rec.r {
-		if len(rec.queue[j]) == 0 {
+	for i := 0; i < n.peers.Len(); i++ {
+		if n.peers.At(i).has(pRecolor) && len(rec.queue[n.peers.ID(i)]) == 0 {
 			return
 		}
 	}
-	consumed := make(map[core.NodeID]core.Message, len(rec.r))
-	for _, j := range n.sortedNeighbors() {
-		if !rec.r[j] {
-			continue
+	consumed := make([]recolorMsg, 0, n.peers.Len())
+	for i := 0; i < n.peers.Len(); i++ {
+		if n.peers.At(i).has(pRecolor) {
+			j := n.peers.ID(i)
+			consumed = append(consumed, recolorMsg{slot: i, msg: rec.queue[j][0]})
+			rec.queue[j] = rec.queue[j][1:]
 		}
-		consumed[j] = rec.queue[j][0]
-		rec.queue[j] = rec.queue[j][1:]
 	}
 	switch {
 	case rec.reducing:
@@ -159,20 +164,24 @@ func (n *Node) tryCompleteIteration() {
 	}
 }
 
+// recolorMsg is one iteration's message from the participant in the
+// given peer slot; an iteration's messages are handled in slot order.
+type recolorMsg struct {
+	slot int
+	msg  core.Message
+}
+
 // advanceGreedy is the loop body of Algorithm 4 (Lines 64–68) followed by
 // the termination handling (Lines 69–72).
-func (n *Node) advanceGreedy(consumed map[core.NodeID]core.Message) {
+func (n *Node) advanceGreedy(consumed []recolorMsg) {
 	rec := &n.rec
 	changed := false
-	for _, j := range n.sortedNeighbors() {
-		m, ok := consumed[j]
+	for _, c := range consumed {
+		j := n.peers.ID(c.slot)
+		gm, ok := c.msg.(msgGraph)
 		if !ok {
-			continue
-		}
-		gm, ok := m.(msgGraph)
-		if !ok {
-			n.tracef("greedy recolor got %T from %d; dropping participant", m, j)
-			delete(rec.r, j)
+			n.tracef("greedy recolor got %T from %d; dropping participant", c.msg, j)
+			n.peers.At(c.slot).flags &^= pRecolor
 			continue
 		}
 		if rec.g.Add(n.env.ID(), j) {
@@ -187,19 +196,14 @@ func (n *Node) advanceGreedy(consumed map[core.NodeID]core.Message) {
 			rec.finishedSeen = true
 		}
 	}
-	if len(rec.r) == 0 {
+	if !n.anyPeer(pRecolor) {
 		n.finishRecolor(0)
 		return
 	}
 	if !changed || rec.finishedSeen {
 		// Line 71: final transmission with finished = true, then the
 		// deterministic local colouring (Line 72).
-		final := msgGraph{Edges: rec.g.Edges(), Finished: true}
-		for _, j := range n.sortedNeighbors() {
-			if rec.r[j] {
-				n.env.Send(j, final)
-			}
-		}
+		n.sendToParticipants(msgGraph{Edges: rec.g.Edges(), Finished: true})
 		n.finishRecolor(coloring.GreedyColor(rec.g, n.env.ID()))
 		return
 	}
@@ -207,18 +211,14 @@ func (n *Node) advanceGreedy(consumed map[core.NodeID]core.Message) {
 }
 
 // advanceLinial is the loop body of Algorithm 5 (Lines 64–70).
-func (n *Node) advanceLinial(consumed map[core.NodeID]core.Message) {
+func (n *Node) advanceLinial(consumed []recolorMsg) {
 	rec := &n.rec
 	others := make([]int, 0, len(consumed))
-	for _, j := range n.sortedNeighbors() {
-		m, ok := consumed[j]
+	for _, c := range consumed {
+		tm, ok := c.msg.(msgTempColor)
 		if !ok {
-			continue
-		}
-		tm, ok := m.(msgTempColor)
-		if !ok {
-			n.tracef("linial recolor got %T from %d; dropping participant", m, j)
-			delete(rec.r, j)
+			n.tracef("linial recolor got %T from %d; dropping participant", c.msg, n.peers.ID(c.slot))
+			n.peers.At(c.slot).flags &^= pRecolor
 			continue
 		}
 		others = append(others, tm.Color)
@@ -233,7 +233,7 @@ func (n *Node) advanceLinial(consumed map[core.NodeID]core.Message) {
 	rec.phIdx++
 	if rec.phIdx >= len(rec.sched) {
 		if rec.variant == VariantLinialReduce && rec.reduceTotal > 0 {
-			if len(rec.r) == 0 {
+			if !n.anyPeer(pRecolor) {
 				n.finishRecolor(0)
 				return
 			}
@@ -244,7 +244,7 @@ func (n *Node) advanceLinial(consumed map[core.NodeID]core.Message) {
 		n.finishRecolor(rec.tempColor)
 		return
 	}
-	if len(rec.r) == 0 {
+	if !n.anyPeer(pRecolor) {
 		n.finishRecolor(0)
 		return
 	}
@@ -256,18 +256,14 @@ func (n *Node) advanceLinial(consumed map[core.NodeID]core.Message) {
 // an independent set among the participants, since their colouring is
 // legal — re-pick the smallest colour free among the participants'
 // colours; everyone else keeps theirs.
-func (n *Node) advanceReduce(consumed map[core.NodeID]core.Message) {
+func (n *Node) advanceReduce(consumed []recolorMsg) {
 	rec := &n.rec
 	others := make([]int, 0, len(consumed))
-	for _, j := range n.sortedNeighbors() {
-		m, ok := consumed[j]
+	for _, c := range consumed {
+		tm, ok := c.msg.(msgTempColor)
 		if !ok {
-			continue
-		}
-		tm, ok := m.(msgTempColor)
-		if !ok {
-			n.tracef("reduce round got %T from %d; dropping participant", m, j)
-			delete(rec.r, j)
+			n.tracef("reduce round got %T from %d; dropping participant", c.msg, n.peers.ID(c.slot))
+			n.peers.At(c.slot).flags &^= pRecolor
 			continue
 		}
 		others = append(others, tm.Color)
@@ -279,7 +275,7 @@ func (n *Node) advanceReduce(consumed map[core.NodeID]core.Message) {
 		n.finishRecolor(rec.tempColor)
 		return
 	}
-	if len(rec.r) == 0 {
+	if !n.anyPeer(pRecolor) {
 		n.finishRecolor(0)
 		return
 	}
@@ -310,21 +306,22 @@ func (rec *recolorRun) abort(n *Node) {
 }
 
 // onNACK removes a non-participant from R (Lines 42–43).
-func (rec *recolorRun) onNACK(n *Node, from core.NodeID) {
+func (rec *recolorRun) onNACK(n *Node, i int) {
 	if !rec.active {
 		return
 	}
-	delete(rec.r, from)
-	delete(rec.queue, from)
+	n.peers.At(i).flags &^= pRecolor
+	delete(rec.queue, n.peers.ID(i))
 	n.tryCompleteIteration()
 }
 
-// onNeighborLost removes a departed neighbour from R (Line 61).
+// onNeighborLost completes the removal of a departed neighbour from R
+// (Line 61); its peer slot, and with it the membership flag, is already
+// gone.
 func (rec *recolorRun) onNeighborLost(n *Node, j core.NodeID) {
 	if !rec.active {
 		return
 	}
-	delete(rec.r, j)
 	delete(rec.queue, j)
 	n.tryCompleteIteration()
 }

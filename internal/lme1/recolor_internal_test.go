@@ -244,11 +244,13 @@ func TestSmallestFreeColor(t *testing.T) {
 	env := &fakeEnv{id: 1, neighbors: []core.NodeID{2, 3, 4}}
 	n := New(Config{})
 	n.Init(env)
-	n.colors[2], n.colors[3], n.colors[4] = 0, 1, 3
+	n.setColorOf(2, 0)
+	n.setColorOf(3, 1)
+	n.setColorOf(4, 3)
 	if got := n.smallestFreeColor(); got != 2 {
 		t.Fatalf("smallestFreeColor = %d, want 2", got)
 	}
-	delete(n.colors, 2)
+	n.setFlag(2, pColored, false)
 	if got := n.smallestFreeColor(); got != 0 {
 		t.Fatalf("smallestFreeColor = %d, want 0", got)
 	}
@@ -258,13 +260,13 @@ func TestReqWithUnknownColorSuspends(t *testing.T) {
 	env := &fakeEnv{id: 1, neighbors: []core.NodeID{2}}
 	n := New(Config{})
 	n.Init(env)
-	delete(n.colors, 2) // simulate an uncoloured newcomer holding a request
-	n.at[2] = true
+	n.setFlag(2, pColored, false) // simulate an uncoloured newcomer holding a request
+	n.setFlag(2, pFork, true)
 	n.OnMessage(2, msgReq{})
-	if !n.suspended[2] {
+	if !n.flag(2, pSuspended) {
 		t.Fatal("request from uncoloured neighbour not suspended")
 	}
-	if n.at[2] != true {
+	if !n.flag(2, pFork) {
 		t.Fatal("fork left despite suspension")
 	}
 }
@@ -413,7 +415,7 @@ func TestRecolorMixedTypeDropsParticipant(t *testing.T) {
 	if !n.rec.active {
 		t.Fatal("finished prematurely")
 	}
-	if n.rec.r[3] {
+	if n.flag(3, pRecolor) {
 		t.Fatal("mismatched participant still in R")
 	}
 	n.OnMessage(2, msgGraph{Edges: coloringEdge(1, 2)})
@@ -429,7 +431,7 @@ func TestRecolorLinialMixedTypeDropsParticipant(t *testing.T) {
 	phases := len(n.rec.sched)
 	n.OnMessage(2, msgTempColor{Phase: 0, Color: 2})
 	n.OnMessage(3, msgGraph{}) // wrong procedure
-	if n.rec.r[3] {
+	if n.flag(3, pRecolor) {
 		t.Fatal("mismatched participant still in R")
 	}
 	for ph := 1; ph < phases && n.rec.active; ph++ {

@@ -65,7 +65,7 @@ func TestThinkingNodeAlwaysGrants(t *testing.T) {
 	// Node 1's neighbours are 0 and 2; it holds the fork shared with 2
 	// (1 < 2) and, to get all forks, we hand it 0's too.
 	n, env := newTestNode(1, 0, 2)
-	n.at[0] = true
+	n.setFlag(0, pFork, true)
 	// A hungry neighbour requests; node 1 is thinking with ALL forks:
 	// the printed pseudo-code suspends here, which deadlocks the
 	// requester forever.
@@ -73,7 +73,7 @@ func TestThinkingNodeAlwaysGrants(t *testing.T) {
 	if got := env.countTo(2, isFork); got != 1 {
 		t.Fatalf("thinking node granted %d forks, want 1", got)
 	}
-	if n.suspended[2] {
+	if n.flag(2, pSuspended) {
 		t.Fatal("request suspended by a thinking node")
 	}
 }
@@ -87,9 +87,9 @@ func TestSwitchReevaluatesRequests(t *testing.T) {
 	// priority) and node 1 misses 2's fork; higher[0]=false and node 1
 	// misses 0's fork too (hand-arranged).
 	n, env := newTestNode(1, 0, 2)
-	n.at[2] = false
-	n.at[0] = false
-	n.higher[0] = false
+	n.setFlag(2, pFork, false)
+	n.setFlag(0, pFork, false)
+	n.setFlag(0, pHigher, false)
 	n.BecomeHungry()
 	// all-low is false (missing low fork from 2), so no high request to
 	// 0 was sent yet beyond the initial low request to 2.
@@ -101,7 +101,7 @@ func TestSwitchReevaluatesRequests(t *testing.T) {
 	// becomes vacuously true, so the node must (re)request its missing
 	// high forks — including 0's.
 	n.OnMessage(2, msgSwitch{})
-	if n.higher[2] {
+	if n.flag(2, pHigher) {
 		t.Fatal("switch did not flip higher[2]")
 	}
 	if got := env.countTo(0, isReq); got <= reqsTo0 {
@@ -170,14 +170,14 @@ func TestNotificationOnlyAffectsThinkingWithPriority(t *testing.T) {
 
 func TestExitCSReversesAndFlushes(t *testing.T) {
 	n, env := newTestNode(1, 0, 2)
-	n.at[0] = true // all forks in hand
+	n.setFlag(0, pFork, true) // all forks in hand
 	n.BecomeHungry()
 	if n.State() != core.Eating {
 		t.Fatalf("state = %v, want eating", n.State())
 	}
 	// A request arrives mid-CS: suspended.
 	n.OnMessage(2, msgReq{})
-	if !n.suspended[2] {
+	if !n.flag(2, pSuspended) {
 		t.Fatal("mid-CS request not suspended")
 	}
 	n.ExitCS()
@@ -206,7 +206,7 @@ func TestLinkUpStaticOwnsForkAndPriority(t *testing.T) {
 
 func TestLinkUpMovingYieldsAndDemotes(t *testing.T) {
 	n, env := newTestNode(1, 0)
-	n.at[0] = true
+	n.setFlag(0, pFork, true)
 	n.BecomeHungry() // eats: has all forks
 	if n.State() != core.Eating {
 		t.Fatalf("state = %v", n.State())
@@ -227,8 +227,8 @@ func TestLinkUpMovingYieldsAndDemotes(t *testing.T) {
 
 func TestLinkDownReevaluatesProgress(t *testing.T) {
 	n, _ := newTestNode(1, 0, 2)
-	n.at[0] = true  // 0's fork in hand…
-	n.at[2] = false // …but 2 holds the shared fork
+	n.setFlag(0, pFork, true)  // 0's fork in hand…
+	n.setFlag(2, pFork, false) // …but 2 holds the shared fork
 	n.BecomeHungry()
 	if n.State() != core.Hungry {
 		t.Fatalf("state = %v", n.State())
@@ -242,9 +242,9 @@ func TestLinkDownReevaluatesProgress(t *testing.T) {
 
 func TestStaleRequestDropped(t *testing.T) {
 	n, env := newTestNode(1, 2)
-	n.at[2] = false // fork in transit to 2
+	n.setFlag(2, pFork, false) // fork in transit to 2
 	n.OnMessage(2, msgReq{})
-	if len(env.sent) != 0 || n.suspended[2] {
+	if len(env.sent) != 0 || n.flag(2, pSuspended) {
 		t.Fatal("request against an absent fork was not dropped")
 	}
 }
@@ -253,9 +253,9 @@ func TestForkWithFlagReturnedWhenNotAllLow(t *testing.T) {
 	// Node 2's neighbours: 1 and 3. Arrange a missing LOW fork from 1
 	// (so all-low-forks is false) and a missing fork from 3.
 	n, env := newTestNode(2, 1, 3)
-	n.higher[1] = true
-	n.at[1] = false
-	n.at[3] = false
+	n.setFlag(1, pHigher, true)
+	n.setFlag(1, pFork, false)
+	n.setFlag(3, pFork, false)
 	n.BecomeHungry()
 	// A flagged fork arrives from 3 while all-low is still false: it
 	// must bounce straight back (Line 21's else branch).
@@ -270,7 +270,7 @@ func TestForkWithFlagReturnedWhenNotAllLow(t *testing.T) {
 
 func TestThinkingForkWithFlagBounces(t *testing.T) {
 	n, env := newTestNode(2, 1)
-	n.at[1] = false
+	n.setFlag(1, pFork, false)
 	n.OnMessage(1, msgFork{Flag: true})
 	if got := env.countTo(1, isFork); got != 1 {
 		t.Fatalf("thinking node kept a flagged fork (forks back: %d)", got)
@@ -287,5 +287,15 @@ func TestMessageFromNonNeighborIgnored(t *testing.T) {
 	}
 	if n.HasFork(9) {
 		t.Fatal("accepted a fork from a non-neighbour")
+	}
+}
+
+// setFlag sets or clears flag f of neighbour j (white-box arrangement).
+func (n *Node) setFlag(j core.NodeID, f peer, on bool) {
+	p := n.peers.At(n.peers.Find(j))
+	if on {
+		*p |= f
+	} else {
+		*p &^= f
 	}
 }

@@ -20,7 +20,6 @@ package lme2
 
 import (
 	"fmt"
-	"sort"
 
 	"lme/internal/core"
 	"lme/internal/trace"
@@ -66,22 +65,27 @@ type Node struct {
 
 	state core.State
 
-	// higher[j] reports whether neighbour j currently has priority over
-	// this node. At most one of higher_i[j], higher_j[i] is false at any
-	// time; both true only while a switch message is in transit.
-	higher map[core.NodeID]bool
-
-	// at[j] — this node holds the fork shared with j. Key set = N.
-	at map[core.NodeID]bool
-
-	// nbrs mirrors the key set of at as a sorted ID slice, maintained
-	// incrementally on link up/down so deterministic message emission
-	// never sorts a fresh map snapshot.
-	nbrs []core.NodeID
-
-	// suspended is S.
-	suspended map[core.NodeID]bool
+	// peers is the current neighbour set N with the node's three
+	// per-neighbour bits, in ascending ID order (which is also the message
+	// emission order). Handlers resolve the sender to its slot once and
+	// pass the slot down; OnLinkUp and OnLinkDown shift slots, so none is
+	// held across them.
+	peers core.Slots[peer]
 }
+
+// peer is one neighbour's slot record: a set of the flags below.
+type peer uint8
+
+const (
+	// pHigher is higher[j]: neighbour j currently has priority over this
+	// node. At most one of higher_i[j], higher_j[i] is false at any time;
+	// both true only while a switch message is in transit.
+	pHigher    peer = 1 << iota
+	pFork           // at[j]: this node holds the fork shared with j
+	pSuspended      // j ∈ S: j's fork request is suspended
+)
+
+func (p peer) has(f peer) bool { return p&f != 0 }
 
 var _ core.Protocol = (*Node)(nil)
 
@@ -91,13 +95,7 @@ func New() *Node { return NewWithConfig(Config{Notify: true}) }
 
 // NewWithConfig creates a node with explicit configuration.
 func NewWithConfig(cfg Config) *Node {
-	return &Node{
-		cfg:       cfg,
-		state:     core.Thinking,
-		higher:    make(map[core.NodeID]bool),
-		at:        make(map[core.NodeID]bool),
-		suspended: make(map[core.NodeID]bool),
-	}
+	return &Node{cfg: cfg, state: core.Thinking}
 }
 
 // Init implements core.Protocol: initially higher_i[j] holds iff
@@ -113,10 +111,12 @@ func (n *Node) Init(env core.Env) {
 		}
 	}
 	me := env.ID()
-	n.nbrs = append(n.nbrs[:0], env.Neighbors()...) // copy: Neighbors is a view
-	for _, j := range n.nbrs {
-		n.higher[j] = me < j
-		n.at[j] = me < j
+	neighbors := env.Neighbors()
+	n.peers.Reset(neighbors)
+	for i, j := range neighbors {
+		if me < j {
+			*n.peers.At(i) = pHigher | pFork
+		}
 	}
 }
 
@@ -124,10 +124,17 @@ func (n *Node) Init(env core.Env) {
 func (n *Node) State() core.State { return n.state }
 
 // Higher reports the current priority flag for neighbour j (for tests).
-func (n *Node) Higher(j core.NodeID) bool { return n.higher[j] }
+func (n *Node) Higher(j core.NodeID) bool { return n.flag(j, pHigher) }
 
 // HasFork reports fork possession for neighbour j (for tests).
-func (n *Node) HasFork(j core.NodeID) bool { return n.at[j] }
+func (n *Node) HasFork(j core.NodeID) bool { return n.flag(j, pFork) }
+
+// flag reports whether neighbour j has flag f set; false for a
+// non-neighbour.
+func (n *Node) flag(j core.NodeID, f peer) bool {
+	i := n.peers.Find(j)
+	return i >= 0 && n.peers.At(i).has(f)
+}
 
 // BecomeHungry implements core.Protocol: Lines 1–5.
 func (n *Node) BecomeHungry() {
@@ -156,70 +163,80 @@ func (n *Node) ExitCS() {
 		return
 	}
 	n.setState(core.Thinking)
-	for _, j := range n.sortedNeighbors() {
-		if !n.higher[j] {
-			n.env.Send(j, msgSwitch{})
-			n.higher[j] = true
+	n.reverseEdges()
+	for i := 0; i < n.peers.Len(); i++ {
+		if n.peers.At(i).has(pSuspended) {
+			n.sendFork(i)
 		}
 	}
-	for _, j := range n.sortedSuspended() {
-		n.sendFork(j)
+}
+
+// reverseEdges lowers this node below every neighbour it still has
+// priority over, telling each with a switch message.
+func (n *Node) reverseEdges() {
+	for i := 0; i < n.peers.Len(); i++ {
+		if p := n.peers.At(i); !p.has(pHigher) {
+			n.env.Send(n.peers.ID(i), msgSwitch{})
+			*p |= pHigher
+		}
 	}
 }
 
 // OnMessage implements core.Protocol.
 func (n *Node) OnMessage(from core.NodeID, msg core.Message) {
-	if _, isNeighbor := n.at[from]; !isNeighbor {
+	i := n.peers.Find(from)
+	if i < 0 {
 		return
 	}
 	switch m := msg.(type) {
 	case msgReq:
-		n.onReq(from)
+		n.onReq(i)
 	case msgFork:
-		n.onFork(from, m.Flag)
+		n.onFork(i, m.Flag)
 	case msgNotification:
-		n.onNotification(from)
+		n.onNotification(i)
 	case msgSwitch:
-		n.onSwitch(from)
+		n.onSwitch(i)
 	default:
 		n.tracef("unknown message %T from %d", msg, from)
 	}
 }
 
 // onReq is Lines 10–14, with the thinking-node grant (see package doc).
-func (n *Node) onReq(j core.NodeID) {
-	if !n.at[j] {
+func (n *Node) onReq(i int) {
+	p := n.peers.At(i)
+	if !p.has(pFork) {
 		return // fork already in transit to j
 	}
 	thinking := n.state == core.Thinking
 	switch {
-	case !n.higher[j] && (!n.allLowForks() || thinking):
-		n.sendFork(j)
-	case n.higher[j] && (!n.allForks() || thinking):
-		n.sendFork(j)
+	case !p.has(pHigher) && (!n.allLowForks() || thinking):
+		n.sendFork(i)
+	case p.has(pHigher) && (!n.allForks() || thinking):
+		n.sendFork(i)
 		n.releaseHighForks()
 	default:
-		n.suspended[j] = true
+		*p |= pSuspended
 	}
 }
 
 // onFork is Lines 15–21.
-func (n *Node) onFork(j core.NodeID, flag bool) {
-	n.at[j] = true
+func (n *Node) onFork(i int, flag bool) {
+	*n.peers.At(i) |= pFork
 	if n.state == core.Thinking {
 		if flag {
-			n.sendFork(j)
+			n.sendFork(i)
 		}
 		return
 	}
 	n.maybeEat()
 	if n.allLowForks() {
 		if flag {
-			n.suspended[j] = true
+			*n.peers.At(i) |= pSuspended
 		}
 		n.requestHighForks()
 	} else if flag {
-		n.sendFork(j)
+		n.sendFork(i)
 	}
 }
 
@@ -227,23 +244,18 @@ func (n *Node) onFork(j core.NodeID, flag bool) {
 // newly hungry neighbour reverses all its edges, so it cannot interfere
 // later. This mechanism is what yields the O(n) static response time
 // (Theorem 26).
-func (n *Node) onNotification(j core.NodeID) {
-	if n.state != core.Thinking || n.higher[j] {
+func (n *Node) onNotification(i int) {
+	if n.state != core.Thinking || n.peers.At(i).has(pHigher) {
 		return
 	}
-	for _, k := range n.sortedNeighbors() {
-		if !n.higher[k] {
-			n.env.Send(k, msgSwitch{})
-			n.higher[k] = true
-		}
-	}
+	n.reverseEdges()
 }
 
 // onSwitch is Lines 26–27 plus the hungry re-evaluation (see package
 // doc): j lowered itself below this node, which may newly satisfy
 // all-low-forks.
-func (n *Node) onSwitch(j core.NodeID) {
-	n.higher[j] = false
+func (n *Node) onSwitch(i int) {
+	*n.peers.At(i) &^= pHigher
 	if n.state != core.Hungry {
 		return
 	}
@@ -253,37 +265,30 @@ func (n *Node) onSwitch(j core.NodeID) {
 }
 
 // OnLinkUp implements core.Protocol: Algorithm 7.
-func (n *Node) OnLinkUp(peer core.NodeID, iAmMoving bool) {
-	n.nbrs = core.InsertID(n.nbrs, peer)
+func (n *Node) OnLinkUp(j core.NodeID, iAmMoving bool) {
+	i, _ := n.peers.Insert(j)
 	if iAmMoving {
-		n.onLinkUpMoving(peer)
+		n.onLinkUpMoving(i)
 	} else {
 		// Lines 40–41: the static side owns the new fork and has
 		// priority over the mover.
-		n.at[peer] = true
-		n.higher[peer] = false
+		*n.peers.At(i) = pFork
 	}
 }
 
 // onLinkUpMoving is Lines 42–46: the mover yields the fork, demotes
 // itself out of the critical section if necessary, and reverses all its
 // edges.
-func (n *Node) onLinkUpMoving(j core.NodeID) {
-	n.at[j] = false
-	n.higher[j] = true
+func (n *Node) onLinkUpMoving(i int) {
+	*n.peers.At(i) = pHigher
 	if n.state == core.Eating {
 		// Line 44's safety demotion. The span layer counts the
 		// eating→hungry transition itself; the note names the newcomer
 		// that caused it, which the state event cannot carry.
-		n.tracef("demoted: yielded fork to static neighbour %d", j)
+		n.tracef("demoted: yielded fork to static neighbour %d", n.peers.ID(i))
 		n.setState(core.Hungry)
 	}
-	for _, k := range n.sortedNeighbors() {
-		if k != j && !n.higher[k] {
-			n.env.Send(k, msgSwitch{})
-			n.higher[k] = true
-		}
-	}
+	n.reverseEdges() // the newcomer's edge already points at this node
 	if n.state == core.Hungry {
 		// Restart collection under the new orientation: every fork
 		// is now a high fork unless a switch arrives.
@@ -298,10 +303,7 @@ func (n *Node) onLinkUpMoving(j core.NodeID) {
 // OnLinkDown implements core.Protocol: Lines 47–48 plus fork destruction
 // and the progress re-evaluation the departure may enable.
 func (n *Node) OnLinkDown(j core.NodeID) {
-	n.nbrs = core.RemoveID(n.nbrs, j)
-	delete(n.at, j)
-	delete(n.higher, j)
-	delete(n.suspended, j)
+	n.peers.Remove(j)
 	if n.state != core.Hungry {
 		return
 	}
@@ -319,8 +321,8 @@ func (n *Node) maybeEat() {
 }
 
 func (n *Node) allForks() bool {
-	for _, have := range n.at {
-		if !have {
+	for i := 0; i < n.peers.Len(); i++ {
+		if !n.peers.At(i).has(pFork) {
 			return false
 		}
 	}
@@ -329,8 +331,8 @@ func (n *Node) allForks() bool {
 
 // allLowForks checks forks shared with higher-priority neighbours.
 func (n *Node) allLowForks() bool {
-	for j, have := range n.at {
-		if !have && n.higher[j] {
+	for i := 0; i < n.peers.Len(); i++ {
+		if *n.peers.At(i)&(pFork|pHigher) == pHigher {
 			return false
 		}
 	}
@@ -339,38 +341,39 @@ func (n *Node) allLowForks() bool {
 
 // requestLowForks is Lines 28–30.
 func (n *Node) requestLowForks() {
-	for _, j := range n.sortedNeighbors() {
-		if n.higher[j] && !n.at[j] {
-			n.env.Send(j, msgReq{})
+	for i := 0; i < n.peers.Len(); i++ {
+		if *n.peers.At(i)&(pFork|pHigher) == pHigher {
+			n.env.Send(n.peers.ID(i), msgReq{})
 		}
 	}
 }
 
 // requestHighForks is Lines 31–33.
 func (n *Node) requestHighForks() {
-	for _, j := range n.sortedNeighbors() {
-		if !n.higher[j] && !n.at[j] {
-			n.env.Send(j, msgReq{})
+	for i := 0; i < n.peers.Len(); i++ {
+		if *n.peers.At(i)&(pFork|pHigher) == 0 {
+			n.env.Send(n.peers.ID(i), msgReq{})
 		}
 	}
 }
 
 // sendFork is Lines 34–36.
-func (n *Node) sendFork(j core.NodeID) {
-	if !n.at[j] {
+func (n *Node) sendFork(i int) {
+	p := n.peers.At(i)
+	if !p.has(pFork) {
 		return
 	}
-	flag := n.higher[j] && n.state == core.Hungry
-	n.env.Send(j, msgFork{Flag: flag})
-	n.at[j] = false
-	delete(n.suspended, j)
+	flag := p.has(pHigher) && n.state == core.Hungry
+	n.env.Send(n.peers.ID(i), msgFork{Flag: flag})
+	*p &^= pFork | pSuspended
 }
 
-// releaseHighForks is Lines 37–39.
+// releaseHighForks is Lines 37–39. sendFork clears the slot's pSuspended
+// as the loop passes it, which moves no slot.
 func (n *Node) releaseHighForks() {
-	for _, j := range n.sortedSuspended() {
-		if !n.higher[j] && n.at[j] {
-			n.sendFork(j)
+	for i := 0; i < n.peers.Len(); i++ {
+		if *n.peers.At(i)&(pSuspended|pHigher) == pSuspended {
+			n.sendFork(i)
 		}
 	}
 }
@@ -381,22 +384,6 @@ func (n *Node) setState(s core.State) {
 	}
 	n.state = s
 	n.env.SetState(s)
-}
-
-// sortedNeighbors returns the key set of at (= N) in ID order: the node's
-// incrementally maintained adjacency cache, a read-only view valid until
-// the next link change.
-func (n *Node) sortedNeighbors() []core.NodeID {
-	return n.nbrs
-}
-
-func (n *Node) sortedSuspended() []core.NodeID {
-	out := make([]core.NodeID, 0, len(n.suspended))
-	for j := range n.suspended {
-		out = append(out, j)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // tracef publishes a free-form protocol diagnostic on the trace bus.

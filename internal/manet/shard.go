@@ -42,7 +42,6 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -67,12 +66,12 @@ const (
 
 // effect is one observable occurrence buffered during a parallel window:
 // a bus publication or a deferred listener callback, stamped with the
-// canonical key of the event that produced it plus a per-event sub-index,
-// so the barrier can replay all tiles' effects as one stream in exactly
-// the order the single-heap engine would have produced them.
+// canonical key of the event that produced it, so the barrier can replay
+// all tiles' effects as one stream in exactly the order the single-heap
+// engine would have produced them. One event's effects sit next to each
+// other in its tile's buffer, in emission order.
 type effect struct {
 	key  sim.Key
-	sub  uint32
 	kind effKind
 
 	ev         trace.Event // effBus
@@ -94,10 +93,9 @@ type tile struct {
 	// last) executed on this tile.
 	now sim.Time
 
-	// curKey and effSub stamp buffered effects: the canonical key of the
-	// currently executing event and a running sub-index within it.
+	// curKey stamps buffered effects: the canonical key of the currently
+	// executing event.
 	curKey sim.Key
-	effSub uint32
 
 	processed               uint64
 	msgsSent, msgsDelivered uint64
@@ -115,8 +113,6 @@ type tile struct {
 // buffer records one observable effect of the currently executing event.
 func (t *tile) buffer(e effect) {
 	e.key = t.curKey
-	e.sub = t.effSub
-	t.effSub++
 	t.effs = append(t.effs, e)
 }
 
@@ -130,7 +126,6 @@ func (t *tile) run(bound sim.Key, hook func(sim.Time)) {
 		it := t.heap.Pop()
 		t.now = k.At
 		t.curKey = k
-		t.effSub = 0
 		if it.Fn != nil {
 			it.Fn()
 		} else {
@@ -182,7 +177,7 @@ type shardExec struct {
 	minX, minY, invW, invH float64
 
 	// Reusable barrier scratch.
-	merged []effect
+	merge  []effCursor
 	migBuf []sim.Item
 	active []*tile
 
@@ -617,50 +612,83 @@ func (sx *shardExec) drainOutboxes() {
 	}
 }
 
-// dispatchEffects merges the window's buffered effects from all active
-// tiles and replays them — bus publications and deferred listener
-// callbacks — in canonical (key, sub) order: exactly the stream the
-// single-heap engine would have produced inline.
+// effCursor is one tile's position in the barrier's effect merge.
+type effCursor struct {
+	t *tile
+	i int
+}
+
+// head returns the cursor's current effect.
+func (c effCursor) head() *effect { return &c.t.effs[c.i] }
+
+// before orders two tiles' cursors by the keys of their heads. The keys
+// differ: a key names one event, and an event runs on one tile.
+func (c effCursor) before(d effCursor) bool { return c.head().key.Less(d.head().key) }
+
+// dispatchEffects replays the window's buffered effects from all active
+// tiles — bus publications and deferred listener callbacks — in canonical
+// key order, an event's effects in emission order: exactly the stream the
+// single-heap engine would have produced inline. Each tile buffered its
+// effects in that order already (it executes its events in key order and
+// appends as they emit), so the replay is a k-way merge over the tiles'
+// heads through a binary heap of cursors; the effect records, two hundred
+// bytes each, are read in place and never copied or swapped.
 func (sx *shardExec) dispatchEffects() {
-	w := sx.w
-	merged := sx.merged[:0]
+	h := sx.merge[:0]
 	for _, t := range sx.active {
-		merged = append(merged, t.effs...)
+		if len(t.effs) > 0 {
+			h = append(h, effCursor{t: t})
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftEffCursor(h, i)
+	}
+	for len(h) > 0 {
+		sx.replay(h[0].head())
+		if h[0].i++; h[0].i == len(h[0].t.effs) {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftEffCursor(h, 0)
+	}
+	for _, t := range sx.active {
 		clear(t.effs)
 		t.effs = t.effs[:0]
 	}
-	if len(merged) > 1 {
-		slices.SortFunc(merged, func(a, b effect) int {
-			if a.key.Less(b.key) {
-				return -1
-			}
-			if b.key.Less(a.key) {
-				return 1
-			}
-			if a.sub < b.sub {
-				return -1
-			}
-			if a.sub > b.sub {
-				return 1
-			}
-			return 0
-		})
+	sx.merge = h[:0]
+}
+
+// siftEffCursor restores the min-heap property of h below position i.
+func siftEffCursor(h []effCursor, i int) {
+	for {
+		m := i
+		if l := 2*i + 1; l < len(h) && h[l].before(h[m]) {
+			m = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r].before(h[m]) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
 	}
-	for i := range merged {
-		e := &merged[i]
-		switch e.kind {
-		case effBus:
-			w.bus.Publish(e.ev)
-		case effState:
-			for _, l := range w.stateListeners {
-				l.OnStateChange(e.id, e.oldS, e.newS, e.at)
-			}
-		case effMove:
-			for _, l := range w.moveListeners {
-				l.OnMove(e.id, e.flag, e.at)
-			}
+}
+
+// replay dispatches one buffered effect on the coordinator.
+func (sx *shardExec) replay(e *effect) {
+	w := sx.w
+	switch e.kind {
+	case effBus:
+		w.bus.Publish(e.ev)
+	case effState:
+		for _, l := range w.stateListeners {
+			l.OnStateChange(e.id, e.oldS, e.newS, e.at)
+		}
+	case effMove:
+		for _, l := range w.moveListeners {
+			l.OnMove(e.id, e.flag, e.at)
 		}
 	}
-	clear(merged)
-	sx.merged = merged[:0]
 }

@@ -19,11 +19,11 @@
 //
 // The transport and link-maintenance layer is allocation-lean and scales
 // to 100k+ nodes: adjacency is a per-node sorted ID slice with a parallel
-// FIFO-floor slice (O(degree) per node, not O(n)), link epochs live in
-// per-node maps that persist across link incarnations, in-flight messages
-// are pooled sim.Runner records instead of per-send closures, and link
-// maintenance queries a uniform spatial hash (internal grid, cell size =
-// Radius) instead of scanning all n nodes.
+// slice of per-link records (FIFO floor and incarnation stamp; O(degree)
+// per node, not O(n)), in-flight messages are pooled sim.Runner records
+// instead of per-send closures, and link maintenance queries a uniform
+// spatial hash (internal grid, cell size = Radius) instead of scanning all
+// n nodes.
 package manet
 
 import (
@@ -138,20 +138,15 @@ type node struct {
 	crashed bool
 
 	// nbrs is the current neighbour set as an incrementally maintained
-	// sorted ID slice; lastOut is the parallel per-directed-link FIFO
-	// floor toward nbrs[i] (dropped with the entry on link-down, exactly
-	// the legacy reset-to-zero semantics). Memory is O(degree) per node.
-	nbrs    []core.NodeID
-	lastOut []sim.Time
+	// sorted ID slice; links is the parallel slice of this end's state of
+	// the link to nbrs[i], dropped with the entry on link-down. Memory is
+	// O(degree) per node.
+	nbrs  []core.NodeID
+	links []link
 
-	// epochs counts incarnations of the link to each peer a link ever
-	// existed to; a message whose link epoch changed before delivery is
-	// destroyed with the link. The two endpoints' counters are
-	// incremented together and always agree, so the receiver-side check
-	// in delivery.Run equals the legacy sender-side one. The map persists
-	// across link-downs — forgetting an epoch would resurrect stale
-	// messages on the next incarnation. Allocated lazily on first bump.
-	epochs map[core.NodeID]uint64
+	// linkGen is the largest link-incarnation stamp this node has ever
+	// held; see link.epoch.
+	linkGen uint64
 
 	// sendSeq is the node's monotone message counter; every accepted
 	// send is stamped with the next value so traces carry a causal
@@ -181,6 +176,24 @@ type node struct {
 	moveID uint64  // invalidates stale movement ticks
 }
 
+// link is one endpoint's record of a link.
+type link struct {
+	// lastOut is the FIFO floor of this direction: the arrival instant of
+	// the last message sent over it (a new incarnation starts from zero,
+	// exactly the legacy reset semantics).
+	lastOut sim.Time
+
+	// epoch is the link's incarnation stamp. A message carries the stamp
+	// its link had when it was sent and is destroyed with the link if, at
+	// delivery, the link is gone or carries another stamp. Both ends hold
+	// the same stamp, so the receiver-side check in delivery.Run equals
+	// the legacy sender-side one. Nothing outlives a link-down: a later
+	// incarnation cannot repeat an earlier stamp, because setLink draws
+	// every stamp above the linkGen of both endpoints (0 = a link of the
+	// initial topology).
+	epoch uint64
+}
+
 // nbrIndex locates j in the sorted neighbour slice.
 func (n *node) nbrIndex(j core.NodeID) (int, bool) {
 	return slices.BinarySearch(n.nbrs, j)
@@ -193,36 +206,25 @@ func (n *node) hasNbr(j core.NodeID) bool {
 }
 
 // insertNeighbor adds j to the sorted neighbour slice with a fresh FIFO
-// floor.
-func (n *node) insertNeighbor(j core.NodeID) {
+// floor and the given link-incarnation stamp.
+func (n *node) insertNeighbor(j core.NodeID, epoch uint64) {
 	i, found := slices.BinarySearch(n.nbrs, j)
 	if found {
 		return
 	}
 	n.nbrs = slices.Insert(n.nbrs, i, j)
-	n.lastOut = slices.Insert(n.lastOut, i, sim.Time(0))
+	n.links = slices.Insert(n.links, i, link{epoch: epoch})
 }
 
 // removeNeighbor deletes j from the sorted neighbour slice, dropping its
-// FIFO floor with it.
+// FIFO floor and link stamp with it.
 func (n *node) removeNeighbor(j core.NodeID) {
 	i, found := slices.BinarySearch(n.nbrs, j)
 	if !found {
 		return
 	}
 	n.nbrs = slices.Delete(n.nbrs, i, i+1)
-	n.lastOut = slices.Delete(n.lastOut, i, i+1)
-}
-
-// epoch returns the current incarnation count of the link to p.
-func (n *node) epoch(p core.NodeID) uint64 { return n.epochs[p] }
-
-// bumpEpoch increments the incarnation count of the link to p.
-func (n *node) bumpEpoch(p core.NodeID) {
-	if n.epochs == nil {
-		n.epochs = make(map[core.NodeID]uint64, 8)
-	}
-	n.epochs[p]++
+	n.links = slices.Delete(n.links, i, i+1)
 }
 
 // nodeSeed derives the per-node random stream seed (splitmix64 over the
@@ -566,11 +568,11 @@ func (w *World) relocate(n *node, p graph.Point) {
 	}
 }
 
-// addLink silently records the link a—b (Start's initial topology: no
-// epoch bump, no notifications).
+// addLink silently records the link a—b (Start's initial topology: stamp
+// 0, no notifications).
 func (w *World) addLink(a, b core.NodeID) {
-	w.nodes[a].insertNeighbor(b)
-	w.nodes[b].insertNeighbor(a)
+	w.nodes[a].insertNeighbor(b, 0)
+	w.nodes[b].insertNeighbor(a, 0)
 }
 
 // Start computes the initial communication graph (silently: pre-existing
@@ -841,12 +843,12 @@ type delivery struct {
 // Run implements sim.Runner: deliver the message, or destroy it if its
 // link incarnation ended or the receiver crashed before the instant came.
 // It executes in the receiver's context and touches only receiver-local
-// state (the endpoints' epoch counters always agree, so the receiver-side
-// epoch check equals the legacy sender-side one).
+// state (the endpoints' link stamps always agree, so the receiver-side
+// check equals the legacy sender-side one).
 func (d *delivery) Run() {
 	w := d.w
 	dst := w.nodes[d.to]
-	if dst.crashed || dst.epoch(d.from) != d.ep || !dst.hasNbr(d.from) {
+	if i, linked := dst.nbrIndex(d.from); dst.crashed || !linked || dst.links[i].epoch != d.ep {
 		// Destroyed with the link, or receiver dead.
 		if d.observed && w.bus.Wants(trace.KindDrop) {
 			reason := "link-changed"
@@ -936,15 +938,15 @@ func (w *World) send(from, to core.NodeID, msg core.Message) {
 	}
 	at := sentAt + delay
 	if !w.cfg.NonFIFO {
-		if floor := src.lastOut[oi]; at <= floor {
+		if floor := src.links[oi].lastOut; at <= floor {
 			at = floor + 1
 		}
-		src.lastOut[oi] = at
+		src.links[oi].lastOut = at
 	}
 	d := w.allocDelivery(src)
 	*d = delivery{
 		w: w, from: from, to: to, msg: msg, sentAt: sentAt,
-		ep: src.epoch(to), seq: src.sendSeq,
+		ep: src.links[oi].epoch, seq: src.sendSeq,
 		msgName: msgName, msgSize: msgSize, msgID: msgID, observed: observed,
 	}
 	key := sim.Key{At: at, Owner: int32(to), Class: sim.ClassDeliver, A: uint64(from), B: src.sendSeq}
@@ -982,11 +984,11 @@ func (w *World) setLink(a, b core.NodeID, up bool) {
 	if na.hasNbr(b) == up {
 		return
 	}
-	na.bumpEpoch(b)
-	nb.bumpEpoch(a)
 	if up {
-		na.insertNeighbor(b)
-		nb.insertNeighbor(a)
+		gen := max(na.linkGen, nb.linkGen) + 1
+		na.linkGen, nb.linkGen = gen, gen
+		na.insertNeighbor(b, gen)
+		nb.insertNeighbor(a, gen)
 		movingSide := w.pickMovingSide(na, nb)
 		if w.bus.Wants(trace.KindLinkUp) {
 			w.emit(na, trace.Event{

@@ -136,6 +136,34 @@ func TestInFlightDestroyedWithLink(t *testing.T) {
 	if len(stubs[0].downs) != 1 || stubs[0].downs[0] != 1 {
 		t.Fatalf("node 0 LinkDowns = %v", stubs[0].downs)
 	}
+
+	// A message in flight across link down → up is still destroyed: the
+	// link it was sent on is gone even though, at its delivery instant, a
+	// link between the same two nodes exists again. Every incarnation of
+	// the pair must therefore carry a stamp of its own — the initial one,
+	// and each of the two that follow — while a message sent and delivered
+	// within one incarnation gets through.
+	w, stubs = buildWorld(t, cfg, []graph.Point{{X: 0}, {X: 0.1}})
+	away, back := graph.Point{X: 0.9}, graph.Point{X: 0.1}
+	w.Scheduler().At(0, func() { w.send(0, 1, "sent on incarnation 0") })
+	w.JumpAt(1, away, 100, 1_000)
+	w.JumpAt(1, back, 100, 2_000)
+	w.Scheduler().At(3_000, func() { w.send(0, 1, "sent on incarnation 1") })
+	w.JumpAt(1, away, 100, 4_000)
+	w.JumpAt(1, back, 100, 4_500) // both earlier messages now due on incarnation 2
+	w.Scheduler().At(9_000, func() { w.send(1, 0, "delivered") })
+	if err := w.Scheduler().Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(stubs[0].ups) != 2 || len(stubs[0].downs) != 2 {
+		t.Fatalf("node 0 saw ups=%v downs=%v, want two link cycles", stubs[0].ups, stubs[0].downs)
+	}
+	if len(stubs[1].msgs) != 0 {
+		t.Fatalf("message of a dead incarnation delivered on a later one: %v", stubs[1].msgs)
+	}
+	if len(stubs[0].msgs) != 1 || stubs[0].msgs[0].msg != "delivered" {
+		t.Fatalf("node 0 received %v, want the one message of the live incarnation", stubs[0].msgs)
+	}
 }
 
 func TestLinkUpBiasMoverVsStatic(t *testing.T) {

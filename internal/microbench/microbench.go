@@ -33,6 +33,8 @@ func All() []Benchmark {
 		{Name: "MobilitySweep", Fn: MobilitySweep},
 		{Name: "BroadcastFanout", Fn: BroadcastFanout},
 		{Name: "NeighborsView", Fn: NeighborsView},
+		{Name: "HandlerLME1", Fn: HandlerLME1},
+		{Name: "HandlerLME2", Fn: HandlerLME2},
 		{Name: "TraceSinkThroughput", Fn: TraceSinkThroughput},
 		{Name: "PublishFanout", Fn: PublishFanout},
 		{Name: "SpanFold", Fn: SpanFold},
