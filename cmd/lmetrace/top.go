@@ -136,6 +136,11 @@ func renderTopFrame(rec progress.Record, prev *progress.Record) string {
 		if e.StealAttempts > 0 {
 			fmt.Fprintf(&b, "  steals=%d/%d", e.StealHits, e.StealAttempts)
 		}
+		if e.DirectWindows > 0 && e.Events > 0 {
+			// Windows the coordinator ran in place, and their share of
+			// all events.
+			fmt.Fprintf(&b, "  direct=%d (%.0f%% ev)", e.DirectWindows, 100*float64(e.DirectEvents)/float64(e.Events))
+		}
 		if e.CrossTileMsgs > 0 {
 			fmt.Fprintf(&b, "  cross_tile=%d", e.CrossTileMsgs)
 		}

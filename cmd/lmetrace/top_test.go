@@ -20,6 +20,7 @@ func topRecord(g int, perTile []uint64, final bool) progress.Record {
 	e := &telemetry.EngineStats{
 		Schema: telemetry.Schema, Tiles: g, Workers: 2,
 		Windows: 12, StealAttempts: 40, StealHits: 30, CrossTileMsgs: 99,
+		DirectWindows: 9, DirectEvents: 5,
 		Imbalance:    1.50,
 		WindowSpanUS: empty, BarrierStallNS: empty,
 	}
@@ -43,7 +44,7 @@ func TestRenderTopFrameHeatGrid(t *testing.T) {
 	for _, want := range []string{
 		"lmetop topo", "[final]",
 		"engine  2×2 tiles  2 workers  windows=12",
-		"imbalance=1.50", "steals=30/40", "cross_tile=99",
+		"imbalance=1.50", "steals=30/40", "direct=9 (20% ev)", "cross_tile=99",
 		"events total per tile, max=10",
 	} {
 		if !strings.Contains(frame, want) {

@@ -5,37 +5,50 @@ package manet
 //
 // The bounding box of the initial node positions is split into a g×g grid
 // of tiles, each owning the nodes inside it and a private sim.EventHeap of
-// their pending events. Execution alternates between parallel windows and
-// serial barriers:
+// their pending events. Execution alternates between windows and serial
+// barriers:
 //
 //   - Window: every tile whose earliest event precedes the window bound
-//     runs its events on a worker goroutine. The bound is
-//     KeyFloor(W + ν) where W is the globally earliest pending instant
-//     and ν = Config.MinDelay: inside a window, the only way one node
-//     affects another is a message, which arrives no earlier than ν after
-//     it was sent, hence at or after the bound — so no tile can receive
-//     an event it should already have executed (the classic conservative
-//     lookahead argument, with ν as the lookahead). Everything a tile
-//     touches in a window is owned by its own nodes; the topology is
-//     frozen.
+//     runs its events below the bound. The bound is KeyFloor(W + ν) where
+//     W is the globally earliest pending instant and ν = Config.MinDelay:
+//     inside a window, the only way one node affects another is a
+//     message, which arrives no earlier than ν after it was sent, hence
+//     at or after the bound — so no tile can receive an event it should
+//     already have executed (the classic conservative lookahead argument,
+//     with ν as the lookahead). Everything a tile touches in a window is
+//     owned by its own nodes; the topology is frozen.
 //
-//   - Barrier: cross-tile message deliveries produced during the window
-//     are routed to their receivers' tiles (they are all at or beyond the
-//     bound, so no tile has run past them), buffered observable effects
-//     (bus events, deferred listener callbacks) are merged and dispatched
-//     in canonical key order, and then at most one topology event — a
-//     movement tick or jump, which mutates two nodes' link state and the
-//     spatial index at once — runs serially on the coordinator. Windows
-//     never extend past the earliest pending topology event, so topology
-//     events interleave with node events in exact canonical order.
+//   - Barrier: at most one topology event — a movement tick or jump,
+//     which mutates two nodes' link state and the spatial index at once —
+//     runs serially on the coordinator. Windows never extend past the
+//     earliest pending topology event, so topology events interleave with
+//     node events in exact canonical order.
+//
+// A window runs in one of two modes, chosen per window from the smoothed
+// events-per-window estimate (see runTiles):
+//
+//   - Parallel: the active tiles run on worker goroutines. Observable
+//     effects (bus events, deferred listener callbacks) are buffered per
+//     tile, cross-tile deliveries and topology requests go to outboxes,
+//     and the barrier routes the outboxes and replays the effects of all
+//     tiles merged in canonical key order.
+//
+//   - Direct: the coordinator runs the window itself, popping the
+//     globally smallest key across the active tile heaps one event at a
+//     time. Every event executes in coordinator context exactly as under
+//     the single heap — effects publish inline, deliveries push straight
+//     into the receiver's tile heap — so there is nothing to buffer,
+//     merge or replay, and no goroutine to start. A window too small to
+//     repay a fork/join and an effect replay runs this way.
 //
 // Determinism: every event executes in the canonical sim.Key order — the
 // window bound arithmetic only decides how events are grouped into
-// windows, never their relative order, and all randomness is drawn from
-// per-node streams. A run's event sequence (and hence its trace) is
-// bit-identical to the single-heap engine's, for every tile-grid size and
-// every worker count. The differential tests in sharded_test.go and
-// TestGoldenTraceHash pin this.
+// windows and the mode only where they run, never their relative order,
+// and all randomness is drawn from per-node streams. A run's event
+// sequence (and hence its trace) is bit-identical to the single-heap
+// engine's, for every tile-grid size, every worker count and every mix of
+// window modes. The differential tests in sharded_test.go and
+// window_test.go and TestGoldenTraceHash pin this.
 
 import (
 	"fmt"
@@ -83,14 +96,19 @@ type effect struct {
 
 // tile is one spatial shard: a region of the plane, the event heap of the
 // nodes inside it, and the window-scratch state of its worker. All fields
-// are touched only by the tile's worker during a window and only by the
-// coordinator between windows.
+// are touched only by the tile's worker during a parallel window and only
+// by the coordinator otherwise.
+//
+// The struct is three cache lines exactly, and the allocator aligns that
+// size class to lines, so two workers never write one line from
+// neighbouring tiles. Eight bytes more lose that and cost sim_static_10k
+// about 5 % (TestTileFillsCacheLines).
 type tile struct {
 	idx  int32
 	heap sim.EventHeap
 
-	// now is the tile-local clock: the instant of the event being (or
-	// last) executed on this tile.
+	// now is the tile-local clock of a parallel window: the instant of
+	// the event being (or last) executed on this tile.
 	now sim.Time
 
 	// curKey stamps buffered effects: the canonical key of the currently
@@ -100,7 +118,7 @@ type tile struct {
 	processed               uint64
 	msgsSent, msgsDelivered uint64
 
-	// effs buffers the window's observable effects; outMsgs its
+	// effs buffers a parallel window's observable effects; outMsgs its
 	// cross-tile deliveries (routed at the barrier); outTopo its
 	// topology-event requests (pushed to the coordinator's heap at the
 	// barrier). freeDel is the tile-local delivery-record pool.
@@ -116,7 +134,7 @@ func (t *tile) buffer(e effect) {
 	t.effs = append(t.effs, e)
 }
 
-// run executes the tile's events strictly below bound.
+// run executes the tile's events strictly below bound, in worker context.
 func (t *tile) run(bound sim.Key, hook func(sim.Time)) {
 	for {
 		k, ok := t.heap.MinKey()
@@ -155,14 +173,24 @@ type shardExec struct {
 	// executed at (== the single-heap engine's clock at every barrier).
 	now sim.Time
 
-	// inWindow is true while tile workers run; it routes World methods
-	// called from tile context to tile-local resources. Written only at
-	// window edges on the coordinator (the workers' start/join form the
-	// happens-before edges).
+	// inWindow is true while tile workers run a parallel window; it
+	// routes World methods called from tile context to tile-local
+	// resources. Written only at window edges on the coordinator (the
+	// workers' start/join form the happens-before edges). A direct window
+	// leaves it false: its events run in coordinator context.
 	inWindow bool
 
-	// hook is the per-event observer (World.SetEventHook). Under this
-	// engine it runs concurrently from tile workers.
+	// evEst is the smoothed events-per-window estimate that picks the
+	// next window's mode (see runTiles).
+	evEst float64
+
+	// forceDirect, when non-nil, overrides the mode choice of every
+	// window. Tests only: the mode-differential suite drives all-direct,
+	// all-parallel and alternating runs through it.
+	forceDirect func() bool
+
+	// hook is the per-event observer (World.SetEventHook). In parallel
+	// windows it runs concurrently from tile workers.
 	hook func(sim.Time)
 
 	// processed counts coordinator-executed (topology) events; tiles
@@ -176,10 +204,12 @@ type shardExec struct {
 	// Tile-grid geometry: tileIdx(p) maps a position to a tile.
 	minX, minY, invW, invH float64
 
-	// Reusable barrier scratch.
-	merge  []effCursor
-	migBuf []sim.Item
-	active []*tile
+	// Reusable window scratch: the tiles with work in the current window,
+	// the cursor heap (a direct window's tile merge, a parallel window's
+	// effect merge) and the migration buffer.
+	active  []*tile
+	cursors []cursor
+	migBuf  []sim.Item
 
 	// tel accumulates execution telemetry when Config.Telemetry is set;
 	// nil on the dark path, where the only residue is nil checks and
@@ -199,6 +229,10 @@ type shardTelemetry struct {
 	stealAttempts uint64
 	stealHits     uint64
 	crossMsgs     uint64
+
+	// directWindows/directEvents count the windows the coordinator ran in
+	// place and the events in them.
+	directWindows, directEvents uint64
 
 	// sumMax/sumMean accumulate each window's max and mean
 	// events-per-active-tile; their quotient is the imbalance summary.
@@ -257,6 +291,12 @@ func (tel *shardTelemetry) foldWorkers(nw int) {
 	}
 }
 
+// crossTile counts one delivery sent from one tile to another.
+func (tel *shardTelemetry) crossTile(from, to int32) {
+	tel.crossMsgs++
+	tel.traffic[uint64(uint32(from))<<32|uint64(uint32(to))]++
+}
+
 // foldWindow accumulates one window's shape: its virtual width and the
 // max/mean events per active tile. Coordinator context, called between
 // runTiles and the next window.
@@ -296,6 +336,8 @@ func (sx *shardExec) telemetrySnapshot() *telemetry.EngineStats {
 		Events:         sx.totalProcessed(),
 		StealAttempts:  tel.stealAttempts,
 		StealHits:      tel.stealHits,
+		DirectWindows:  tel.directWindows,
+		DirectEvents:   tel.directEvents,
 		CrossTileMsgs:  tel.crossMsgs,
 		WindowSpanUS:   tel.windowSpan.Snapshot(),
 		BarrierStallNS: tel.barrierStall.Snapshot(),
@@ -466,8 +508,6 @@ func (sx *shardExec) runUntil(deadline sim.Time, maxEvents uint64) error {
 		if sx.tel != nil {
 			sx.foldWindow(wstart.At, bound.At)
 		}
-		sx.drainOutboxes()
-		sx.dispatchEffects()
 		if topoDue {
 			it := sx.topo.Pop()
 			sx.now = it.K.At
@@ -509,15 +549,39 @@ func (sx *shardExec) earliest() (sim.Key, bool) {
 	return best, have
 }
 
-// runTiles executes one parallel window: every tile with work below bound
-// runs it, on up to sx.workers goroutines. Small windows (one active
-// tile, or a single-worker configuration) run inline — the common case
-// for lightly loaded simulations, and what makes Tiles>1 with one worker
-// a pure-overhead-free serial mode.
+// directBelow is the window-mode threshold: a window expected to hold
+// fewer events than this runs direct. What a parallel window pays beyond
+// the events themselves — starting and joining the workers, buffering
+// every effect in a 216-byte record and replaying the merged records at
+// the barrier — is bought back by the second core only above some window
+// size, and that size depends on how much each event leaves to replay:
+// forcing both modes over static worlds of 40 to 6 000 events per window
+// (BenchmarkWindowModes; the PR 16 entry of BENCH_e2e.json has the table)
+// puts the crossover near 320 events under the Lean harness and near
+// 1 200 under the full one. 600 is their geometric middle: between the
+// two crossovers either choice costs at most a sixth, outside them the
+// choice is right. Of the benchmark's worlds sim_mobile_2k (full harness,
+// 177 events per window) sits far below it and sim_static_10k (Lean,
+// 2 915) far above.
+const directBelow = 600
+
+// runTiles executes one window: every tile with work below bound runs it,
+// either on up to sx.workers goroutines (runParallel) or in place on the
+// coordinator (runDirect). The mode is picked from what the engine has
+// seen, never from configuration: a window goes direct when it has one
+// active tile or one worker — nothing to run side by side — or when evEst,
+// an exponential moving average (weight 1/8) of the events in the
+// non-empty windows so far, is below directBelow. The average rather than
+// the last window, because RunUntil deadlines cut the odd short window out
+// of a run of long ones and one of those must not send the next long
+// window direct. Both modes execute the same events in the same canonical
+// order, so the choice is invisible in every output.
 func (sx *shardExec) runTiles(bound sim.Key) {
 	active := sx.active[:0]
+	var before uint64
 	for _, t := range sx.tiles {
 		if k, ok := t.heap.MinKey(); ok && k.Less(bound) {
+			before += t.processed
 			active = append(active, t)
 		}
 	}
@@ -525,68 +589,178 @@ func (sx *shardExec) runTiles(bound sim.Key) {
 	if len(active) == 0 {
 		return
 	}
-	sx.inWindow = true
-	if sx.workers <= 1 || len(active) == 1 {
-		for _, t := range active {
-			t.run(bound, sx.hook)
-		}
-		if tel := sx.tel; tel != nil {
-			// Serial window: every draw hits, nobody stalls.
-			tel.stealAttempts += uint64(len(active))
-			tel.stealHits += uint64(len(active))
-		}
+	direct := sx.workers <= 1 || len(active) == 1 || sx.evEst < directBelow
+	if sx.forceDirect != nil {
+		direct = sx.forceDirect()
+	}
+	if direct {
+		sx.runDirect(bound)
 	} else {
-		tel := sx.tel
-		nw := min(sx.workers, len(active))
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		var panicOnce sync.Once
-		var panicVal any
-		var panicStack []byte
-		for wi := range nw {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						panicOnce.Do(func() {
-							panicVal = r
-							panicStack = debug.Stack()
-						})
-					}
-				}()
-				var attempts, hits uint64
-				for {
-					i := next.Add(1) - 1
-					attempts++
-					if int(i) >= len(active) {
-						break
-					}
-					hits++
-					active[i].run(bound, sx.hook)
-				}
-				if tel != nil {
-					tel.workerDone(wi, attempts, hits)
+		sx.runParallel(bound)
+	}
+	var after uint64
+	for _, t := range active {
+		after += t.processed
+	}
+	events := after - before
+	sx.evEst += (float64(events) - sx.evEst) / 8
+	if tel := sx.tel; tel != nil && direct {
+		// Every draw hits, nobody stalls.
+		tel.stealAttempts += uint64(len(active))
+		tel.stealHits += uint64(len(active))
+		tel.directWindows++
+		tel.directEvents += events
+	}
+}
+
+// windowPanic re-raises a panic caught in a window on the caller of
+// RunUntil, in one form for both modes: the value and the stack of the
+// goroutine that ran the handler.
+func windowPanic(r any, stack []byte) {
+	panic(fmt.Sprintf("manet: event handler panic in shard window: %v\n%s", r, stack))
+}
+
+// cursor is one tile's entry in a k-way merge by canonical key: a direct
+// window merges the active tiles' event heaps (key = the heap's minimum),
+// a parallel window's barrier merges their effect buffers (key = that of
+// effs[i]). The key is a copy, so ordering two cursors never follows the
+// tile pointer. Keys of different cursors differ: a key names one event,
+// and an event is queued, and runs, on one tile.
+type cursor struct {
+	key sim.Key
+	t   *tile
+	i   int
+}
+
+// siftCursor restores the min-heap property of h below position i.
+func siftCursor(h []cursor, i int) {
+	for {
+		m := i
+		if l := 2*i + 1; l < len(h) && h[l].key.Less(h[m].key) {
+			m = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r].key.Less(h[m].key) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
+// heapifyCursors orders h as a min-heap.
+func heapifyCursors(h []cursor) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftCursor(h, i)
+	}
+}
+
+// runDirect executes one window on the coordinator: it pops the smallest
+// key across the active tiles' heaps through a binary heap of cursors and
+// runs the event with inWindow false — emit publishes, listeners fire and
+// deliveries land in their receiver's tile heap on the spot, as under the
+// single heap. What an event schedules for its own node may fall inside
+// the window and is picked up when its tile's cursor is refreshed; what it
+// sends to other nodes arrives at or beyond the bound (the lookahead
+// argument), so no other cursor goes stale.
+func (sx *shardExec) runDirect(bound sim.Key) {
+	defer func() {
+		if r := recover(); r != nil {
+			windowPanic(r, debug.Stack())
+		}
+	}()
+	h := sx.cursors[:0]
+	for _, t := range sx.active {
+		k, _ := t.heap.MinKey()
+		h = append(h, cursor{key: k, t: t})
+	}
+	heapifyCursors(h)
+	hook := sx.hook
+	for len(h) > 0 {
+		t := h[0].t
+		it := t.heap.Pop()
+		sx.now = it.K.At
+		if it.Fn != nil {
+			it.Fn()
+		} else {
+			it.R.Run()
+		}
+		t.processed++
+		if hook != nil {
+			hook(sx.now)
+		}
+		if k, ok := t.heap.MinKey(); ok && k.Less(bound) {
+			h[0].key = k
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftCursor(h, 0)
+	}
+	sx.cursors = h[:0]
+}
+
+// runParallel executes one window on min(workers, active tiles)
+// goroutines drawing tiles from a shared queue, then does the barrier
+// work such a window leaves behind: routing the outboxes and replaying the
+// buffered effects.
+func (sx *shardExec) runParallel(bound sim.Key) {
+	active := sx.active
+	tel := sx.tel
+	nw := min(sx.workers, len(active))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	var panicOnce sync.Once
+	var panicVal any
+	var panicStack []byte
+	sx.inWindow = true
+	for wi := range nw {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicOnce.Do(func() {
+						panicVal = r
+						panicStack = debug.Stack()
+					})
 				}
 			}()
-		}
-		wg.Wait()
-		if panicVal != nil {
-			panic(fmt.Sprintf("manet: shard worker panic: %v\n%s", panicVal, panicStack))
-		}
-		if tel != nil {
-			tel.foldWorkers(nw)
-		}
+			var attempts, hits uint64
+			for {
+				i := next.Add(1) - 1
+				attempts++
+				if int(i) >= len(active) {
+					break
+				}
+				hits++
+				active[i].run(bound, sx.hook)
+			}
+			if tel != nil {
+				tel.workerDone(wi, attempts, hits)
+			}
+		}()
 	}
+	wg.Wait()
 	sx.inWindow = false
+	if panicVal != nil {
+		windowPanic(panicVal, panicStack)
+	}
+	if tel != nil {
+		tel.foldWorkers(nw)
+	}
 	for _, t := range active {
 		if t.now > sx.now {
 			sx.now = t.now
 		}
 	}
+	sx.drainOutboxes()
+	sx.dispatchEffects()
 }
 
-// drainOutboxes routes the window's cross-tile deliveries to their
+// drainOutboxes routes a parallel window's cross-tile deliveries to their
 // receivers' tiles and its topology requests to the coordinator heap.
 // Every routed delivery's instant is at or beyond the window bound, so no
 // tile has executed past it.
@@ -597,8 +771,7 @@ func (sx *shardExec) drainOutboxes() {
 		for i, it := range t.outMsgs {
 			dst := w.nodes[it.K.Owner].tile
 			if tel != nil {
-				tel.crossMsgs++
-				tel.traffic[uint64(uint32(t.idx))<<32|uint64(uint32(dst))]++
+				tel.crossTile(t.idx, dst)
 			}
 			sx.tiles[dst].heap.Push(it)
 			t.outMsgs[i] = sim.Item{}
@@ -612,68 +785,38 @@ func (sx *shardExec) drainOutboxes() {
 	}
 }
 
-// effCursor is one tile's position in the barrier's effect merge.
-type effCursor struct {
-	t *tile
-	i int
-}
-
-// head returns the cursor's current effect.
-func (c effCursor) head() *effect { return &c.t.effs[c.i] }
-
-// before orders two tiles' cursors by the keys of their heads. The keys
-// differ: a key names one event, and an event runs on one tile.
-func (c effCursor) before(d effCursor) bool { return c.head().key.Less(d.head().key) }
-
-// dispatchEffects replays the window's buffered effects from all active
-// tiles — bus publications and deferred listener callbacks — in canonical
-// key order, an event's effects in emission order: exactly the stream the
-// single-heap engine would have produced inline. Each tile buffered its
-// effects in that order already (it executes its events in key order and
-// appends as they emit), so the replay is a k-way merge over the tiles'
-// heads through a binary heap of cursors; the effect records, two hundred
-// bytes each, are read in place and never copied or swapped.
+// dispatchEffects replays a parallel window's buffered effects from all
+// active tiles — bus publications and deferred listener callbacks — in
+// canonical key order, an event's effects in emission order: exactly the
+// stream the single-heap engine would have produced inline. Each tile
+// buffered its effects in that order already (it executes its events in
+// key order and appends as they emit), so the replay is a k-way merge over
+// the tiles' heads through the cursor heap; the effect records, two
+// hundred bytes each, are read in place and never copied or swapped.
 func (sx *shardExec) dispatchEffects() {
-	h := sx.merge[:0]
+	h := sx.cursors[:0]
 	for _, t := range sx.active {
 		if len(t.effs) > 0 {
-			h = append(h, effCursor{t: t})
+			h = append(h, cursor{key: t.effs[0].key, t: t})
 		}
 	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftEffCursor(h, i)
-	}
+	heapifyCursors(h)
 	for len(h) > 0 {
-		sx.replay(h[0].head())
-		if h[0].i++; h[0].i == len(h[0].t.effs) {
+		c := &h[0]
+		sx.replay(&c.t.effs[c.i])
+		if c.i++; c.i < len(c.t.effs) {
+			c.key = c.t.effs[c.i].key
+		} else {
 			h[0] = h[len(h)-1]
 			h = h[:len(h)-1]
 		}
-		siftEffCursor(h, 0)
+		siftCursor(h, 0)
 	}
 	for _, t := range sx.active {
 		clear(t.effs)
 		t.effs = t.effs[:0]
 	}
-	sx.merge = h[:0]
-}
-
-// siftEffCursor restores the min-heap property of h below position i.
-func siftEffCursor(h []effCursor, i int) {
-	for {
-		m := i
-		if l := 2*i + 1; l < len(h) && h[l].before(h[m]) {
-			m = l
-		}
-		if r := 2*i + 2; r < len(h) && h[r].before(h[m]) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
+	sx.cursors = h[:0]
 }
 
 // replay dispatches one buffered effect on the coordinator.

@@ -53,6 +53,13 @@ func shardedLayouts(n int) []shardedLayout {
 // with the given worker bound.
 func shardedTrace(t *testing.T, lay shardedLayout, seed uint64, tiles, workers int) []byte {
 	t.Helper()
+	return shardedTraceMode(t, lay, seed, tiles, workers, nil)
+}
+
+// shardedTraceMode is shardedTrace with the sharded engine's window mode
+// forced by hook (nil: the engine's own choice).
+func shardedTraceMode(t *testing.T, lay shardedLayout, seed uint64, tiles, workers int, hook func() bool) []byte {
+	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Seed = seed
 	cfg.Radius = lay.radius
@@ -74,9 +81,7 @@ func shardedTrace(t *testing.T, lay shardedLayout, seed uint64, tiles, workers i
 	w.CrashAt(9, 150_000)
 	w.CrashAt(11, 260_000)
 
-	if err := w.Start(); err != nil {
-		t.Fatal(err)
-	}
+	startForced(t, w, hook)
 	if err := w.RunUntil(500_000, 2_000_000); err != nil {
 		t.Fatal(err)
 	}

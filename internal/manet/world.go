@@ -10,8 +10,10 @@
 // The single-heap engine (Config.Tiles ≤ 1) runs every event off one
 // sim.Scheduler — the exact legacy behaviour. The region-sharded engine
 // (Config.Tiles > 1, see shard.go) partitions the plane into a grid of
-// tiles, each with its own value-typed event heap and worker, synchronised
-// by conservative lookahead. Both engines execute events in the canonical
+// tiles, each with its own value-typed event heap, synchronised by
+// conservative lookahead; a window of events runs on worker goroutines,
+// or — when it is too small to repay them — in place on the coordinator.
+// Both engines execute events in the canonical
 // (time, owner, class, a, b) key order and draw every random number from
 // per-node streams, so a run's event trace is bit-identical regardless of
 // engine, tiling, or worker count (pinned by the sharded differential
@@ -194,21 +196,39 @@ type link struct {
 	epoch uint64
 }
 
-// nbrIndex locates j in the sorted neighbour slice.
+// nbrIndex locates j in the sorted neighbour slice: the index of the first
+// ID that is at least j, and whether that ID is j. Like core.Slots.search
+// it halves down to a window of eight and scans that — at the degrees of
+// the worlds run here, the scan alone: every send and every delivery comes
+// through here, and a generic binary search over a dozen IDs costs more in
+// mispredicted branches than the scan does in compares.
 func (n *node) nbrIndex(j core.NodeID) (int, bool) {
-	return slices.BinarySearch(n.nbrs, j)
+	ids := n.nbrs
+	lo, hi := 0, len(ids)
+	for hi-lo > 8 {
+		mid := int(uint(lo+hi) >> 1)
+		if ids[mid] < j {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	for lo < hi && ids[lo] < j {
+		lo++
+	}
+	return lo, lo < len(ids) && ids[lo] == j
 }
 
 // hasNbr reports whether j is currently a neighbour.
 func (n *node) hasNbr(j core.NodeID) bool {
-	_, ok := slices.BinarySearch(n.nbrs, j)
+	_, ok := n.nbrIndex(j)
 	return ok
 }
 
 // insertNeighbor adds j to the sorted neighbour slice with a fresh FIFO
 // floor and the given link-incarnation stamp.
 func (n *node) insertNeighbor(j core.NodeID, epoch uint64) {
-	i, found := slices.BinarySearch(n.nbrs, j)
+	i, found := n.nbrIndex(j)
 	if found {
 		return
 	}
@@ -219,7 +239,7 @@ func (n *node) insertNeighbor(j core.NodeID, epoch uint64) {
 // removeNeighbor deletes j from the sorted neighbour slice, dropping its
 // FIFO floor and link stamp with it.
 func (n *node) removeNeighbor(j core.NodeID) {
-	i, found := slices.BinarySearch(n.nbrs, j)
+	i, found := n.nbrIndex(j)
 	if !found {
 		return
 	}
@@ -242,8 +262,9 @@ func nodeSeed(seed uint64, id core.NodeID) uint64 {
 
 // World is the simulated MANET. With the single-heap engine all mutation
 // happens inside scheduler events or before the run starts; with the
-// sharded engine, node-local events run on tile workers while topology
-// events and all observable effects (bus, listeners) are serialised on the
+// sharded engine, node-local events run on tile workers (parallel windows)
+// or on the coordinating goroutine (direct windows), while topology events
+// and all observable effects (bus, listeners) are serialised on the
 // coordinating goroutine in canonical key order.
 type World struct {
 	cfg   Config
@@ -258,17 +279,19 @@ type World struct {
 	bruteLinks bool
 
 	// freeDeliveries and freeTickers pool the reusable in-flight message
-	// and movement-tick records of the closure-free timer paths (the
-	// coordinator-context pools; tiles keep their own delivery pools).
+	// and movement-tick records of the closure-free timer paths.
+	// freeDeliveries serves the single-heap engine only: under the sharded
+	// engine every tile keeps its own delivery pool.
 	freeDeliveries []*delivery
 	freeTickers    []*moveTicker
 
-	// stateListeners are deferred observers: in sharded windows their
+	// stateListeners are deferred observers: in parallel windows their
 	// callbacks are buffered and replayed at barriers in canonical
 	// order. localStateListeners (the workload driver) run inline in the
 	// executing context, because they schedule follow-up events for the
 	// node itself; they are invoked after the deferred ones in single
-	// mode, preserving the legacy registration order.
+	// mode and in direct windows, preserving the legacy registration
+	// order.
 	stateListeners      []core.Listener
 	localStateListeners []core.Listener
 	linkListeners       []LinkListener
@@ -291,8 +314,8 @@ type World struct {
 	// msgsSent and msgsDelivered count protocol messages (the paper's
 	// future-work measure of message complexity). They are maintained
 	// natively so the cheap headline numbers survive even when nothing
-	// subscribes to the bus. Tile workers count into per-tile fields;
-	// readers sum.
+	// subscribes to the bus. The sharded engine counts into per-tile
+	// fields instead; readers sum.
 	msgsSent, msgsDelivered uint64
 }
 
@@ -360,7 +383,7 @@ func (w *World) Now() sim.Time {
 }
 
 // nowOf returns the virtual time of n's execution context: its tile clock
-// inside a sharded window, the coordinator clock otherwise.
+// inside a parallel window, the coordinator clock otherwise.
 func (w *World) nowOf(n *node) sim.Time {
 	if sx := w.shard; sx != nil {
 		if sx.inWindow {
@@ -418,7 +441,7 @@ func (w *World) EngineTelemetry() *telemetry.EngineStats {
 
 // SetEventHook installs f to run after every executed event, at the
 // event's virtual time (nil uninstalls). Under the sharded engine the
-// hook is invoked concurrently from tile workers, so it must be
+// hook may be invoked concurrently from tile workers, so it must be
 // goroutine-safe (the harness's throughput counter is atomic).
 func (w *World) SetEventHook(f func(sim.Time)) {
 	if w.cfg.Tiles > 1 {
@@ -482,8 +505,9 @@ func (w *World) SetProtocol(id core.NodeID, p core.Protocol) {
 func (w *World) NodeRand(id core.NodeID) *rand.Rand { return w.nodes[id].rng }
 
 // AddStateListener registers a dining-state transition observer. Under
-// the sharded engine its callbacks are deferred to window barriers and
-// replayed in canonical event order; listeners must therefore derive
+// the sharded engine the callbacks of a parallel window are deferred to
+// its barrier and replayed in canonical event order (a direct window calls
+// them inline, in the same order); listeners must therefore derive
 // their state from the callback stream (plus the frozen-between-barriers
 // topology) rather than reading live node state — which every metrics
 // listener already does.
@@ -542,7 +566,7 @@ func (w *World) setMoving(n *node, moving bool) {
 
 // emit stamps the event with the node's current virtual time and
 // publishes it — directly in coordinator context, or into the tile's
-// effect buffer inside a sharded window (replayed at the barrier in
+// effect buffer inside a parallel window (replayed at the barrier in
 // canonical order, so the bus sees one monotone stream either way).
 func (w *World) emit(n *node, e trace.Event) {
 	if sx := w.shard; sx != nil && sx.inWindow {
@@ -696,18 +720,21 @@ func (w *World) MaxDegree() int {
 	return max
 }
 
-// countSent tallies one protocol message handed to the transport.
+// countSent tallies one protocol message handed to the transport, on the
+// sender's tile under the sharded engine (the executing context owns it:
+// the tile's worker in a parallel window, the coordinator otherwise).
 func (w *World) countSent(src *node) {
-	if sx := w.shard; sx != nil && sx.inWindow {
+	if sx := w.shard; sx != nil {
 		sx.tiles[src.tile].msgsSent++
 		return
 	}
 	w.msgsSent++
 }
 
-// countDelivered tallies one delivered protocol message.
+// countDelivered tallies one delivered protocol message, on the
+// receiver's tile under the sharded engine.
 func (w *World) countDelivered(dst *node) {
-	if sx := w.shard; sx != nil && sx.inWindow {
+	if sx := w.shard; sx != nil {
 		sx.tiles[dst.tile].msgsDelivered++
 		return
 	}
@@ -876,10 +903,12 @@ func (d *delivery) Run() {
 	w.releaseDelivery(dst, d)
 }
 
-// allocDelivery takes a record from the executing context's pool.
+// allocDelivery takes a record from the sender's pool: its tile's under
+// the sharded engine — in either window mode, so records keep circulating
+// among the tiles however the modes mix — the world's otherwise.
 func (w *World) allocDelivery(src *node) *delivery {
 	pool := &w.freeDeliveries
-	if sx := w.shard; sx != nil && sx.inWindow {
+	if sx := w.shard; sx != nil {
 		pool = &sx.tiles[src.tile].freeDel
 	}
 	if k := len(*pool); k > 0 {
@@ -890,9 +919,9 @@ func (w *World) allocDelivery(src *node) *delivery {
 	return new(delivery)
 }
 
-// releaseDelivery returns a fired record to the executing context's pool.
+// releaseDelivery returns a fired record to the receiver's pool.
 func (w *World) releaseDelivery(dst *node, d *delivery) {
-	if sx := w.shard; sx != nil && sx.inWindow {
+	if sx := w.shard; sx != nil {
 		t := sx.tiles[dst.tile]
 		t.freeDel = append(t.freeDel, d)
 		return
@@ -968,7 +997,13 @@ func (w *World) send(from, to core.NodeID, msg core.Message) {
 			}
 			return
 		}
-		sx.tiles[w.nodes[to].tile].heap.Push(sim.Item{K: key, R: d})
+		// Coordinator context (a direct window, a topology event, Init):
+		// every tile is paused, so the delivery goes straight in.
+		dt := w.nodes[to].tile
+		if sx.tel != nil && dt != src.tile {
+			sx.tel.crossTile(src.tile, dt)
+		}
+		sx.tiles[dt].heap.Push(sim.Item{K: key, R: d})
 		return
 	}
 	w.sched.AtRunnerKey(key, d)

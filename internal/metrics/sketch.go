@@ -3,7 +3,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"lme/internal/sim"
 )
@@ -32,7 +31,11 @@ type Sketch struct {
 	gamma    float64
 	logGamma float64
 
-	buckets map[int32]uint64
+	// buckets[j] counts bucket j. Indices start at 0 (the bucket of
+	// v = 1), so the table is dense: it grows to the largest index seen —
+	// ⌈log_γ(max)⌉ entries, a few hundred at DefaultGamma for any duration
+	// this repository measures — and ascending index order is slice order.
+	buckets []uint64
 	zero    uint64 // observations below 1 (zero-length durations)
 
 	count    uint64
@@ -49,11 +52,7 @@ func NewSketchGamma(gamma float64) *Sketch {
 	if !(gamma > 1) {
 		panic(fmt.Sprintf("metrics: sketch gamma %v must be > 1", gamma))
 	}
-	return &Sketch{
-		gamma:    gamma,
-		logGamma: math.Log(gamma),
-		buckets:  make(map[int32]uint64),
-	}
+	return &Sketch{gamma: gamma, logGamma: math.Log(gamma)}
 }
 
 // Gamma reports the bucket growth factor.
@@ -89,7 +88,19 @@ func (s *Sketch) ObserveFloat(v float64) {
 		s.zero++
 		return
 	}
-	s.buckets[s.bucketIndex(v)]++
+	if !(v <= math.MaxFloat64) {
+		panic(fmt.Sprintf("metrics: sketch observation %v is not finite", v))
+	}
+	j := s.bucketIndex(v)
+	s.grow(j)
+	s.buckets[j]++
+}
+
+// grow extends the bucket table to hold index j.
+func (s *Sketch) grow(j int32) {
+	if n := int(j) + 1; n > len(s.buckets) {
+		s.buckets = append(s.buckets, make([]uint64, n-len(s.buckets))...)
+	}
 }
 
 // Observe folds one duration.
@@ -154,16 +165,11 @@ func (s *Sketch) QuantileFloat(q float64) float64 {
 	if rank <= s.zero {
 		return s.clamp(0)
 	}
-	idxs := make([]int32, 0, len(s.buckets))
-	for j := range s.buckets {
-		idxs = append(idxs, j)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
 	cum := s.zero
-	for _, j := range idxs {
-		cum += s.buckets[j]
+	for j, n := range s.buckets {
+		cum += n
 		if cum >= rank {
-			return s.clamp(s.bucketValue(j))
+			return s.clamp(s.bucketValue(int32(j)))
 		}
 	}
 	return s.max
@@ -209,6 +215,7 @@ func (s *Sketch) Merge(o *Sketch) {
 	s.count += o.count
 	s.sum += o.sum
 	s.zero += o.zero
+	s.grow(int32(len(o.buckets) - 1))
 	for j, n := range o.buckets {
 		s.buckets[j] += n
 	}
@@ -234,7 +241,7 @@ type SketchSnapshot struct {
 	Buckets []SketchBucket `json:"buckets"`
 }
 
-// Snapshot freezes the sketch, with buckets sorted by index.
+// Snapshot freezes the sketch: its non-empty buckets, sorted by index.
 func (s *Sketch) Snapshot() SketchSnapshot {
 	snap := SketchSnapshot{
 		Gamma: s.gamma,
@@ -244,12 +251,24 @@ func (s *Sketch) Snapshot() SketchSnapshot {
 		Min:   s.Min(),
 		Max:   s.Max(),
 	}
-	snap.Buckets = make([]SketchBucket, 0, len(s.buckets))
+	snap.Buckets = make([]SketchBucket, 0, s.occupied())
 	for j, n := range s.buckets {
-		snap.Buckets = append(snap.Buckets, SketchBucket{Index: j, Count: n})
+		if n > 0 {
+			snap.Buckets = append(snap.Buckets, SketchBucket{Index: int32(j), Count: n})
+		}
 	}
-	sort.Slice(snap.Buckets, func(i, j int) bool { return snap.Buckets[i].Index < snap.Buckets[j].Index })
 	return snap
+}
+
+// occupied counts the non-empty buckets.
+func (s *Sketch) occupied() int {
+	k := 0
+	for _, n := range s.buckets {
+		if n > 0 {
+			k++
+		}
+	}
+	return k
 }
 
 // FromSnapshot reconstructs a sketch from its wire form. A zero-valued
@@ -265,7 +284,15 @@ func FromSnapshot(snap SketchSnapshot) *Sketch {
 	s.sum = snap.Sum
 	s.min = snap.Min
 	s.max = snap.Max
+	// No observation lands below bucket 0 or beyond the largest float's
+	// bucket; a snapshot that says otherwise (it may come off a wire) does
+	// not get to size the table.
+	top := s.bucketIndex(math.MaxFloat64)
 	for _, b := range snap.Buckets {
+		if b.Index < 0 || b.Index > top {
+			continue
+		}
+		s.grow(b.Index)
 		s.buckets[b.Index] = b.Count
 	}
 	return s
@@ -274,5 +301,5 @@ func FromSnapshot(snap SketchSnapshot) *Sketch {
 // String renders the sketch compactly.
 func (s *Sketch) String() string {
 	return fmt.Sprintf("n=%d mean=%.0f p50=%v p95=%v max=%.0f (γ=%v, %d buckets)",
-		s.count, s.Mean(), s.Quantile(0.50), s.Quantile(0.95), s.Max(), s.gamma, len(s.buckets))
+		s.count, s.Mean(), s.Quantile(0.50), s.Quantile(0.95), s.Max(), s.gamma, s.occupied())
 }

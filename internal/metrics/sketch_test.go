@@ -251,3 +251,190 @@ func TestSketchEmptyAndMergeEdges(t *testing.T) {
 		t.Fatal("x ⊕ empty must equal x")
 	}
 }
+
+// mapSketch is the differential oracle of the dense Sketch: the sketch as
+// it was before its bucket table became a slice — a map keyed by bucket
+// index, a logarithm per observation, indices sorted on every read.
+type mapSketch struct {
+	gamma, logGamma float64
+	buckets         map[int32]uint64
+	zero, count     uint64
+	sum, min, max   float64
+}
+
+func newMapSketch(gamma float64) *mapSketch {
+	return &mapSketch{gamma: gamma, logGamma: math.Log(gamma), buckets: map[int32]uint64{}}
+}
+
+func (m *mapSketch) observe(v float64) {
+	if m.count == 0 || v < m.min {
+		m.min = v
+	}
+	if m.count == 0 || v > m.max {
+		m.max = v
+	}
+	m.count++
+	m.sum += v
+	if v < 1 {
+		m.zero++
+		return
+	}
+	m.buckets[int32(math.Ceil(math.Log(v)/m.logGamma))]++
+}
+
+func (m *mapSketch) merge(o *mapSketch) {
+	if o.count == 0 {
+		return
+	}
+	if m.count == 0 || o.min < m.min {
+		m.min = o.min
+	}
+	if m.count == 0 || o.max > m.max {
+		m.max = o.max
+	}
+	m.count += o.count
+	m.sum += o.sum
+	m.zero += o.zero
+	for j, n := range o.buckets {
+		m.buckets[j] += n
+	}
+}
+
+func (m *mapSketch) snapshot() SketchSnapshot {
+	snap := SketchSnapshot{Gamma: m.gamma, Count: m.count, Zero: m.zero, Sum: m.sum, Buckets: []SketchBucket{}}
+	if m.count > 0 {
+		snap.Min, snap.Max = m.min, m.max
+	}
+	for j, n := range m.buckets {
+		snap.Buckets = append(snap.Buckets, SketchBucket{Index: j, Count: n})
+	}
+	sort.Slice(snap.Buckets, func(i, j int) bool { return snap.Buckets[i].Index < snap.Buckets[j].Index })
+	return snap
+}
+
+func (m *mapSketch) quantile(q float64) float64 {
+	if m.count == 0 {
+		return 0
+	}
+	rank := min(max(uint64(math.Ceil(q*float64(m.count))), 1), m.count)
+	clamp := func(v float64) float64 { return min(max(v, m.min), m.max) }
+	if rank <= m.zero {
+		return clamp(0)
+	}
+	cum := m.zero
+	for _, b := range m.snapshot().Buckets {
+		if cum += b.Count; cum >= rank {
+			return clamp(2 * math.Pow(m.gamma, float64(b.Index)) / (m.gamma + 1))
+		}
+	}
+	return m.max
+}
+
+// sketchValue draws one observation of the differential test: small and
+// large integers, non-integers, values below 1, bucket boundaries and
+// exact zeros.
+func sketchValue(rng *rand.Rand) float64 {
+	switch rng.Intn(8) {
+	case 0:
+		return float64(rng.Intn(1 << 16))
+	case 1:
+		return float64(1<<16 - 2 + rng.Intn(4))
+	case 2:
+		return float64(rng.Int63n(1 << 40))
+	case 3:
+		return rng.Float64() // below 1
+	case 4:
+		return rng.Float64() * 70_000 // non-integer
+	case 5:
+		return math.Pow(DefaultGamma, float64(rng.Intn(900)))
+	case 6:
+		return math.Exp(rng.Float64() * 40)
+	default:
+		return 0
+	}
+}
+
+// TestSketchMatchesMapOracle pins the dense sketch to the map-keyed one it
+// replaced, bit for bit: same snapshot (scalars and bucket table), same
+// quantiles, at the default and at other γ, after observing and after
+// merging in any order.
+func TestSketchMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	qs := []float64{0, 0.001, 0.01, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1}
+	same := func(what string, s *Sketch, m *mapSketch) {
+		t.Helper()
+		if got, want := s.Snapshot(), m.snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: snapshot differs\n dense  %+v\n oracle %+v", what, got, want)
+		}
+		for _, q := range qs {
+			if got, want := s.QuantileFloat(q), m.quantile(q); got != want {
+				t.Fatalf("%s: q=%v dense %v oracle %v", what, q, got, want)
+			}
+		}
+	}
+	for _, gamma := range []float64{DefaultGamma, 1.005, 1.1, 2} {
+		const parts = 5
+		var dense [parts]*Sketch
+		var oracle [parts]*mapSketch
+		for p := range dense {
+			dense[p], oracle[p] = NewSketchGamma(gamma), newMapSketch(gamma)
+			same("empty", dense[p], oracle[p])
+			for i := rng.Intn(3000); i > 0; i-- {
+				v := sketchValue(rng)
+				dense[p].ObserveFloat(v)
+				oracle[p].observe(v)
+			}
+			same("observed", dense[p], oracle[p])
+			if back := FromSnapshot(dense[p].Snapshot()); !reflect.DeepEqual(back.Snapshot(), dense[p].Snapshot()) {
+				t.Fatalf("γ=%v: snapshot round trip differs", gamma)
+			}
+		}
+		// Merge in three different orders: one oracle, three dense folds,
+		// all four identical.
+		all := newMapSketch(gamma)
+		for _, o := range oracle {
+			all.merge(o)
+		}
+		for _, order := range [][]int{{0, 1, 2, 3, 4}, {4, 3, 2, 1, 0}, {2, 0, 4, 1, 3}} {
+			folded := NewSketchGamma(gamma)
+			for _, p := range order {
+				folded.Merge(dense[p])
+			}
+			// The float sum depends on addition order; the oracle's is
+			// one more order, so compare it apart.
+			if d := math.Abs(folded.Sum() - all.sum); d > 1e-9*all.sum {
+				t.Fatalf("γ=%v order %v: sum %v, oracle %v", gamma, order, folded.Sum(), all.sum)
+			}
+			folded.sum = all.sum
+			same("merged", folded, all)
+		}
+	}
+}
+
+// TestSketchFromSnapshotRejectsWildBuckets pins that a snapshot cannot
+// size the bucket table beyond what an observation could: indices below 0
+// or past the largest float's bucket are dropped.
+func TestSketchFromSnapshotRejectsWildBuckets(t *testing.T) {
+	s := FromSnapshot(SketchSnapshot{Gamma: DefaultGamma, Count: 3, Min: 1, Max: 9, Sum: 12, Buckets: []SketchBucket{
+		{Index: -4, Count: 1}, {Index: 7, Count: 1}, {Index: math.MaxInt32, Count: 1},
+	}})
+	if got := s.Snapshot().Buckets; len(got) != 1 || got[0] != (SketchBucket{Index: 7, Count: 1}) {
+		t.Fatalf("kept buckets %+v, want only index 7", got)
+	}
+}
+
+// TestSketchRejectsNonFinite pins that NaN and +Inf, which have no bucket,
+// are refused by name instead of indexing the table with whatever a
+// float-to-int conversion of them yields.
+func TestSketchRejectsNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil {
+					t.Errorf("observing %v did not panic", v)
+				}
+			}()
+			NewSketch().ObserveFloat(v)
+		}()
+	}
+}

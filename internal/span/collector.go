@@ -3,6 +3,7 @@ package span
 import (
 	"errors"
 	"io"
+	"slices"
 	"sort"
 
 	"lme/internal/core"
@@ -45,8 +46,9 @@ type nodeState struct {
 	hasLast bool
 
 	// forkWait is the set of neighbours with an unanswered fork request
-	// from this node (out-edges of the wait-for graph).
-	forkWait map[core.NodeID]bool
+	// from this node (out-edges of the wait-for graph): at most δ IDs in
+	// no particular order, scanned.
+	forkWait []core.NodeID
 
 	// dws tracks doorway positions, ordered by first appearance.
 	dws []dwStatus
@@ -153,7 +155,7 @@ func (c *Collector) state(id core.NodeID) *nodeState {
 	}
 	n := c.nodes[id]
 	if n == nil {
-		n = &nodeState{id: id, forkWait: make(map[core.NodeID]bool)}
+		n = &nodeState{id: id}
 		c.nodes[id] = n
 	}
 	return n
@@ -176,14 +178,14 @@ func (c *Collector) Feed(e trace.Event) {
 			c.link(e.Node, e.Peer, true)
 		}
 		if e.Msg == "req" && e.Peer >= 0 {
-			n.forkWait[e.Peer] = true
+			n.addForkWait(e.Peer)
 		}
 	case trace.KindDeliver:
 		n.lastAt = e.At
 		n.lastRef = MsgRef{From: e.Peer, Seq: e.MsgSeq, Msg: e.Msg}
 		n.hasLast = true
 		if e.Msg == "fork" && e.Peer >= 0 {
-			delete(n.forkWait, e.Peer)
+			n.dropForkWait(e.Peer)
 		}
 	case trace.KindDoorway:
 		c.onDoorway(n, e)
@@ -196,8 +198,8 @@ func (c *Collector) Feed(e trace.Event) {
 	case trace.KindLinkDown:
 		c.link(e.Node, e.Peer, false)
 		if e.Peer >= 0 {
-			delete(n.forkWait, e.Peer)
-			delete(c.state(e.Peer).forkWait, e.Node)
+			n.dropForkWait(e.Peer)
+			c.state(e.Peer).dropForkWait(e.Node)
 		}
 	case trace.KindCrash:
 		c.onCrash(n, e)
@@ -216,20 +218,20 @@ func (c *Collector) onState(n *nodeState, e trace.Event) {
 				c.closePhase(n, e.At, nil)
 				c.openPhase(n, PhaseCollect, "", e.At)
 			}
-			clearForkWait(n)
+			n.forkWait = n.forkWait[:0]
 			return
 		}
 		n.attempts++
 		n.open = &Span{Node: n.id, Attempt: n.attempts, Start: e.At, Outcome: OutcomeOpen}
 		c.openPhase(n, PhaseCollect, "", e.At)
 	case "eating":
-		clearForkWait(n)
+		n.forkWait = n.forkWait[:0]
 		if n.open != nil {
 			c.closePhase(n, e.At, c.deliverRef(n, e.At))
 			c.openPhase(n, PhaseEat, "", e.At)
 		}
 	case "thinking":
-		clearForkWait(n)
+		n.forkWait = n.forkWait[:0]
 		if n.open != nil {
 			c.closePhase(n, e.At, nil)
 			c.closeAttempt(n, e.At, OutcomeAte)
@@ -237,9 +239,19 @@ func (c *Collector) onState(n *nodeState, e trace.Event) {
 	}
 }
 
-func clearForkWait(n *nodeState) {
-	for k := range n.forkWait {
-		delete(n.forkWait, k)
+// addForkWait records an unanswered fork request to p.
+func (n *nodeState) addForkWait(p core.NodeID) {
+	if !slices.Contains(n.forkWait, p) {
+		n.forkWait = append(n.forkWait, p)
+	}
+}
+
+// dropForkWait forgets the fork request to p, if there is one.
+func (n *nodeState) dropForkWait(p core.NodeID) {
+	if i := slices.Index(n.forkWait, p); i >= 0 {
+		last := len(n.forkWait) - 1
+		n.forkWait[i] = n.forkWait[last]
+		n.forkWait = n.forkWait[:last]
 	}
 }
 
@@ -284,7 +296,7 @@ func (c *Collector) onCrash(n *nodeState, e trace.Event) {
 	// The crashed node waits on nobody any more; its doorway positions
 	// stay frozen — a crash behind a doorway is exactly what blocks the
 	// neighbourhood.
-	clearForkWait(n)
+	n.forkWait = n.forkWait[:0]
 	if n.open != nil {
 		c.closePhase(n, e.At, nil)
 		c.closeAttempt(n, e.At, OutcomeCrashed)
@@ -355,7 +367,7 @@ func (c *Collector) WaitEdges() []Edge {
 		if n == nil || n.crashed {
 			continue
 		}
-		for p := range n.forkWait {
+		for _, p := range n.forkWait {
 			out = append(out, Edge{From: n.id, To: p, Why: "fork"})
 		}
 		for i := range n.dws {

@@ -32,9 +32,8 @@ type TileStats struct {
 }
 
 // TileLink is one directed cell of the tile→tile traffic matrix: how
-// many cross-tile message deliveries were routed from tile From to tile
-// To at window barriers. Same-tile deliveries never cross the barrier
-// and are not counted here.
+// many message deliveries were sent from a node of tile From to a node
+// of tile To. Same-tile deliveries are not counted here.
 type TileLink struct {
 	From int32  `json:"from"`
 	To   int32  `json:"to"`
@@ -51,18 +50,26 @@ type EngineStats struct {
 	// worker-goroutine bound.
 	Tiles   int `json:"tiles"`
 	Workers int `json:"workers"`
-	// Windows counts parallel windows executed; Events the total events
-	// across coordinator and tiles.
+	// Windows counts windows executed; Events the total events across
+	// coordinator and tiles.
 	Windows uint64 `json:"windows"`
 	Events  uint64 `json:"events"`
 	// StealAttempts/StealHits count draws on the window work queue:
 	// every index a worker pulled (attempts) and every pull that yielded
 	// a tile to run (hits). Attempts−hits is the number of empty draws —
-	// workers that arrived after the window's tiles were taken.
+	// workers that arrived after the window's tiles were taken. A direct
+	// window counts one hit per active tile.
 	StealAttempts uint64 `json:"steal_attempts"`
 	StealHits     uint64 `json:"steal_hits"`
-	// CrossTileMsgs counts message deliveries routed between tiles at
-	// barriers — the traffic the Traffic matrix breaks down by pair.
+	// DirectWindows counts the windows the coordinator ran in place, in
+	// canonical order, instead of handing them to workers — the engine's
+	// choice for windows too small to repay a fork/join and an effect
+	// replay — and DirectEvents the events executed in them (both are
+	// included in Windows and Events).
+	DirectWindows uint64 `json:"direct_windows,omitempty"`
+	DirectEvents  uint64 `json:"direct_events,omitempty"`
+	// CrossTileMsgs counts message deliveries sent from one tile to
+	// another — the traffic the Traffic matrix breaks down by pair.
 	CrossTileMsgs uint64 `json:"cross_tile_msgs"`
 	// ImbalanceMaxAvg and ImbalanceMeanAvg are the per-window maximum
 	// and mean events-per-active-tile, averaged over windows; Imbalance

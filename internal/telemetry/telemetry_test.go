@@ -40,6 +40,8 @@ type engineWire struct {
 	Events           uint64     `json:"events"`
 	StealAttempts    uint64     `json:"steal_attempts"`
 	StealHits        uint64     `json:"steal_hits"`
+	DirectWindows    uint64     `json:"direct_windows"`
+	DirectEvents     uint64     `json:"direct_events"`
 	CrossTileMsgs    uint64     `json:"cross_tile_msgs"`
 	ImbalanceMaxAvg  float64    `json:"imbalance_max_avg"`
 	ImbalanceMeanAvg float64    `json:"imbalance_mean_avg"`
@@ -105,6 +107,7 @@ func TestEngineStatsSchemaPinned(t *testing.T) {
 		Schema: Schema, Tiles: 2, Workers: 3,
 		Windows: 40, Events: 10_000,
 		StealAttempts: 90, StealHits: 80, CrossTileMsgs: 777,
+		DirectWindows: 25, DirectEvents: 1_500,
 		ImbalanceMaxAvg: 130, ImbalanceMeanAvg: 100, Imbalance: 1.3,
 		WindowSpanUS:   fullSketch(),
 		BarrierStallNS: fullSketch(),
@@ -124,6 +127,7 @@ func TestEngineStatsSchemaPinned(t *testing.T) {
 	strictDecode(t, data, &wire)
 	if wire.Schema != Schema || wire.Tiles != 2 || wire.Windows != 40 ||
 		wire.StealAttempts != 90 || wire.CrossTileMsgs != 777 ||
+		wire.DirectWindows != 25 || wire.DirectEvents != 1_500 ||
 		wire.Imbalance != 1.3 || len(wire.PerTile) != 4 || len(wire.Traffic) != 2 {
 		t.Fatalf("mirror mismatch: %+v", wire)
 	}
