@@ -17,8 +17,9 @@
 package coloring
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"lme/internal/core"
 )
@@ -57,90 +58,98 @@ func (s EdgeSet) Add(a, b core.NodeID) bool {
 	return true
 }
 
-// Union inserts every edge of other and reports whether the set changed.
-func (s EdgeSet) Union(other EdgeSet) bool {
-	changed := false
-	for e := range other {
-		if _, ok := s[e]; !ok {
-			s[e] = struct{}{}
-			changed = true
-		}
-	}
-	return changed
-}
-
-// Clone returns a copy (messages must not alias the sender's set).
-func (s EdgeSet) Clone() EdgeSet {
-	out := make(EdgeSet, len(s))
-	for e := range s {
-		out[e] = struct{}{}
-	}
-	return out
-}
-
-// Equal reports whether both sets hold the same edges.
-func (s EdgeSet) Equal(other EdgeSet) bool {
-	if len(s) != len(other) {
-		return false
-	}
-	for e := range s {
-		if _, ok := other[e]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // Edges returns the edges in canonical sorted order.
 func (s EdgeSet) Edges() []Edge {
 	out := make([]Edge, 0, len(s))
 	for e := range s {
 		out = append(out, e)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
+	slices.SortFunc(out, func(x, y Edge) int {
+		return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B))
 	})
 	return out
 }
 
-// GreedyColor deterministically colours the conflict graph and returns the
-// colour of node me (-1 if me does not appear in the graph). Per Algorithm
-// 4 Line 72, each component is traversed depth-first from its smallest-ID
-// node with ascending neighbour order, assigning every node the smallest
-// colour unused among its already-coloured neighbours. Two participants
-// holding equal edge sets therefore compute identical colourings, which is
-// what Lemma 14 needs.
+// GreedyColors deterministically colours the conflict graph and returns the
+// colour of every node that appears in it. Per Algorithm 4 Line 72, each
+// component is traversed depth-first from its smallest-ID node with
+// ascending neighbour order, assigning every node the smallest colour unused
+// among its already-coloured neighbours. Two participants holding equal edge
+// sets therefore compute identical colourings, which is what Lemma 14 needs.
 //
 // The colour range is [0, d(G)] where d(G) is the maximum degree of the
 // conflict graph, hence at most the paper's δ.
-func GreedyColor(s EdgeSet, me core.NodeID) int {
-	adj := make(map[core.NodeID][]core.NodeID)
-	for e := range s {
-		adj[e.A] = append(adj[e.A], e.B)
-		adj[e.B] = append(adj[e.B], e.A)
+func GreedyColors(s EdgeSet) map[core.NodeID]int {
+	verts, colors := colorEdges(s.Edges())
+	out := make(map[core.NodeID]int, len(verts))
+	for i, v := range verts {
+		out[v] = colors[i]
 	}
-	if _, ok := adj[me]; !ok {
-		return -1
-	}
-	vertices := make([]core.NodeID, 0, len(adj))
-	for v := range adj {
-		sort.Slice(adj[v], func(i, j int) bool { return adj[v][i] < adj[v][j] })
-		vertices = append(vertices, v)
-	}
-	sort.Slice(vertices, func(i, j int) bool { return vertices[i] < vertices[j] })
+	return out
+}
 
-	colors := make(map[core.NodeID]int, len(adj))
-	var visit func(v core.NodeID)
-	visit = func(v core.NodeID) {
-		if _, done := colors[v]; done {
-			return
-		}
-		used := make(map[int]bool)
-		for _, u := range adj[v] {
-			if c, ok := colors[u]; ok {
+// GreedyColor returns me's colour under GreedyColors(s), or -1 if me does
+// not appear in the graph.
+func GreedyColor(s EdgeSet, me core.NodeID) int {
+	if c, ok := GreedyColors(s)[me]; ok {
+		return c
+	}
+	return -1
+}
+
+// colorEdges is the traversal behind GreedyColors over a conflict graph
+// given as its canonically sorted edge list: it returns the graph's nodes in
+// ascending order and, in parallel, their colours.
+func colorEdges(edges []Edge) (verts []core.NodeID, colors []int) {
+	if len(edges) == 0 {
+		return nil, nil
+	}
+	verts = make([]core.NodeID, 0, 2*len(edges))
+	for _, e := range edges {
+		verts = append(verts, e.A, e.B)
+	}
+	slices.Sort(verts)
+	verts = slices.Compact(verts)
+	index := func(id core.NodeID) int32 {
+		i, _ := slices.BinarySearch(verts, id)
+		return int32(i)
+	}
+
+	// CSR adjacency over vertex indices. Filling in sorted-edge order
+	// leaves every list ascending: a vertex's smaller neighbours arrive
+	// first (edges sorted by A), then its larger ones (by B).
+	off := make([]int32, len(verts)+1)
+	ends := make([]int32, 2*len(edges)) // endpoint indices, edge by edge
+	for i, e := range edges {
+		a, b := index(e.A), index(e.B)
+		ends[2*i], ends[2*i+1] = a, b
+		off[a+1]++
+		off[b+1]++
+	}
+	maxDeg := int32(0)
+	for v := range verts {
+		maxDeg = max(maxDeg, off[v+1])
+		off[v+1] += off[v]
+	}
+	adj := make([]int32, 2*len(edges))
+	next := make([]int32, len(verts)) // per-vertex cursor into adj: CSR fill, then DFS
+	for i := range edges {
+		a, b := ends[2*i], ends[2*i+1]
+		adj[off[a]+next[a]] = b
+		next[a]++
+		adj[off[b]+next[b]] = a
+		next[b]++
+	}
+
+	colors = make([]int, len(verts))
+	for v := range colors {
+		colors[v] = -1
+	}
+	used := make([]bool, maxDeg+1) // some colour in [0, deg(v)] is always free
+	paint := func(v int32) {
+		nbrs := adj[off[v]:off[v+1]]
+		for _, u := range nbrs {
+			if c := colors[u]; c >= 0 {
 				used[c] = true
 			}
 		}
@@ -149,14 +158,35 @@ func GreedyColor(s EdgeSet, me core.NodeID) int {
 			c++
 		}
 		colors[v] = c
-		for _, u := range adj[v] {
-			visit(u)
+		for _, u := range nbrs {
+			if c := colors[u]; c >= 0 {
+				used[c] = false
+			}
 		}
 	}
-	for _, v := range vertices {
-		visit(v)
+	clear(next)
+	stack := make([]int32, 0, len(verts))
+	for root := range verts {
+		if colors[root] >= 0 {
+			continue
+		}
+		paint(int32(root))
+		stack = append(stack, int32(root))
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			if next[v] == off[v+1]-off[v] {
+				stack = stack[:len(stack)-1]
+				continue
+			}
+			u := adj[off[v]+next[v]]
+			next[v]++
+			if colors[u] < 0 {
+				paint(u)
+				stack = append(stack, u)
+			}
+		}
 	}
-	return colors[me]
+	return verts, colors
 }
 
 // Family is an explicit δ-cover-free family: K subsets of {0,…,M-1} such

@@ -135,18 +135,21 @@ func (h *EventHeap) MinKey() (Key, bool) {
 	return h.items[0].K, true
 }
 
-// Push inserts it and restores the heap order (sift-up).
+// Push inserts it and restores the heap order: the hole left at the end
+// climbs while its parent orders after it, then takes it — one Item move
+// (and one set of write barriers) per level where a swap is three.
 func (h *EventHeap) Push(it Item) {
-	s := append(h.items, it)
+	s := append(h.items, Item{})
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !s[i].K.Less(s[parent].K) {
+		if !it.K.Less(s[parent].K) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = it
 	h.items = s
 }
 
@@ -156,34 +159,43 @@ func (h *EventHeap) Pop() Item {
 	s := h.items
 	root := s[0]
 	last := len(s) - 1
-	s[0] = s[last]
+	it := s[last]
 	s[last] = Item{} // release fn/r references
 	s = s[:last]
 	h.items = s
-	// Sift-down: promote the smallest of up to four children.
-	i := 0
+	if last > 0 {
+		siftDown(s, 0, it)
+	}
+	return root
+}
+
+// siftDown places it in the subtree whose root slot i is a hole: the hole
+// sinks, the smallest of up to four children moving up into it, until none
+// of them orders before it.
+func siftDown(s []Item, i int, it Item) {
+	n := len(s)
 	for {
 		first := 4*i + 1
-		if first >= last {
+		if first >= n {
 			break
 		}
 		min := first
 		end := first + 4
-		if end > last {
-			end = last
+		if end > n {
+			end = n
 		}
 		for c := first + 1; c < end; c++ {
 			if s[c].K.Less(s[min].K) {
 				min = c
 			}
 		}
-		if !s[min].K.Less(s[i].K) {
+		if !s[min].K.Less(it.K) {
 			break
 		}
-		s[i], s[min] = s[min], s[i]
+		s[i] = s[min]
 		i = min
 	}
-	return root
+	s[i] = it
 }
 
 // ExtractOwner removes every event whose key names the given owner,
@@ -215,31 +227,11 @@ func (h *EventHeap) ExtractOwner(owner int32, buf []Item) []Item {
 // heapify restores the heap invariant over an arbitrarily ordered slice.
 func (h *EventHeap) heapify() {
 	s := h.items
-	n := len(s)
-	for i := (n - 2) / 4; i >= 0; i-- {
-		// Sift-down from i.
-		j := i
-		for {
-			first := 4*j + 1
-			if first >= n {
-				break
-			}
-			min := first
-			end := first + 4
-			if end > n {
-				end = n
-			}
-			for c := first + 1; c < end; c++ {
-				if s[c].K.Less(s[min].K) {
-					min = c
-				}
-			}
-			if !s[min].K.Less(s[j].K) {
-				break
-			}
-			s[j], s[min] = s[min], s[j]
-			j = min
-		}
+	if len(s) < 2 {
+		return
+	}
+	for i := (len(s) - 2) / 4; i >= 0; i-- { // from the last slot's parent up
+		siftDown(s, i, s[i])
 	}
 }
 

@@ -2,6 +2,9 @@ package sim
 
 import (
 	"errors"
+	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -197,5 +200,52 @@ func TestHeapProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEventHeapMatchesSortedOracle drives Push, Pop and ExtractOwner with
+// random operations against a slice kept sorted by key, through heaps of
+// every small size (an extraction may leave zero or one item to re-heapify).
+func TestEventHeapMatchesSortedOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	var h EventHeap
+	var want []Key
+	var seq uint64
+	for step := 0; step < 20_000; step++ {
+		switch op := rng.IntN(16); {
+		case op == 0:
+			owner := int32(rng.IntN(6))
+			got := h.ExtractOwner(owner, nil)
+			kept := want[:0]
+			extracted := 0
+			for _, k := range want {
+				if k.Owner == owner {
+					extracted++
+				} else {
+					kept = append(kept, k)
+				}
+			}
+			want = kept
+			if len(got) != extracted {
+				t.Fatalf("step %d: extracted %d events of owner %d, want %d", step, len(got), owner, extracted)
+			}
+		case op < 9 || len(want) == 0:
+			seq++
+			k := Key{At: Time(rng.IntN(50)), Owner: int32(rng.IntN(6)), Class: ClassDeliver, A: uint64(rng.IntN(3)), B: seq}
+			h.Push(Item{K: k})
+			i := sort.Search(len(want), func(i int) bool { return k.Less(want[i]) })
+			want = slices.Insert(want, i, k)
+		default:
+			if got := h.Pop().K; got != want[0] {
+				t.Fatalf("step %d: popped %+v, want %+v", step, got, want[0])
+			}
+			want = want[1:]
+		}
+		if h.Len() != len(want) {
+			t.Fatalf("step %d: Len %d, want %d", step, h.Len(), len(want))
+		}
+		if min, ok := h.MinKey(); ok != (len(want) > 0) || (ok && min != want[0]) {
+			t.Fatalf("step %d: MinKey %+v/%v, want head of %d", step, min, ok, len(want))
+		}
 	}
 }
