@@ -57,6 +57,7 @@ func (h *Node) Acquire(ctx context.Context) (*Lease, error) {
 	// One lease at a time per node: take the node's slot.
 	select {
 	case n.slot <- struct{}{}:
+		n.takeSlot()
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	case <-c.stopCh:
@@ -66,7 +67,7 @@ func (h *Node) Acquire(ctx context.Context) (*Lease, error) {
 	n.pmu.Lock()
 	n.pending = p
 	n.pmu.Unlock()
-	n.inbox.push(event{kind: evAcquire})
+	n.post(evAcquire)
 	select {
 	case l := <-p.ch:
 		return l, nil
@@ -98,7 +99,7 @@ func (h *Node) abandon(p *pendingAcquire) {
 }
 
 // grantLease resolves the node's pending acquire after an eating
-// transition. It runs on the node's event loop (called from onState).
+// transition. It runs on the node's shard loop (called from onState).
 func (c *Cluster) grantLease(n *liveNode) {
 	n.pmu.Lock()
 	p := n.pending
@@ -111,8 +112,8 @@ func (c *Cluster) grantLease(n *liveNode) {
 		n.pmu.Unlock()
 		// The waiter is gone: exit the critical section immediately and
 		// free the slot for the next client.
-		n.inbox.push(event{kind: evRelease})
-		<-n.slot
+		n.post(evRelease)
+		n.freeSlot()
 		return
 	}
 	l := &Lease{c: c, n: n, grantedAt: time.Now()}
@@ -191,7 +192,7 @@ func (l *Lease) expire() {
 	l.end()
 }
 
-// end performs the shared release path: ExitCS on the node's loop, then
+// end performs the shared release path: ExitCS on the node's shard loop, then
 // the slot opens for the next Acquire. The evRelease is queued before
 // the slot frees, so a queued client's evAcquire always follows it.
 func (l *Lease) end() {
@@ -199,8 +200,8 @@ func (l *Lease) end() {
 	n.pmu.Lock()
 	n.lease = nil
 	n.pmu.Unlock()
-	n.inbox.push(event{kind: evRelease})
-	<-n.slot
+	n.post(evRelease)
+	n.freeSlot()
 }
 
 // String renders the lease for diagnostics.

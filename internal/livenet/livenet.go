@@ -1,11 +1,12 @@
 // Package livenet runs the same core.Protocol state machines that the
 // discrete-event simulator drives — unchanged — as a networked lock
-// service: one goroutine per node, a pluggable Transport moving framed
-// messages per directed link (in-process channels for hermetic tests, UDP
-// sockets for deployment shape), and a lease-based client API
-// (Node.Acquire / Lease.Release) on top. Every protocol instance is only
-// ever touched by its node's event loop, so the package is race-clean by
-// construction (and tested with -race).
+// service: one event loop per core, each hosting a contiguous block of
+// nodes, a pluggable Transport moving framed messages per directed link
+// (in-process channels for hermetic tests, UDP sockets for deployment
+// shape), and a lease-based client API (Node.Acquire / Lease.Release) on
+// top. Every protocol instance is only ever touched by its shard's event
+// loop, so the package is race-clean by construction (and tested with
+// -race).
 //
 // Livenet supports static topologies: mobility experiments live in
 // internal/manet, where virtual time makes them reproducible. What livenet
@@ -19,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -133,9 +135,11 @@ var (
 	ErrLeaseReleased = errors.New("livenet: lease already released")
 )
 
-// event is one unit of work for a node's loop.
+// event is one unit of work for a shard's loop: what happened (kind), the
+// node it is for, and for a message its sender and payload.
 type event struct {
 	kind eventKind
+	node core.NodeID
 	from core.NodeID
 	msg  core.Message
 }
@@ -147,7 +151,6 @@ const (
 	evAcquire
 	evRelease
 	evCrash
-	evStop
 )
 
 // mailbox is an unbounded FIFO queue whose consumer takes everything
@@ -201,16 +204,34 @@ func (m *mailbox) close() {
 	m.cond.Broadcast()
 }
 
+// turnMax bounds a turn: a shard loop handles at most this many events
+// before the frames they produced leave and the loop yields. Without a
+// bound a loop that always has mail never blocks, and on a box with as
+// many shards as cores nothing else — the transport's readers first —
+// gets a core: ACKs then outlive the retransmission timeout and most of
+// the wire is retransmissions.
+const turnMax = 256
+
+// blocks is how many contiguous blocks of node IDs n nodes are hosted in:
+// one per core, never more than nodes. The cluster's shards and the UDP
+// transport's ports both use it, so by default a port has one sender.
+func blocks(n int) int { return min(n, runtime.GOMAXPROCS(0)) }
+
+// blockOf maps a node to its block: IDs are cut into nblocks contiguous
+// ranges of (almost) equal size.
+func blockOf(id core.NodeID, nblocks, n int) int { return int(id) * nblocks / n }
+
 // Cluster is a running (or runnable) lock service over a set of live
 // nodes. Build with New, then either drive it with the lease API
 // (Start, Node(i).Acquire, Stop) or let the built-in dining workload
 // exercise it (Run).
 type Cluster struct {
-	cfg   Config
-	g     *graph.Graph
-	nbrs  [][]core.NodeID // shared read-only neighbour views, one per node
-	nodes []*liveNode
-	tr    Transport
+	cfg    Config
+	g      *graph.Graph
+	nbrs   [][]core.NodeID // shared read-only neighbour views, one per node
+	nodes  []*liveNode
+	shards []*shard
+	tr     Transport
 
 	bus   *trace.Bus
 	busMu sync.Mutex // the bus is single-threaded; live goroutines serialise here
@@ -220,6 +241,8 @@ type Cluster struct {
 	start   time.Time
 	stopCh  chan struct{}
 	wg      sync.WaitGroup
+	busy    atomic.Int64  // nodes whose lease slot is taken (see pace)
+	paceCh  chan struct{} // wakes the pacer when busy leaves zero
 	started bool
 	stopped bool
 	lifeMu  sync.Mutex // guards started/stopped transitions
@@ -232,29 +255,39 @@ type Cluster struct {
 	expired      uint64
 }
 
+// shard is one event loop and the block of nodes it hosts: the only
+// goroutine that ever calls into their protocols after Init.
+type shard struct {
+	c     *Cluster
+	inbox *mailbox
+
+	// out holds the frames the current turn produced, in send order, until
+	// flushOut hands them to the transport; now is the turn's clock, read
+	// once and stamped on every frame of the turn. Both belong to the loop
+	// (and to Start, which runs Init before the loops exist).
+	out []Frame
+	now sim.Time
+
+	// sent counts the frames this shard handed to the transport.
+	sent atomic.Uint64
+}
+
 type liveNode struct {
 	id    core.NodeID
 	proto core.Protocol
-	inbox *mailbox
 	c     *Cluster
+	sh    *shard
 
-	// mseq is the node's monotone message id; only the node's event loop
-	// (and Init, which runs before the loops start) sends, so no atomics.
-	mseq uint64
+	// mseq is the node's monotone message id, last its previously reported
+	// state and crashed whether it stopped handling events; only the
+	// shard's loop (and Init, before the loops start) touches them.
+	mseq    uint64
+	last    core.State
+	crashed bool
 
-	// out holds the frames the current turn produced, in send order, until
-	// flushOut hands them to the transport; same single owner as mseq.
-	out []Frame
-
-	// sent and delivered count the frames this node handed to the
-	// transport and the transport delivered to it. Per node, so the frame
-	// path shares no cache line across the cluster.
-	sent, delivered atomic.Uint64
-
-	// last is the previously reported state; only the node's own loop
-	// writes it (protocols report transitions synchronously from their
-	// handlers).
-	last core.State
+	// delivered counts the frames the transport delivered to this node.
+	// Per node, so concurrent deliveries share no cache line.
+	delivered atomic.Uint64
 
 	// slot serialises leases: at most one outstanding Acquire/Lease per
 	// node, later Acquire calls queue on it.
@@ -264,6 +297,11 @@ type liveNode struct {
 	pmu     sync.Mutex
 	pending *pendingAcquire
 	lease   *Lease
+}
+
+// post queues an event for the node on its shard's loop.
+func (n *liveNode) post(kind eventKind) {
+	n.sh.inbox.push(event{kind: kind, node: n.id})
 }
 
 // New builds a cluster over the given static communication graph.
@@ -283,6 +321,10 @@ func New(cfg Config, g *graph.Graph, protocols []core.Protocol) (*Cluster, error
 		namer:  trace.NewTypeNamer(),
 		grant:  metrics.NewSketch(),
 		stopCh: make(chan struct{}),
+		paceCh: make(chan struct{}, 1),
+	}
+	for i := 0; i < blocks(g.N()); i++ {
+		c.shards = append(c.shards, &shard{c: c, inbox: newMailbox()})
 	}
 	for i := 0; i < g.N(); i++ {
 		nbrs := g.Neighbors(i)
@@ -294,8 +336,8 @@ func New(cfg Config, g *graph.Graph, protocols []core.Protocol) (*Cluster, error
 		c.nodes = append(c.nodes, &liveNode{
 			id:    core.NodeID(i),
 			proto: protocols[i],
-			inbox: newMailbox(),
 			c:     c,
+			sh:    c.shards[blockOf(core.NodeID(i), len(c.shards), g.N())],
 			last:  core.Thinking,
 			slot:  make(chan struct{}, 1),
 		})
@@ -351,7 +393,7 @@ func (c *Cluster) emit(e trace.Event) {
 }
 
 // Start initialises the protocols, starts the transport and launches the
-// node event loops. It is idempotent-hostile by design: a second Start
+// shard event loops. It is idempotent-hostile by design: a second Start
 // errors.
 func (c *Cluster) Start() error {
 	c.lifeMu.Lock()
@@ -368,21 +410,25 @@ func (c *Cluster) Start() error {
 	// queue in the inboxes until the loops drain them.
 	for _, n := range c.nodes {
 		n.proto.Init(&liveEnv{node: n})
-		n.flushOut()
 	}
-	for _, n := range c.nodes {
-		n := n
+	for _, sh := range c.shards {
+		sh.flushOut()
 		c.wg.Add(1)
 		go func() {
 			defer c.wg.Done()
-			n.loop()
+			sh.loop()
 		}()
+	}
+	// Best effort: without a kernel ticker the cluster runs unpaced.
+	if k, err := newKernelTicker(); err == nil {
+		c.wg.Add(1)
+		go c.pace(k)
 	}
 	return nil
 }
 
 // Stop shuts the cluster down: pending Acquires fail with ErrStopped,
-// the transport closes, the node loops drain and exit, and the span
+// the transport closes, the shard loops drain and exit, and the span
 // layer (when attached) is finalised. It returns the safety checker's
 // verdict. Stop is idempotent.
 func (c *Cluster) Stop() error {
@@ -396,9 +442,8 @@ func (c *Cluster) Stop() error {
 
 	close(c.stopCh)
 	c.tr.Close()
-	for _, n := range c.nodes {
-		n.inbox.push(event{kind: evStop})
-		n.inbox.close()
+	for _, sh := range c.shards {
+		sh.inbox.close()
 	}
 	c.wg.Wait()
 	if c.spans != nil {
@@ -428,15 +473,16 @@ func (c *Cluster) deliver(f Frame) {
 		})
 		c.busMu.Unlock()
 	}
-	c.nodes[f.To].inbox.push(event{kind: evMessage, from: f.From, msg: f.Msg})
+	c.nodes[f.To].sh.inbox.push(event{kind: evMessage, node: f.To, from: f.From, msg: f.Msg})
 }
 
-// send stamps the frame with the node's message id, publishes the send
-// event and queues the frame for the end of the turn (flushOut).
+// send stamps the frame with the node's message id and the turn's clock,
+// publishes the send event and queues the frame for the end of the turn
+// (flushOut).
 func (n *liveNode) send(to core.NodeID, msg core.Message) {
 	c := n.c
 	n.mseq++
-	f := Frame{From: n.id, To: to, Msg: msg, Mseq: n.mseq, SentAt: c.now()}
+	f := Frame{From: n.id, To: to, Msg: msg, Mseq: n.mseq, SentAt: n.sh.now}
 	if c.bus.Wants(trace.KindSend) {
 		c.busMu.Lock()
 		name, size, id := c.namer.Info(msg)
@@ -446,28 +492,26 @@ func (n *liveNode) send(to core.NodeID, msg core.Message) {
 		})
 		c.busMu.Unlock()
 	}
-	n.out = append(n.out, f)
+	n.sh.out = append(n.sh.out, f)
 }
 
 // flushOut ends a turn: it hands the frames the turn produced to the
-// transport in send order, each corked (Frame.More) unless it is the
-// last one for its link, so a transport that packs datagrams writes one
-// per link per turn, at once. The scan for a later frame on the same
-// link stops at the first hit, which keeps the pass O(frames × degree).
-func (n *liveNode) flushOut() {
-	out := n.out
+// transport in send order, each corked (Frame.More) except the last, so a
+// transport that packs datagrams holds everything back until the turn's
+// last frame and then writes the lot at once.
+func (sh *shard) flushOut() {
+	out := sh.out
 	if len(out) == 0 {
 		return
 	}
+	last := len(out) - 1
 	for i := range out {
-		for j := i + 1; j < len(out) && !out[i].More; j++ {
-			out[i].More = out[j].To == out[i].To
-		}
-		n.c.tr.Send(out[i])
+		out[i].More = i < last
+		sh.c.tr.Send(out[i])
 	}
-	n.sent.Add(uint64(len(out)))
+	sh.sent.Add(uint64(len(out)))
 	clear(out) // drop the payload references, keep the capacity
-	n.out = out[:0]
+	sh.out = out[:0]
 }
 
 // Run drives the cluster for the given wall-clock duration with the
@@ -523,9 +567,7 @@ func (c *Cluster) dine(ctx context.Context, id core.NodeID) {
 // with lease expiry, where the node is alive and exits cleanly). Call
 // before or during the run.
 func (c *Cluster) CrashAfter(id core.NodeID, d time.Duration) {
-	time.AfterFunc(d, func() {
-		c.nodes[id].inbox.push(event{kind: evCrash})
-	})
+	time.AfterFunc(d, func() { c.nodes[id].post(evCrash) })
 }
 
 // Meals returns the per-node critical-section counts.
@@ -582,8 +624,8 @@ func (c *Cluster) ExpiredLeases() uint64 {
 // MessagesSent reports protocol frames handed to the transport.
 func (c *Cluster) MessagesSent() uint64 {
 	var total uint64
-	for _, n := range c.nodes {
-		total += n.sent.Load()
+	for _, sh := range c.shards {
+		total += sh.sent.Load()
 	}
 	return total
 }
@@ -609,7 +651,7 @@ func (c *Cluster) SpanSummary() span.Summary {
 }
 
 // onState serialises state transitions for the checker and resolves
-// pending acquisitions. It runs on the node's event loop.
+// pending acquisitions. It runs on the node's shard loop.
 func (c *Cluster) onState(n *liveNode, old, new core.State) {
 	now := c.now()
 	if c.bus.Wants(trace.KindState) {
@@ -627,51 +669,61 @@ func (c *Cluster) onState(n *liveNode, old, new core.State) {
 	}
 }
 
-// loop is the node's single thread of control: it is the only goroutine
-// that ever calls into the protocol after Init. Its unit of work is the
-// turn: everything the mailbox holds is handled back to back, then the
-// frames those handlers sent leave together (flushOut).
-func (n *liveNode) loop() {
-	crashed := false
+// loop is the single thread of control of the shard's nodes: the only
+// goroutine that ever calls into their protocols after Init. Its unit of
+// work is the turn: up to turnMax events of the mailbox are handled back
+// to back, then the frames those handlers sent leave together (flushOut)
+// and the loop yields, so that whoever became runnable meanwhile — the
+// transport's readers, the clients — runs before the next turn. It exits
+// once the mailbox is closed and drained.
+func (sh *shard) loop() {
 	var spare []event
 	for {
-		batch, ok := n.inbox.drain(spare)
+		batch, ok := sh.inbox.drain(spare)
 		if !ok {
 			return
 		}
-		for _, e := range batch {
-			if crashed && e.kind != evStop {
-				continue // a crashed node silently discards everything
+		for rest := batch; len(rest) > 0; {
+			turn := rest[:min(len(rest), turnMax)]
+			rest = rest[len(turn):]
+			sh.now = sh.c.now()
+			for i := range turn {
+				sh.handle(&turn[i])
 			}
-			switch e.kind {
-			case evMessage:
-				n.proto.OnMessage(e.from, e.msg)
-			case evAcquire:
-				if n.proto.State() == core.Thinking {
-					n.proto.BecomeHungry()
-				}
-			case evRelease:
-				if n.proto.State() == core.Eating {
-					n.proto.ExitCS()
-				}
-			case evCrash:
-				// A node that crashed while eating keeps occupying its
-				// critical section for safety accounting — its forks
-				// are gone with it, exactly the paper's model. What it
-				// sent earlier in this turn was sent before the crash
-				// and still leaves.
-				crashed = true
-				if n.c.bus.Wants(trace.KindCrash) {
-					n.c.emit(trace.Event{Kind: trace.KindCrash, Node: n.id, Peer: trace.NoNode})
-				}
-			case evStop:
-				n.flushOut()
-				return
-			}
+			sh.flushOut()
+			runtime.Gosched()
 		}
-		n.flushOut()
 		clear(batch) // drop the message references before the buffer is reused
 		spare = batch
+	}
+}
+
+// handle runs one event on the node it is for.
+func (sh *shard) handle(e *event) {
+	n := sh.c.nodes[e.node]
+	if n.crashed {
+		return // a crashed node silently discards everything
+	}
+	switch e.kind {
+	case evMessage:
+		n.proto.OnMessage(e.from, e.msg)
+	case evAcquire:
+		if n.proto.State() == core.Thinking {
+			n.proto.BecomeHungry()
+		}
+	case evRelease:
+		if n.proto.State() == core.Eating {
+			n.proto.ExitCS()
+		}
+	case evCrash:
+		// A node that crashed while eating keeps occupying its critical
+		// section for safety accounting — its forks are gone with it,
+		// exactly the paper's model. What it sent earlier in this turn was
+		// sent before the crash and still leaves.
+		n.crashed = true
+		if sh.c.bus.Wants(trace.KindCrash) {
+			sh.c.emit(trace.Event{Kind: trace.KindCrash, Node: n.id, Peer: trace.NoNode})
+		}
 	}
 }
 

@@ -30,18 +30,24 @@ type Frame struct {
 	// SentAt is the cluster-relative send instant in microseconds; the
 	// delivery path derives the link delay from it.
 	SentAt sim.Time
-	// More is the sender's cork: another frame for this same directed
-	// link follows right now, so the transport may hold this one back to
-	// share a datagram with it. The zero value means "transmit now". It
-	// is a field of Frame, not an optional interface, so it survives
-	// decorators that forward Frame by value. It is advice to Send only:
-	// it never crosses the wire and means nothing on a delivered frame.
+	// More is the sender's cork: another frame follows right now in the
+	// same flush — on this link or on any other link of the sender's
+	// goroutine — so the transport may hold this one back to share a
+	// datagram with what follows. The zero value means "transmit now,
+	// together with everything held back". It is a field of Frame, not an
+	// optional interface, so it survives decorators that forward Frame by
+	// value. It is advice to Send only: it never crosses the wire and
+	// means nothing on a delivered frame.
 	More bool
 }
 
 // DeliverFunc receives frames from a transport. Calls are sequential per
 // directed link (the FIFO contract) but concurrent across links; the
-// callback must be safe for concurrent use.
+// callback must be safe for concurrent use. It runs on a goroutine of the
+// transport's choosing — possibly a sender's, inside its Send (the UDP
+// transport has a sender collect what has arrived for its own block) — so
+// it must not wait for anything that a Send in progress holds up. It may
+// itself call Send.
 type DeliverFunc func(Frame)
 
 // Transport moves frames between the nodes of a static cluster. It is
@@ -60,9 +66,10 @@ type DeliverFunc func(Frame)
 //     duplicate suppression.
 //   - Frame.More is a hint, not a dependency: a frame sent with it is
 //     still delivered, in bounded time, if no further frame ever follows
-//     on its link (the UDP shim's retransmission covers a broken
-//     promise), and a frame sent without it is never held back to wait
-//     for company. A transport with nothing to batch ignores the bit.
+//     (the UDP transport's timer flushes a broken promise), a frame sent
+//     without it is never held back to wait for company, and it releases
+//     every corked frame sent before it by the same goroutine, whatever
+//     their links. A transport with nothing to batch ignores the bit.
 //   - No delivery on unknown links: Send on a pair that is not an edge of
 //     the cluster graph silently drops the frame.
 //   - No delivery after LinkDown(a, b): the link is removed in both
@@ -75,8 +82,8 @@ type DeliverFunc func(Frame)
 //     waits for in-progress deliveries to finish.
 //
 // Send is safe for concurrent use by different senders; frames from one
-// sender on one link must be sent from a single goroutine at a time
-// (which the node event loop guarantees).
+// sender must be sent from a single goroutine at a time (which the shard
+// event loop that hosts the node guarantees).
 //
 // Adjacency crossing the seam follows core.Env.Neighbors's read-only
 // rule: a transport handed topology at construction (a *graph.Graph or

@@ -121,6 +121,7 @@ func TestTransportConformance(t *testing.T) {
 			t.Run("FIFOPerLink", func(t *testing.T) { testFIFOPerLink(t, mk) })
 			t.Run("ExactlyOnce", func(t *testing.T) { testExactlyOnce(t, mk) })
 			t.Run("CorkedMix", func(t *testing.T) { testCorkedMix(t, mk) })
+			t.Run("CorkedAcrossLinks", func(t *testing.T) { testCorkedAcrossLinks(t, mk) })
 			t.Run("UnknownLinkDropped", func(t *testing.T) { testUnknownLink(t, mk) })
 			t.Run("NoDeliveryAfterLinkDown", func(t *testing.T) { testLinkDown(t, mk) })
 			t.Run("QuiescentAfterClose", func(t *testing.T) { testClose(t, mk) })
@@ -281,6 +282,44 @@ func testCorkedMix(t *testing.T, mk transportMaker) {
 		for n, f := range frames {
 			if m := f.Msg.(confMsg); m.N != n {
 				t.Fatalf("link %v→%v: frame %d carries N=%d — FIFO violated", l[0], l[1], n, m.N)
+			}
+		}
+	}
+}
+
+// testCorkedAcrossLinks is the shape a shard's flush has: a sender corks
+// a frame on one link and ends the flush with an uncorked frame on
+// another. The cork spans links — the uncorked frame releases both — and
+// changes nothing about what is delivered: FIFO per link, exactly once.
+func testCorkedAcrossLinks(t *testing.T, mk transportMaker) {
+	const rounds = 100
+	g := graph.Line(3)
+	tr := mk(t, g)
+	if udp, ok := tr.(*UDPTransport); ok {
+		udp.mangle = func(pkt []byte) [][]byte { return [][]byte{pkt, pkt} }
+	}
+	col := newCollector()
+	if err := tr.Start(col.deliver); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	defer tr.Close() //nolint:errcheck
+
+	for n := 0; n < rounds; n++ {
+		tr.Send(Frame{From: 1, To: 0, Msg: confMsg{N: n}, Mseq: uint64(2*n) + 1, More: true})
+		tr.Send(Frame{From: 1, To: 2, Msg: confMsg{N: n}, Mseq: uint64(2*n) + 2})
+	}
+	if !waitFor(t, 5*time.Second, func() bool { return col.count() >= 2*rounds }) {
+		t.Fatalf("delivered %d of %d frames", col.count(), 2*rounds)
+	}
+	time.Sleep(20 * time.Millisecond) // give duplicates a moment to surface
+	for _, to := range []core.NodeID{0, 2} {
+		frames := col.link(1, to)
+		if len(frames) != rounds {
+			t.Fatalf("link 1→%v: %d frames, want exactly %d", to, len(frames), rounds)
+		}
+		for n, f := range frames {
+			if m := f.Msg.(confMsg); m.N != n {
+				t.Fatalf("link 1→%v: frame %d carries N=%d — FIFO violated", to, n, m.N)
 			}
 		}
 	}

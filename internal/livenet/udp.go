@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,36 +27,74 @@ import (
 // message id), and the sender retransmits unacknowledged frames on a
 // timer until the receiver's cumulative ACK covers them.
 //
-// The wire format is the v2 coalesced framing of internal/wire: one
-// datagram carries many frames for a directed link plus an optional
-// piggybacked cumulative ACK for the reverse direction (see
+// A link still speaks the v2 coalesced framing of internal/wire — one
+// link datagram carries many frames for a directed link plus an optional
+// piggybacked cumulative ACK for the reverse direction — but links do not
+// own sockets. The nodes are cut into one contiguous block per core, a
+// "port": one socket, one reader goroutine and one send lock. What a
+// socket write carries is a train (wire format v3): the link datagrams of
+// one flush that go to the same destination port, back to back (see
 // wire/dgram.go for the byte layout, DESIGN.md §15 for the rules).
-// Outbound frames accumulate in a per-link datagram buffer that Send
-// writes to the socket itself as soon as a frame arrives uncorked
-// (!Frame.More) or the buffer reaches the MTU budget — data never waits
-// on a timer. ACKs are never sent eagerly: the receiver owes one after
-// each data datagram, and the debt is settled by riding on the next data
-// datagram to that peer or, failing that, by a standalone ACK datagram
-// once it has waited RTO/8. Payloads are encoded by the
+//
+// A port's socket is read from two places. Whoever flushes the port then
+// polls it (poll): on loopback the trains a block wrote to itself are
+// already in its socket when the write returns, so the sender collects
+// them — and whatever else has arrived — on its own goroutine, with the
+// link state it has just touched still in its cache. The reader goroutine
+// blocks on the socket for everything that arrives while nobody flushes.
+// Without the poll every frame crosses from the sender's core to the
+// reader's and back, and the throughput of a saturated cluster follows
+// the price of a cache miss between two cores of the host, which on a
+// shared machine changes from one second to the next.
+//
+// Outbound frames accumulate in their link's datagram buffer. A frame
+// that arrives uncorked (!Frame.More), or that fills its link datagram to
+// the MTU budget, flushes the sender's port on the caller's goroutine:
+// every link datagram under construction on the port is closed, every
+// link of the port that owes a cumulative ACK and has no data to carry it
+// gets an 18-byte ACK-only datagram, and the lot leaves as one train per
+// destination port — data never waits on a timer. A port nobody flushes
+// (ACK debts with no traffic to ride on, a cork whose promise was broken)
+// is flushed by the timer loop after RTO/8. Payloads are encoded by the
 // zero-allocation codecs each algorithm's wire.go registers with
 // internal/wire; the gob path (UDPOptions.Gob) is retained as the
 // differential-test oracle and benchmark baseline.
+//
+// Lock order: port (udpPort.mu) → link (udpSendLink.mu) → the port's ACK
+// list (udpPort.ackMu). The receive side starts from the port's receive
+// lock (udpPort.rmu, never taken with udpPort.mu held): under it, link
+// locks (udpRecvLink.mu, held across the delivery callback; udpSendLink.mu
+// for ACKs), then ackMu or rttMu as leaves.
 const (
 	udpMaxPayload = 60 << 10
 
-	// defaultUDPMTU is the datagram coalescing budget: corked frames go
-	// out once the buffer reaches it. It is a soft budget sized to the
-	// classic ethernet-safe payload; a single oversized frame still goes
-	// out alone (loopback carries up to 64 KiB).
+	// defaultUDPMTU is the coalescing budget: a link datagram that
+	// reaches it flushes its port, and a train is written before it would
+	// grow past it. It is a soft budget sized to the classic
+	// ethernet-safe payload; a single oversized frame still goes out
+	// alone (loopback carries up to 64 KiB).
 	defaultUDPMTU = 1400
 
 	defaultUDPRTO = 20 * time.Millisecond
 
-	// ackDelayDiv derives the delayed-ACK wait from the RTO: an owed ACK
-	// waits RTO/8 for reverse data to ride on before it costs a datagram
-	// of its own — long enough that a request's ACK rides on the reply,
-	// far enough below the RTO that it never provokes a retransmission.
+	// ackDelayDiv derives the timer loop's period from the RTO: an owed
+	// ACK that nothing carried for one to two periods of RTO/8 costs a
+	// train of its own — long enough that a request's ACK rides on the
+	// reply, far enough below the RTO that it never provokes a
+	// retransmission. rtoTicks is how many periods pass between two scans
+	// for frames to retransmit (RTO/2).
 	ackDelayDiv = 8
+	rtoTicks    = ackDelayDiv / 2
+
+	// udpSockBuf is the kernel buffer asked for on each socket, both
+	// ways: one socket absorbs the bursts of a whole block of nodes.
+	udpSockBuf = 4 << 20
+
+	// udpReadBuf is the size of a socket read buffer: the largest UDP
+	// datagram. pollMax bounds the trains one poll takes off the socket,
+	// so a sender is never kept from its own work by what others send it.
+	udpReadBuf = 64 << 10
+	pollMax    = 32
 )
 
 // UDPOptions configures the UDP transport; zero values select the
@@ -76,48 +116,112 @@ type wirePayload struct {
 	M core.Message
 }
 
+// udpPort is one block of nodes behind one socket.
+type udpPort struct {
+	conn *net.UDPConn
+	addr netip.AddrPort
+	// fd is conn's descriptor for poll's non-blocking reads, -1 where the
+	// platform has none to offer. It is only used under rmu, which Close
+	// takes before it closes conn.
+	fd int
+
+	// rmu is the port's receive lock: one train is taken apart at a time,
+	// by the reader or by a poll. rbuf is poll's read buffer (the reader
+	// has its own, it blocks in the read).
+	rmu  sync.Mutex
+	rbuf []byte
+
+	// mu is the port's send lock. It guards everything below down to
+	// ackMu, and buf/bufSeq/bufFrames of the port's send links. With the
+	// cluster's shards cut like the ports it has one taker on the frame
+	// path, the shard's loop; the timer loop, LinkDown and Stats are the
+	// others.
+	mu sync.Mutex
+	// open lists the send links with a datagram under construction, in
+	// the order they were opened.
+	open []*udpSendLink
+	// trains[q] is the train under construction for destination port q.
+	trains []train
+	// waited records that the timer loop found work waiting (open links or
+	// ACK debts) at its previous tick; if it is still set at the next one
+	// nobody flushed in between and the timer loop does.
+	waited bool
+
+	// Wire telemetry, cumulative, of trains actually written.
+	datagrams  uint64 // trains written
+	ackDgrams  uint64 // trains without a data section
+	piggyAcks  uint64 // cumulative ACKs that rode in a train carrying data
+	framesWire uint64 // frames written, retransmissions included
+	wireBytes  uint64 // train bytes written
+
+	// ackMu is a leaf lock over the ACK list: the send links of the port
+	// that came to owe an ACK since the last flush. The port's reader
+	// appends, a flush takes the whole list; ackSpare is the flush's
+	// previous list, recycled.
+	ackMu    sync.Mutex
+	acks     []*udpSendLink
+	ackSpare []*udpSendLink
+
+	// rtt sketches the send→cumulative-ACK round trip (µs) of the port's
+	// links, under its own leaf lock; Stats merges the ports.
+	rttMu sync.Mutex
+	rtt   *metrics.Sketch
+}
+
+// train is one outgoing UDP datagram under construction.
+type train struct {
+	buf    []byte
+	frames uint64 // data frames in its sections
+	acks   uint64 // cumulative ACKs in its sections
+}
+
 // udpSendLink is the sender half of one directed link.
 type udpSendLink struct {
+	from, to core.NodeID
+	port     *udpPort // the sender's
+	dst      int      // the receiver's port
+
+	// Link datagram under construction: corked frames waiting for their
+	// port's flush. bufSeq is the seq of its first frame. Guarded by
+	// port.mu.
+	buf       []byte
+	bufSeq    uint64
+	bufFrames uint64
+
 	mu      sync.Mutex
 	nextSeq uint64
 	unacked []udpPending
 	down    bool
-
-	// Datagram under construction: corked frames waiting for the turn's
-	// last frame on this link. gen counts buffer hand-offs so a delayed-ACK
-	// queue entry can recognise that its debt already rode out on data
-	// (or the link went down); scheduled records that an entry is
-	// outstanding for the current gen.
-	buf       []byte
-	bufFrames uint64
-	gen       uint64
-	scheduled bool
 	// ackOwed/ackSeq is the cumulative-ACK debt for the reverse link:
-	// settled by piggybacking on the next data datagram, or by a
-	// standalone ACK datagram when the ACK delay expires first.
+	// settled by the port's next flush, on this link's data datagram if it
+	// has one, else on an ACK-only datagram.
 	ackOwed bool
 	ackSeq  uint64
 
 	// Wire telemetry, cumulative, guarded by mu.
 	sent         uint64 // frames accepted by Send
-	retransmits  uint64 // frames resent by the RTO loop
-	datagrams    uint64 // datagrams written (data + standalone ACK)
-	ackDgrams    uint64 // standalone ACK datagrams
-	piggyAcks    uint64 // ACKs that rode on a data datagram
-	framesWire   uint64 // frames written, retransmissions included
-	wireBytes    uint64 // total datagram bytes written
+	retransmits  uint64 // frames resent by the RTO scan
 	payloadBytes uint64 // codec payload bytes accepted by Send
 }
 
 type udpPending struct {
-	seq      uint64
-	frame    []byte // one encoded frame: header + payload
+	seq   uint64
+	frame []byte // one encoded frame: header + payload
+	// lastSent is when the frame last left in a train — zero while it has
+	// only been encoded into a link datagram nobody has flushed yet, so
+	// neither the RTT sample nor the RTO age includes the cork wait.
 	lastSent time.Time
 	resent   bool // ever retransmitted — its ACK is ambiguous for RTT (Karn's rule)
 }
 
 // udpRecvLink is the receiver half of one directed link.
 type udpRecvLink struct {
+	from, to core.NodeID
+	// rev is the send link of the reverse direction: the one this link's
+	// piggybacked ACKs acknowledge, and the one that carries the ACKs this
+	// link comes to owe.
+	rev *udpSendLink
+
 	mu       sync.Mutex
 	nextSeq  uint64               // next in-order seq expected (1-based)
 	lastMseq uint64               // msg-id dedup guard: delivered ids are strictly increasing
@@ -144,34 +248,17 @@ type udpParked struct {
 // window are dropped and recovered by retransmission.
 const udpReorderCap = 1024
 
-// flushReq is one entry of the delayed-ACK queue: link key, the buffer
-// generation the debt was recorded in, and the deadline. Deadlines are
-// monotone (every entry is now+RTO/8), so FIFO pop order is deadline
-// order and one goroutine drains the queue with a single timer.
-type flushReq struct {
-	key linkKey
-	gen uint64
-	at  time.Time
-}
-
-// dgramPool recycles datagram build buffers across links and flushes.
-var dgramPool = sync.Pool{
-	New: func() any { return make([]byte, 0, 2048) },
-}
-
-func getDgramBuf() []byte  { return dgramPool.Get().([]byte)[:0] }
-func putDgramBuf(b []byte) { dgramPool.Put(b[:0]) } //nolint:staticcheck // []byte in a Pool is fine here
-
 // UDPTransport runs the cluster's links over loopback UDP sockets, one
-// socket per node, with the reliability shim documented above. It is the
-// deployment-shaped transport: same Transport contract as the channel
-// implementation, exercised by the same conformance suite.
+// socket per block of nodes, with the reliability shim documented above.
+// It is the deployment-shaped transport: same Transport contract as the
+// channel implementation, exercised by the same conformance suite.
 type UDPTransport struct {
 	n     int
 	nbrs  [][]core.NodeID // adjacency, copied — never aliases the cluster's view
-	conns []*net.UDPConn
-	addrs []*net.UDPAddr
+	ports []*udpPort
 
+	// send and recv hold the two halves of every directed link. Built
+	// once by the constructor and only read afterwards.
 	send map[linkKey]*udpSendLink
 	recv map[linkKey]*udpRecvLink
 
@@ -184,38 +271,33 @@ type UDPTransport struct {
 	stopCh  chan struct{}
 	wg      sync.WaitGroup
 
-	flushMu   sync.Mutex
-	flushCond *sync.Cond
-	flushQ    []flushReq
-	flushStop bool
-
-	// rtt sketches the send→cumulative-ACK round trip (µs) across all
-	// links; reader goroutines observe into it concurrently, hence the
-	// dedicated lock.
-	rttMu sync.Mutex
-	rtt   *metrics.Sketch
-
-	// mangle, when set (tests only), intercepts every outgoing datagram
-	// that carries frames and returns the datagrams actually written —
-	// it simulates loss (empty slice), duplication and corruption so the
-	// conformance suite can exercise the shim without a lossy network.
-	// Standalone ACK datagrams bypass it.
+	// mangle, when set (tests only), intercepts every outgoing link
+	// datagram that carries frames and returns the datagrams that actually
+	// board the train — it simulates loss (empty slice), duplication and
+	// corruption so the conformance suite can exercise the shim without a
+	// lossy network. ACK-only datagrams bypass it.
 	mangle func(pkt []byte) [][]byte
 }
 
 var _ Transport = (*UDPTransport)(nil)
 
-// NewUDPTransport binds one loopback UDP socket per node of g with
-// default options except the retransmission timeout (default 20ms when
-// ≤ 0). Kept as the common constructor; NewUDPTransportOpts exposes the
-// full option set.
+// NewUDPTransport binds the loopback UDP sockets for g with default
+// options except the retransmission timeout (default 20ms when ≤ 0). Kept
+// as the common constructor; NewUDPTransportOpts exposes the full option
+// set.
 func NewUDPTransport(g *graph.Graph, rto time.Duration) (*UDPTransport, error) {
 	return NewUDPTransportOpts(g, UDPOptions{RTO: rto})
 }
 
-// NewUDPTransportOpts binds one loopback UDP socket per node of g and
-// builds the per-directed-link shim state.
+// NewUDPTransportOpts binds one loopback UDP socket per block of nodes of
+// g — as many blocks as cores — and builds the per-directed-link shim
+// state.
 func NewUDPTransportOpts(g *graph.Graph, opts UDPOptions) (*UDPTransport, error) {
+	return newUDPTransport(g, opts, blocks(g.N()))
+}
+
+// newUDPTransport is the constructor with the port count spelled out.
+func newUDPTransport(g *graph.Graph, opts UDPOptions, nports int) (*UDPTransport, error) {
 	if opts.RTO <= 0 {
 		opts.RTO = defaultUDPRTO
 	}
@@ -226,390 +308,455 @@ func NewUDPTransportOpts(g *graph.Graph, opts UDPOptions) (*UDPTransport, error)
 	t := &UDPTransport{
 		n:      n,
 		nbrs:   make([][]core.NodeID, n),
-		conns:  make([]*net.UDPConn, n),
-		addrs:  make([]*net.UDPAddr, n),
 		send:   make(map[linkKey]*udpSendLink, 2*len(g.Edges())),
 		recv:   make(map[linkKey]*udpRecvLink, 2*len(g.Edges())),
 		rto:    opts.RTO,
 		mtu:    opts.MTU,
 		gob:    opts.Gob,
 		stopCh: make(chan struct{}),
-		rtt:    metrics.NewSketch(),
 	}
-	t.flushCond = sync.NewCond(&t.flushMu)
+	for range nports {
+		conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.closeConns()
+			return nil, fmt.Errorf("livenet: udp bind port %d: %w", len(t.ports), err)
+		}
+		// Best effort: the kernel clamps to its own limits, and the shim
+		// recovers whatever a short buffer drops.
+		conn.SetReadBuffer(udpSockBuf)  //nolint:errcheck
+		conn.SetWriteBuffer(udpSockBuf) //nolint:errcheck
+		t.ports = append(t.ports, &udpPort{
+			conn:   conn,
+			addr:   conn.LocalAddr().(*net.UDPAddr).AddrPort(),
+			fd:     pollFD(conn),
+			rbuf:   make([]byte, udpReadBuf),
+			trains: make([]train, nports),
+			rtt:    metrics.NewSketch(),
+		})
+	}
 	for i := 0; i < n; i++ {
 		// Copy-on-retain: the transport keeps its own adjacency slices so
 		// it never aliases a runtime-owned Neighbors() view.
 		for _, nb := range g.Neighbors(i) {
 			t.nbrs[i] = append(t.nbrs[i], core.NodeID(nb))
 		}
-		conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-		if err != nil {
-			t.closeConns()
-			return nil, fmt.Errorf("livenet: udp bind node %d: %w", i, err)
+		me := core.NodeID(i)
+		for _, peer := range t.nbrs[i] {
+			sl := &udpSendLink{from: me, to: peer, port: t.ports[t.portOf(me)], dst: t.portOf(peer), nextSeq: 1}
+			t.send[linkKey{me, peer}] = sl
+			t.recv[linkKey{peer, me}] = &udpRecvLink{from: peer, to: me, rev: sl, nextSeq: 1}
 		}
-		t.conns[i] = conn
-		t.addrs[i] = conn.LocalAddr().(*net.UDPAddr)
-	}
-	for _, e := range g.Edges() {
-		a, b := core.NodeID(e[0]), core.NodeID(e[1])
-		t.send[linkKey{a, b}] = &udpSendLink{nextSeq: 1}
-		t.send[linkKey{b, a}] = &udpSendLink{nextSeq: 1}
-		t.recv[linkKey{a, b}] = &udpRecvLink{nextSeq: 1, reorder: make(map[uint64]udpParked)}
-		t.recv[linkKey{b, a}] = &udpRecvLink{nextSeq: 1, reorder: make(map[uint64]udpParked)}
 	}
 	return t, nil
 }
 
+// portOf maps a node to the port that hosts it.
+func (t *UDPTransport) portOf(id core.NodeID) int { return blockOf(id, len(t.ports), t.n) }
+
+// closeConns closes every socket, each under its port's receive lock: a
+// poll in flight finishes first, and none reads the descriptor afterwards.
 func (t *UDPTransport) closeConns() {
-	for _, c := range t.conns {
-		if c != nil {
-			c.Close()
-		}
+	for _, p := range t.ports {
+		p.rmu.Lock()
+		p.conn.Close()
+		p.rmu.Unlock()
 	}
 }
 
-// Start launches one reader goroutine per socket, the delayed-ACK
-// goroutine and the retransmission loop.
+// Start launches one reader goroutine per port and the timer loop.
 func (t *UDPTransport) Start(deliver DeliverFunc) error {
 	if t.started {
 		return errAlreadyStarted
 	}
 	t.started = true
 	t.deliver = deliver
-	for i := range t.conns {
+	for _, p := range t.ports {
 		t.wg.Add(1)
-		go t.read(core.NodeID(i))
+		go t.read(p)
 	}
-	t.wg.Add(2)
-	go t.retransmitLoop()
-	go t.flushLoop()
+	t.wg.Add(1)
+	go t.timerLoop()
 	return nil
 }
 
-// Send encodes the frame into the link's datagram buffer, registers it
-// as unacknowledged, and writes the datagram on the caller's goroutine
-// unless the frame is corked (f.More) and the MTU budget still has room:
-// no timer, no hand-off. A corked frame whose follow-up never comes is
-// already in unacked, so the RTO loop transmits it. Drops silently on
-// unknown or downed links, oversized payloads, and after Close — the
-// same semantics as the channel transport. A message type with no
-// registered codec panics: the failure must be loud at the sender, not a
-// mystery at the peer.
+// Send encodes the frame into its link's datagram buffer and registers it
+// as unacknowledged. Unless the frame is corked (f.More) and the link
+// datagram still has room under the MTU budget, it then flushes the
+// sender's port on the caller's goroutine — no timer, no hand-off — and
+// polls the port's socket, so frames addressed to the sender's block may
+// be delivered on the caller's goroutine before Send returns. A corked
+// frame whose follow-up never comes is flushed by the timer loop.
+// Drops silently on unknown or downed links, oversized payloads, and
+// after Close — the same semantics as the channel transport. A message
+// type with no registered codec panics: the failure must be loud at the
+// sender, not a mystery at the peer.
 func (t *UDPTransport) Send(f Frame) {
 	if t.closed.Load() {
 		return
 	}
-	key := linkKey{f.From, f.To}
-	sl := t.send[key]
+	sl := t.send[linkKey{f.From, f.To}]
 	if sl == nil {
 		return
 	}
-	sl.mu.Lock()
-	if sl.down {
-		sl.mu.Unlock()
+	p := sl.port
+	p.mu.Lock()
+	flush := t.encode(sl, f) && (!f.More || len(sl.buf) >= t.mtu)
+	if flush {
+		t.flushLocked(p, time.Now())
+	}
+	p.mu.Unlock()
+	if flush {
+		t.poll(p)
+	}
+}
+
+// poll takes what has arrived on the port's socket, without blocking, on
+// the caller's goroutine: at most pollMax trains, and nothing at all when
+// a train of the port is being taken apart already — by the reader, by
+// another sender, or further up the caller's own stack (a delivery
+// callback that sends).
+func (t *UDPTransport) poll(p *udpPort) {
+	if p.fd < 0 || !p.rmu.TryLock() {
 		return
 	}
-	if sl.buf == nil {
-		sl.buf = wire.AppendDgramHeader(getDgramBuf(), uint32(f.From), uint32(f.To))
+	defer p.rmu.Unlock()
+	for i := 0; i < pollMax && !t.closed.Load(); i++ {
+		n, ok := readNow(p.fd, p.rbuf)
+		if !ok {
+			return
+		}
+		t.onTrain(p, p.rbuf[:n])
+	}
+}
+
+// encode appends the frame to the link's datagram under construction and
+// to its retransmit queue, and reports whether it did. Caller holds the
+// port lock.
+func (t *UDPTransport) encode(sl *udpSendLink, f Frame) bool {
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	if sl.down {
+		return false
+	}
+	if len(sl.buf) == 0 {
+		sl.buf = wire.AppendDgramHeader(sl.buf, uint32(sl.from), uint32(sl.to))
 		if t.gob {
 			wire.SetDgramGob(sl.buf)
 		}
+		sl.bufSeq = sl.nextSeq
 	}
 	// Encode the frame in place: header with a zero length, payload
 	// appended by the codec, length backfilled. On any encode failure the
-	// buffer rolls back to frameStart and the datagram is untouched.
+	// buffer rolls back to frameStart (to nothing, if the frame would have
+	// been the datagram's first).
 	frameStart := len(sl.buf)
+	rollback := func() {
+		sl.buf = sl.buf[:frameStart]
+		if sl.bufFrames == 0 {
+			sl.buf = sl.buf[:0]
+		}
+	}
 	seq := sl.nextSeq
 	sl.buf = wire.AppendFrame(sl.buf, seq, f.Mseq, int64(f.SentAt), nil)
 	payStart := len(sl.buf)
 	if t.gob {
 		var gbuf bytes.Buffer
 		if err := gob.NewEncoder(&gbuf).Encode(wirePayload{M: f.Msg}); err != nil {
-			sl.buf = sl.buf[:frameStart]
-			t.rollbackEmpty(sl)
-			sl.mu.Unlock()
-			return
+			rollback()
+			return false
 		}
 		sl.buf = append(sl.buf, gbuf.Bytes()...)
 	} else {
 		var err error
 		sl.buf, err = wire.AppendMessage(sl.buf, f.Msg)
 		if err != nil {
-			sl.buf = sl.buf[:frameStart]
-			t.rollbackEmpty(sl)
-			sl.mu.Unlock()
+			rollback()
 			panic(err) // *wire.UnregisteredError: fail loudly at Send
 		}
 	}
 	paylen := len(sl.buf) - payStart
 	if paylen > udpMaxPayload {
-		sl.buf = sl.buf[:frameStart]
-		t.rollbackEmpty(sl)
-		sl.mu.Unlock()
-		return
+		rollback()
+		return false
 	}
 	wire.BackfillFrameLen(sl.buf, frameStart, paylen)
 
 	sl.nextSeq++
 	sl.sent++
 	sl.payloadBytes += uint64(paylen)
+	if sl.bufFrames == 0 {
+		sl.port.open = append(sl.port.open, sl)
+	}
 	sl.bufFrames++
 	frame := make([]byte, len(sl.buf)-frameStart)
 	copy(frame, sl.buf[frameStart:])
-	sl.unacked = append(sl.unacked, udpPending{seq: seq, frame: frame, lastSent: time.Now()})
+	sl.unacked = append(sl.unacked, udpPending{seq: seq, frame: frame})
+	return true
+}
 
-	if f.More && len(sl.buf) < t.mtu {
+// flushLocked puts everything the port holds back on the wire: the link
+// datagrams under construction (each settling its link's ACK debt by
+// piggybacking), then an ACK-only datagram for every listed link whose
+// debt found no data to ride on, packed into one train per destination
+// port. now stamps the frames that leave. Caller holds p.mu.
+func (t *UDPTransport) flushLocked(p *udpPort, now time.Time) {
+	p.waited = false
+	for _, sl := range p.open {
+		if len(sl.buf) == 0 {
+			continue // LinkDown emptied it
+		}
+		var acks uint64
+		sl.mu.Lock()
+		if sl.ackOwed {
+			wire.SetDgramAck(sl.buf, sl.ackSeq)
+			sl.ackOwed = false
+			acks = 1
+		}
+		for i := len(sl.unacked) - 1; i >= 0 && sl.unacked[i].seq >= sl.bufSeq; i-- {
+			sl.unacked[i].lastSent = now
+		}
 		sl.mu.Unlock()
-		return
+		t.board(p, sl.dst, sl.buf, sl.bufFrames, acks)
+		sl.buf, sl.bufFrames = sl.buf[:0], 0
 	}
-	pkt := t.takeLocked(sl)
-	sl.mu.Unlock()
-	t.writeDgram(key, pkt)
-	putDgramBuf(pkt)
-}
+	clear(p.open)
+	p.open = p.open[:0]
 
-// rollbackEmpty recycles the link's datagram buffer if a rolled-back
-// frame left it headed but empty and no ACK debt justifies keeping it.
-// Caller holds sl.mu.
-func (t *UDPTransport) rollbackEmpty(sl *udpSendLink) {
-	if sl.bufFrames == 0 && !sl.ackOwed {
-		putDgramBuf(sl.buf)
-		sl.buf = nil
-	}
-}
-
-// takeLocked hands the link's datagram buffer to the caller for writing:
-// it settles any owed ACK by piggybacking, advances the buffer
-// generation (invalidating the delayed-ACK entry) and books the wire
-// telemetry. Caller holds sl.mu and must putDgramBuf after writing.
-func (t *UDPTransport) takeLocked(sl *udpSendLink) []byte {
-	pkt := sl.buf
-	sl.buf = nil
-	frames := sl.bufFrames
-	sl.bufFrames = 0
-	sl.gen++
-	sl.scheduled = false
-	if sl.ackOwed {
-		wire.SetDgramAck(pkt, sl.ackSeq)
+	p.ackMu.Lock()
+	acks := p.acks
+	p.acks = p.ackSpare[:0]
+	p.ackMu.Unlock()
+	for _, sl := range acks {
+		sl.mu.Lock()
+		owed, cum := sl.ackOwed && !sl.down, sl.ackSeq
 		sl.ackOwed = false
-		sl.piggyAcks++
+		sl.mu.Unlock()
+		if owed {
+			var hdr [wire.DgramHeaderLen]byte
+			pkt := wire.AppendDgramHeader(hdr[:0], uint32(sl.from), uint32(sl.to))
+			wire.SetDgramAck(pkt, cum)
+			t.addSection(p, sl.dst, pkt, 0, 1)
+		}
 	}
-	sl.datagrams++
-	sl.framesWire += frames
-	sl.wireBytes += uint64(len(pkt))
-	return pkt
+	clear(acks)
+	p.ackSpare = acks
+	t.writeTrains(p)
 }
 
-// scheduleFlush arms the ACK delay for one link buffer generation.
-func (t *UDPTransport) scheduleFlush(key linkKey, gen uint64) {
-	req := flushReq{key: key, gen: gen, at: time.Now().Add(t.rto / ackDelayDiv)}
-	t.flushMu.Lock()
-	if t.flushStop {
-		t.flushMu.Unlock()
+// board puts one link datagram carrying frames on the train from p to
+// port q — or, under the test hook, whatever the hook makes of it. Caller
+// holds p.mu.
+func (t *UDPTransport) board(p *udpPort, q int, dgram []byte, frames, acks uint64) {
+	if t.mangle == nil {
+		t.addSection(p, q, dgram, frames, acks)
 		return
 	}
-	t.flushQ = append(t.flushQ, req)
-	t.flushCond.Signal()
-	t.flushMu.Unlock()
+	for _, pkt := range t.mangle(dgram) {
+		t.addSection(p, q, pkt, frames, acks)
+	}
 }
 
-// flushLoop drains the delayed-ACK queue: entries are appended with a
-// uniform delay, so the head is always the earliest deadline — one
-// goroutine and one timer serve every link.
-func (t *UDPTransport) flushLoop() {
+// addSection appends one link datagram to the train from p to port q,
+// writing the train first when the datagram would take it past the MTU
+// budget. Caller holds p.mu.
+func (t *UDPTransport) addSection(p *udpPort, q int, dgram []byte, frames, acks uint64) {
+	if len(dgram) > math.MaxUint16 {
+		return // cannot be framed, and no UDP datagram could carry it
+	}
+	tr := &p.trains[q]
+	if len(tr.buf) > 0 && len(tr.buf)+2+len(dgram) > t.mtu {
+		t.writeTrain(p, q)
+	}
+	tr.buf = wire.AppendSection(tr.buf, dgram)
+	tr.frames += frames
+	tr.acks += acks
+}
+
+// writeTrains writes every train p has under construction. Caller holds
+// p.mu.
+func (t *UDPTransport) writeTrains(p *udpPort) {
+	for q := range p.trains {
+		if len(p.trains[q].buf) > 0 {
+			t.writeTrain(p, q)
+		}
+	}
+}
+
+// writeTrain sends the train from p to port q, books it and empties it.
+// Caller holds p.mu.
+func (t *UDPTransport) writeTrain(p *udpPort, q int) {
+	tr := &p.trains[q]
+	p.datagrams++
+	p.wireBytes += uint64(len(tr.buf))
+	if tr.frames > 0 {
+		p.framesWire += tr.frames
+		p.piggyAcks += tr.acks
+	} else {
+		p.ackDgrams++
+	}
+	p.conn.WriteToUDPAddrPort(tr.buf, t.ports[q].addr) //nolint:errcheck // lossy medium; the shim retransmits
+	*tr = train{buf: tr.buf[:0]}
+}
+
+// timerLoop is the transport's one timer: every RTO/8 it flushes the
+// ports where something has been waiting since the previous tick — an ACK
+// debt no data came to carry, or corked frames whose uncorked follow-up
+// never arrived — and every RTO/2 it rescans the unacknowledged frames of
+// every link for ones to retransmit.
+func (t *UDPTransport) timerLoop() {
 	defer t.wg.Done()
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	for {
-		t.flushMu.Lock()
-		for len(t.flushQ) == 0 && !t.flushStop {
-			t.flushCond.Wait()
-		}
-		if t.flushStop {
-			t.flushMu.Unlock()
-			return
-		}
-		req := t.flushQ[0]
-		t.flushQ = t.flushQ[1:]
-		t.flushMu.Unlock()
-
-		if d := time.Until(req.at); d > 0 {
-			timer.Reset(d)
-			select {
-			case <-t.stopCh:
-				timer.Stop()
-				return
-			case <-timer.C:
-			}
-		}
-		t.flushLink(req.key, req.gen)
-	}
-}
-
-// flushLink settles one ACK-delay expiry. If the generation is still
-// current no data datagram has left since the debt was recorded: the
-// owed ACK goes out standalone — or, when corked frames are buffered
-// (their follow-up has not arrived yet, or never will), on a datagram
-// with them.
-func (t *UDPTransport) flushLink(key linkKey, gen uint64) {
-	sl := t.send[key]
-	if sl == nil || t.closed.Load() {
-		return
-	}
-	sl.mu.Lock()
-	if sl.gen != gen || sl.down {
-		sl.mu.Unlock()
-		return
-	}
-	if sl.buf != nil && sl.bufFrames > 0 {
-		pkt := t.takeLocked(sl)
-		sl.mu.Unlock()
-		t.writeDgram(key, pkt)
-		putDgramBuf(pkt)
-		return
-	}
-	if sl.ackOwed {
-		// Reuse a headered-but-empty buffer (a rolled-back Send can leave
-		// one) rather than leaking it.
-		pkt := sl.buf
-		sl.buf = nil
-		if pkt == nil {
-			pkt = wire.AppendDgramHeader(getDgramBuf(), uint32(key[0]), uint32(key[1]))
-		}
-		wire.SetDgramAck(pkt, sl.ackSeq)
-		sl.ackOwed = false
-		sl.gen++
-		sl.scheduled = false
-		sl.datagrams++
-		sl.ackDgrams++
-		sl.wireBytes += uint64(len(pkt))
-		sl.mu.Unlock()
-		t.conns[key[0]].WriteToUDP(pkt, t.addrs[key[1]]) //nolint:errcheck // lost acks are recovered by dedup
-		putDgramBuf(pkt)
-		return
-	}
-	if sl.buf != nil {
-		// Headered but empty and no ACK debt left (a retransmit datagram
-		// can settle the debt first): recycle instead of sending.
-		putDgramBuf(sl.buf)
-		sl.buf = nil
-	}
-	sl.gen++
-	sl.scheduled = false
-	sl.mu.Unlock()
-}
-
-// writeDgram sends one frame-carrying datagram from key[0]'s socket to
-// key[1]'s address, applying the test mangle hook.
-func (t *UDPTransport) writeDgram(key linkKey, pkt []byte) {
-	pkts := [][]byte{pkt}
-	if t.mangle != nil {
-		pkts = t.mangle(pkt)
-	}
-	for _, p := range pkts {
-		t.conns[key[0]].WriteToUDP(p, t.addrs[key[1]]) //nolint:errcheck // lossy medium; the shim retransmits
-	}
-}
-
-// retransmitLoop rescans the unacknowledged frames of every link each
-// rto/2 and repacks those older than rto into MTU-budgeted datagrams —
-// the ACK/retry half of the shim. Retransmission coalesces exactly like
-// first transmission: a loss burst resends as a few dense datagrams, not
-// a frame-per-datagram storm.
-func (t *UDPTransport) retransmitLoop() {
-	defer t.wg.Done()
-	tick := time.NewTicker(t.rto / 2)
+	tick := time.NewTicker(t.rto / ackDelayDiv)
 	defer tick.Stop()
-	for {
+	for n := 1; ; n++ {
 		select {
 		case <-t.stopCh:
 			return
 		case <-tick.C:
 		}
 		now := time.Now()
-		for key, sl := range t.send {
-			var resend [][]byte
-			sl.mu.Lock()
-			var pkt []byte
-			var frames uint64
-			for i := range sl.unacked {
-				if sl.down || now.Sub(sl.unacked[i].lastSent) < t.rto {
-					continue
-				}
-				sl.unacked[i].lastSent = now
-				sl.unacked[i].resent = true
-				sl.retransmits++
-				if pkt == nil {
-					pkt = wire.AppendDgramHeader(getDgramBuf(), uint32(key[0]), uint32(key[1]))
-					if t.gob {
-						wire.SetDgramGob(pkt)
-					}
-					if sl.ackOwed {
-						wire.SetDgramAck(pkt, sl.ackSeq)
-						sl.ackOwed = false
-						sl.piggyAcks++
-					}
-				}
-				pkt = append(pkt, sl.unacked[i].frame...)
-				frames++
-				if len(pkt) >= t.mtu {
-					sl.datagrams++
-					sl.framesWire += frames
-					sl.wireBytes += uint64(len(pkt))
-					resend = append(resend, pkt)
-					pkt, frames = nil, 0
-				}
+		for _, p := range t.ports {
+			p.mu.Lock()
+			p.ackMu.Lock()
+			waiting := len(p.acks) > 0 || len(p.open) > 0
+			p.ackMu.Unlock()
+			if waiting && p.waited {
+				t.flushLocked(p, now)
+			} else {
+				p.waited = waiting
 			}
-			if pkt != nil {
-				sl.datagrams++
-				sl.framesWire += frames
-				sl.wireBytes += uint64(len(pkt))
-				resend = append(resend, pkt)
-			}
-			sl.mu.Unlock()
-			for _, p := range resend {
-				if t.closed.Load() {
-					return
-				}
-				t.writeDgram(key, p)
-				putDgramBuf(p)
-			}
+			p.mu.Unlock()
+		}
+		if n%rtoTicks == 0 {
+			t.retransmit(now)
 		}
 	}
 }
 
-// read is the per-node socket loop: it parses datagrams addressed to
-// node id, feeds piggybacked ACKs to the sender state and data frames to
-// the receiver shim.
-func (t *UDPTransport) read(id core.NodeID) {
+// retransmit repacks the frames that have been on the wire unacknowledged
+// for an RTO into MTU-budgeted link datagrams and boards those on their
+// port's trains — the ACK/retry half of the shim. Retransmission
+// coalesces exactly like first transmission: a loss burst resends as a
+// few dense trains per port pair, not a frame-per-datagram storm.
+func (t *UDPTransport) retransmit(now time.Time) {
+	var dgram []byte // scratch: the link datagram being repacked
+	for _, sl := range t.send {
+		dgram = t.resendLink(sl, now, dgram)
+	}
+	for _, p := range t.ports {
+		p.mu.Lock()
+		t.writeTrains(p)
+		p.mu.Unlock()
+	}
+}
+
+// resendLink boards the link's overdue frames, if any, on its port's
+// trains and returns the scratch buffer.
+func (t *UDPTransport) resendLink(sl *udpSendLink, now time.Time, dgram []byte) []byte {
+	var due [][]byte
+	var acks, cum uint64
+	sl.mu.Lock()
+	for i := range sl.unacked {
+		u := &sl.unacked[i]
+		// A frame that never left (zero lastSent) sits in a link datagram
+		// under construction: its port's flush sends it.
+		if sl.down || u.lastSent.IsZero() || now.Sub(u.lastSent) < t.rto {
+			continue
+		}
+		u.lastSent = now
+		u.resent = true
+		sl.retransmits++
+		due = append(due, u.frame)
+	}
+	if len(due) > 0 && sl.ackOwed {
+		sl.ackOwed = false
+		acks, cum = 1, sl.ackSeq
+	}
+	sl.mu.Unlock()
+	if len(due) == 0 {
+		return dgram
+	}
+	p := sl.port
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var frames uint64
+	for i, frame := range due {
+		if frames == 0 {
+			dgram = wire.AppendDgramHeader(dgram[:0], uint32(sl.from), uint32(sl.to))
+			if t.gob {
+				wire.SetDgramGob(dgram)
+			}
+			if acks > 0 {
+				wire.SetDgramAck(dgram, cum)
+			}
+		}
+		dgram = append(dgram, frame...)
+		frames++
+		if len(dgram) >= t.mtu || i == len(due)-1 {
+			t.board(p, sl.dst, dgram, frames, acks)
+			frames = 0
+		}
+	}
+	return dgram
+}
+
+// read is the per-port socket loop: it blocks for what arrives while no
+// sender polls the port.
+func (t *UDPTransport) read(p *udpPort) {
 	defer t.wg.Done()
-	buf := make([]byte, 64<<10)
+	buf := make([]byte, udpReadBuf)
 	for {
-		n, _, err := t.conns[id].ReadFromUDP(buf)
+		n, _, err := p.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // socket closed
 		}
+		p.rmu.Lock()
 		if t.closed.Load() {
+			p.rmu.Unlock()
 			return
 		}
-		hdr, body, err := wire.ParseDgram(buf[:n])
+		t.onTrain(p, buf[:n])
+		p.rmu.Unlock()
+	}
+}
+
+// onTrain walks one received train section by section: each is a link
+// datagram addressed to a node of port p, whose piggybacked ACK goes to
+// the sender state and whose data frames go to the receiver shim. Bytes
+// that do not parse end the walk; a well-formed section that names no
+// link of this port is skipped.
+func (t *UDPTransport) onTrain(p *udpPort, pkt []byte) {
+	if len(pkt) == 0 || pkt[0] != wire.TrainVersion {
+		return
+	}
+	var now time.Time // the train's arrival, read when the first ACK needs it
+	for body := pkt[1:]; len(body) > 0; {
+		dgram, rest, err := wire.NextSection(body)
+		if err != nil {
+			return
+		}
+		body = rest
+		hdr, frames, err := wire.ParseDgram(dgram)
 		if err != nil {
 			continue
 		}
 		from, to := core.NodeID(hdr.From), core.NodeID(hdr.To)
-		if to != id || from < 0 || int(from) >= t.n {
-			continue
+		if uint64(hdr.To) >= uint64(t.n) || t.ports[t.portOf(to)] != p {
+			continue // not a node of this port
+		}
+		rl := t.recv[linkKey{from, to}]
+		if rl == nil {
+			continue // not a link
 		}
 		if hdr.HasAck() {
-			// The ack names the directed link id→from (we are the
+			// The ack names the directed link to→from (we are the
 			// sender): drop everything the cumulative seq covers.
-			t.onAck(linkKey{id, from}, hdr.Ack)
+			if now.IsZero() {
+				now = time.Now()
+			}
+			t.onAck(rl.rev, hdr.Ack, now)
 		}
-		if len(body) > 0 {
-			t.onFrames(linkKey{from, to}, body, hdr.Gob())
+		if len(frames) > 0 {
+			t.onFrames(rl, frames, hdr.Gob())
 		}
 	}
 }
@@ -617,14 +764,10 @@ func (t *UDPTransport) read(id core.NodeID) {
 // onAck discards acknowledged frames from the link's retransmit queue
 // and samples their round trips (first-transmission frames only — a
 // retransmitted frame's ACK cannot be attributed to one send). The
-// sample spans encode → cumulative ACK, so on a link whose ACKs go
-// standalone it includes the receiver's ACK delay.
-func (t *UDPTransport) onAck(key linkKey, cum uint64) {
-	sl := t.send[key]
-	if sl == nil {
-		return
-	}
-	now := time.Now()
+// sample spans socket write → arrival of the train with the cumulative
+// ACK (now), so on a link whose ACKs wait for the timer it includes the
+// receiver's ACK delay.
+func (t *UDPTransport) onAck(sl *udpSendLink, cum uint64, now time.Time) {
 	sl.mu.Lock()
 	// unacked is in seq order, so a cumulative ACK covers a prefix.
 	k := 0
@@ -632,13 +775,14 @@ func (t *UDPTransport) onAck(key linkKey, cum uint64) {
 		k++
 	}
 	if k > 0 {
-		t.rttMu.Lock()
-		for _, p := range sl.unacked[:k] {
-			if !p.resent {
-				t.rtt.ObserveFloat(float64(now.Sub(p.lastSent)) / float64(time.Microsecond))
+		p := sl.port
+		p.rttMu.Lock()
+		for _, u := range sl.unacked[:k] {
+			if !u.resent && !u.lastSent.IsZero() {
+				p.rtt.ObserveFloat(float64(now.Sub(u.lastSent)) / float64(time.Microsecond))
 			}
 		}
-		t.rttMu.Unlock()
+		p.rttMu.Unlock()
 		rest := copy(sl.unacked, sl.unacked[k:])
 		clear(sl.unacked[rest:])
 		sl.unacked = sl.unacked[:rest]
@@ -646,15 +790,10 @@ func (t *UDPTransport) onAck(key linkKey, cum uint64) {
 	sl.mu.Unlock()
 }
 
-// onFrames runs the receiver shim over every frame of one datagram —
+// onFrames runs the receiver shim over every frame of one link datagram —
 // dedup, reorder, in-sequence delivery — then records the cumulative-ACK
-// debt on the reverse link (absorbed into the next outbound data
-// datagram, or sent standalone when the ACK delay expires).
-func (t *UDPTransport) onFrames(key linkKey, body []byte, gobbed bool) {
-	rl := t.recv[key]
-	if rl == nil {
-		return
-	}
+// debt on the reverse link (settled by its port's next flush).
+func (t *UDPTransport) onFrames(rl *udpRecvLink, body []byte, gobbed bool) {
 	rl.mu.Lock()
 	if rl.down {
 		rl.mu.Unlock()
@@ -666,15 +805,15 @@ func (t *UDPTransport) onFrames(key linkKey, body []byte, gobbed bool) {
 			break // truncated datagram tail; retransmission recovers
 		}
 		body = rest
-		t.frameLocked(rl, key, f, gobbed)
+		t.frameLocked(rl, f, gobbed)
 	}
 	cum := rl.nextSeq - 1
 	rl.mu.Unlock()
-	t.oweAck(key, cum)
+	t.oweAck(rl.rev, cum)
 }
 
 // frameLocked applies the shim to one frame. Caller holds rl.mu.
-func (t *UDPTransport) frameLocked(rl *udpRecvLink, key linkKey, f wire.FrameView, gobbed bool) {
+func (t *UDPTransport) frameLocked(rl *udpRecvLink, f wire.FrameView, gobbed bool) {
 	switch {
 	case f.Seq < rl.nextSeq:
 		// Duplicate of a delivered frame (lost ack or retransmit race).
@@ -686,6 +825,9 @@ func (t *UDPTransport) frameLocked(rl *udpRecvLink, key linkKey, f wire.FrameVie
 		} else if len(rl.reorder) < udpReorderCap {
 			payload := make([]byte, len(f.Payload))
 			copy(payload, f.Payload)
+			if rl.reorder == nil {
+				rl.reorder = make(map[uint64]udpParked)
+			}
 			rl.reorder[f.Seq] = udpParked{mseq: f.Mseq, sentAt: f.SentAt, payload: payload, gob: gobbed}
 			if d := uint64(len(rl.reorder)); d > rl.depthHW {
 				rl.depthHW = d
@@ -700,21 +842,21 @@ func (t *UDPTransport) frameLocked(rl *udpRecvLink, key linkKey, f wire.FrameVie
 		return
 	}
 	// In sequence: deliver, then drain the reorder buffer.
-	t.deliverLocked(rl, key, f.Mseq, f.SentAt, f.Payload, gobbed)
-	for {
+	t.deliverLocked(rl, f.Mseq, f.SentAt, f.Payload, gobbed)
+	for len(rl.reorder) > 0 {
 		next, ok := rl.reorder[rl.nextSeq]
 		if !ok {
 			break
 		}
 		delete(rl.reorder, rl.nextSeq)
-		t.deliverLocked(rl, key, next.mseq, next.sentAt, next.payload, next.gob)
+		t.deliverLocked(rl, next.mseq, next.sentAt, next.payload, next.gob)
 	}
 }
 
 // deliverLocked decodes and hands one in-sequence frame up, advancing
 // the shim state. Caller holds rl.mu, which serialises deliveries per
 // link — the FIFO contract.
-func (t *UDPTransport) deliverLocked(rl *udpRecvLink, key linkKey, mseq uint64, sentAt int64, payload []byte, gobbed bool) {
+func (t *UDPTransport) deliverLocked(rl *udpRecvLink, mseq uint64, sentAt int64, payload []byte, gobbed bool) {
 	rl.nextSeq++
 	if mseq <= rl.lastMseq {
 		// Msg-id dedup: per link the sender's message ids are strictly
@@ -736,39 +878,35 @@ func (t *UDPTransport) deliverLocked(rl *udpRecvLink, key linkKey, mseq uint64, 
 	rl.lastMseq = mseq
 	rl.delivered++
 	t.deliver(Frame{
-		From:   key[0],
-		To:     key[1],
+		From:   rl.from,
+		To:     rl.to,
 		Msg:    msg,
 		Mseq:   mseq,
 		SentAt: sim.Time(sentAt),
 	})
 }
 
-// oweAck records a cumulative-ACK debt for the data link key (the ack
-// travels key[1]→key[0], so it rides the reverse send link). The debt is
-// settled by the next data datagram in that direction or, with nothing
-// to ride on, by a standalone ACK datagram after the ACK delay.
-func (t *UDPTransport) oweAck(key linkKey, cum uint64) {
-	rev := linkKey{key[1], key[0]}
-	sl := t.send[rev]
-	if sl == nil {
-		return
-	}
+// oweAck records a cumulative-ACK debt on sl, the reverse of the link the
+// data came in on, and lists the link with its port when the debt is new.
+// The port's next flush settles it — on sl's own data datagram if the
+// flush finds one, else on an ACK-only datagram in the same train — and
+// with no flush for RTO/8 the timer loop makes one.
+func (t *UDPTransport) oweAck(sl *udpSendLink, cum uint64) {
 	sl.mu.Lock()
 	if sl.down {
 		sl.mu.Unlock()
 		return
 	}
-	sl.ackOwed = true
-	sl.ackSeq = cum
-	if !sl.scheduled {
-		sl.scheduled = true
-		gen := sl.gen
-		sl.mu.Unlock()
-		t.scheduleFlush(rev, gen)
+	listed := sl.ackOwed
+	sl.ackOwed, sl.ackSeq = true, cum
+	sl.mu.Unlock()
+	if listed {
 		return
 	}
-	sl.mu.Unlock()
+	p := sl.port
+	p.ackMu.Lock()
+	p.acks = append(p.acks, sl)
+	p.ackMu.Unlock()
 }
 
 // LinkDown tears the link down in both directions: retransmission stops,
@@ -777,47 +915,51 @@ func (t *UDPTransport) oweAck(key linkKey, cum uint64) {
 func (t *UDPTransport) LinkDown(a, b core.NodeID) {
 	for _, key := range []linkKey{{a, b}, {b, a}} {
 		if sl := t.send[key]; sl != nil {
+			sl.port.mu.Lock()
 			sl.mu.Lock()
 			sl.down = true
 			sl.unacked = nil
-			if sl.buf != nil {
-				putDgramBuf(sl.buf)
-				sl.buf = nil
-			}
-			sl.bufFrames = 0
+			sl.buf, sl.bufFrames = sl.buf[:0], 0
 			sl.ackOwed = false
-			sl.gen++
-			sl.scheduled = false
 			sl.mu.Unlock()
+			sl.port.mu.Unlock()
 		}
 		if rl := t.recv[key]; rl != nil {
 			rl.mu.Lock()
 			rl.down = true
-			rl.reorder = make(map[uint64]udpParked)
+			rl.reorder = nil
 			rl.mu.Unlock()
 		}
 	}
 }
 
-// Stats aggregates the shim's per-directed-link wire counters into the
-// lme/telemetry/v1 transport record. Safe any time (including after
-// Close): the link maps are immutable after construction and every
-// counter sits under its link's lock.
+// Stats aggregates the shim's per-link and per-port wire counters into
+// the lme/telemetry/v1 transport record. A datagram here is what a socket
+// write carried, a train: DatagramsSent counts trains, AckDatagrams the
+// ones without a data section, AcksPiggybacked the cumulative ACKs that
+// rode in a train carrying data, FramesPerDatagram frames per data train.
+// Safe any time (including after Close): the link maps are immutable
+// after construction and every counter sits under its link's or port's
+// lock.
 func (t *UDPTransport) Stats() telemetry.TransportStats {
 	ts := telemetry.TransportStats{
 		Schema: telemetry.Schema,
 		Kind:   "udp",
 		Links:  len(t.send),
 	}
+	for _, p := range t.ports {
+		p.mu.Lock()
+		ts.DatagramsSent += p.datagrams
+		ts.AckDatagrams += p.ackDgrams
+		ts.AcksPiggybacked += p.piggyAcks
+		ts.FramesWire += p.framesWire
+		ts.WireBytes += p.wireBytes
+		p.mu.Unlock()
+	}
 	for _, sl := range t.send {
 		sl.mu.Lock()
 		ts.FramesSent += sl.sent
 		ts.Retransmits += sl.retransmits
-		ts.DatagramsSent += sl.datagrams
-		ts.AckDatagrams += sl.ackDgrams
-		ts.AcksPiggybacked += sl.piggyAcks
-		ts.FramesWire += sl.framesWire
-		ts.WireBytes += sl.wireBytes
 		ts.PayloadBytes += sl.payloadBytes
 		sl.mu.Unlock()
 	}
@@ -826,9 +968,7 @@ func (t *UDPTransport) Stats() telemetry.TransportStats {
 		ts.FramesDelivered += rl.delivered
 		ts.DupDrops += rl.dupDrops
 		ts.ReorderOverflow += rl.overflow
-		if rl.depthHW > ts.ReorderDepthHW {
-			ts.ReorderDepthHW = rl.depthHW
-		}
+		ts.ReorderDepthHW = max(ts.ReorderDepthHW, rl.depthHW)
 		rl.mu.Unlock()
 	}
 	if data := ts.DatagramsSent - ts.AckDatagrams; data > 0 {
@@ -837,24 +977,23 @@ func (t *UDPTransport) Stats() telemetry.TransportStats {
 	if ts.FramesSent > 0 {
 		ts.PayloadBytesPerFrame = float64(ts.PayloadBytes) / float64(ts.FramesSent)
 	}
-	t.rttMu.Lock()
-	ts.AckRTTUS = t.rtt.Snapshot()
-	t.rttMu.Unlock()
+	rtt := metrics.NewSketch()
+	for _, p := range t.ports {
+		p.rttMu.Lock()
+		rtt.Merge(p.rtt)
+		p.rttMu.Unlock()
+	}
+	ts.AckRTTUS = rtt.Snapshot()
 	return ts
 }
 
-// Close shuts every socket and waits for the readers, the delayed-ACK
-// loop and the retransmission loop to exit; no delivery happens after it
-// returns.
+// Close shuts every socket and waits for the readers and the timer loop
+// to exit; no delivery happens after it returns.
 func (t *UDPTransport) Close() error {
 	if t.closed.Swap(true) {
 		return nil
 	}
 	close(t.stopCh)
-	t.flushMu.Lock()
-	t.flushStop = true
-	t.flushCond.Broadcast()
-	t.flushMu.Unlock()
 	t.closeConns()
 	t.wg.Wait()
 	return nil

@@ -1,8 +1,9 @@
 package livenet
 
-// Tests for the fast wire path: datagram coalescing under Frame.More,
-// delayed and piggybacked cumulative ACKs, and the loud-failure contract
-// for message types with no registered codec.
+// Tests for the fast wire path: link-datagram coalescing under
+// Frame.More, trains across links, delayed and piggybacked cumulative
+// ACKs, and the loud-failure contract for message types with no
+// registered codec.
 
 import (
 	"sync"
@@ -43,13 +44,16 @@ func dgramCarriesSeq(t *testing.T, pkt []byte, seq uint64) bool {
 }
 
 // TestUDPAckCoalescing states the coalescing rule with no clock in it: N
-// corked frames and one uncorked frame leave as the greedy MTU packing of
-// their bytes — every datagram but the last closes on the frame that
-// reaches the budget, the last carries the remainder — and every uncorked
-// frame after that is one datagram, written before Send returns. The
-// receiver owes one cumulative ACK per data datagram and the ACK delay
-// merges even those, so standalone ACKs stay far below N; delivery is
-// FIFO and exactly once throughout.
+// corked frames and one uncorked frame on one link leave as the greedy
+// MTU packing of their bytes into link datagrams — every one but the last
+// closes on the frame that reaches the budget, the last carries the
+// remainder — and every uncorked frame after that is one link datagram,
+// written before Send returns. With a single link sending, a train has
+// exactly one data section, so the transport's count of data trains is
+// the count of link datagrams the hook saw. The receiver owes one
+// cumulative ACK per link datagram and the ACK delay merges even those,
+// so ACK-only trains stay far below N; delivery is FIFO and exactly once
+// throughout.
 func TestUDPAckCoalescing(t *testing.T) {
 	const (
 		corked   = 400
@@ -151,10 +155,13 @@ func TestUDPAckCoalescing(t *testing.T) {
 		t.Fatalf("retransmits = %d; the datagram counts above are not first transmissions", st.Retransmits)
 	}
 	if data := st.DatagramsSent - st.AckDatagrams; data != uint64(total) {
-		t.Errorf("stats count %d data datagrams, the wire saw %d", data, total)
+		t.Errorf("stats count %d data trains, the wire saw %d link datagrams on the one sending link", data, total)
+	}
+	if st.FramesWire != msgs {
+		t.Errorf("frames_wire = %d, want the %d first transmissions", st.FramesWire, msgs)
 	}
 	if st.AckDatagrams == 0 {
-		t.Errorf("ack_datagrams = 0; one-way traffic owes standalone ACKs")
+		t.Errorf("ack_datagrams = 0; one-way traffic owes ACK-only trains")
 	}
 	if st.AckDatagrams > uint64(total) || st.AckDatagrams >= msgs/4 {
 		t.Errorf("ack_datagrams = %d for %d frames in %d datagrams; delayed ACKs are not coalescing (stats %+v)",
@@ -167,8 +174,9 @@ func TestUDPAckCoalescing(t *testing.T) {
 
 // TestUDPBrokenCorkPromise pins the safety net under Frame.More: a corked
 // frame that no uncorked frame ever follows is not stranded in the link's
-// buffer — it is already registered as unacknowledged, so the RTO loop
-// transmits it, within 2·RTO.
+// buffer — the timer loop flushes a port whose work has waited a whole
+// tick, well within 2·RTO — and it leaves exactly once: the flush emptied
+// the buffer, so a later Send does not write it again.
 func TestUDPBrokenCorkPromise(t *testing.T) {
 	const rto = 100 * time.Millisecond
 	g := graph.Line(2)
@@ -193,8 +201,6 @@ func TestUDPBrokenCorkPromise(t *testing.T) {
 	if got := col.link(0, 1); len(got) != 1 || got[0].Msg.(confMsg).N != 7 {
 		t.Fatalf("delivered %v after %v, want the one corked frame", got, time.Since(begin))
 	}
-	// The frame a later Send finds still buffered is a duplicate on the
-	// wire and must be suppressed, not delivered twice.
 	tr.Send(Frame{From: 0, To: 1, Msg: confMsg{N: 8}, Mseq: 2})
 	if !waitFor(t, 5*time.Second, func() bool { return col.count() >= 2 }) {
 		t.Fatal("the follow-up frame never arrived")
@@ -203,11 +209,14 @@ func TestUDPBrokenCorkPromise(t *testing.T) {
 	if got := col.link(0, 1); len(got) != 2 || got[1].Msg.(confMsg).N != 8 {
 		t.Fatalf("delivered %v, want exactly the corked frame then the follow-up", got)
 	}
+	if st := tr.Stats(); st.FramesWire != 2 || st.Retransmits != 0 {
+		t.Errorf("frames_wire = %d, retransmits = %d; want each frame on the wire once", st.FramesWire, st.Retransmits)
+	}
 }
 
 // TestUDPAckPiggyback checks that ACK debt owed while data is flowing the
-// other way rides on those data datagrams instead of costing standalone
-// ACKs.
+// other way rides in the trains that carry it instead of costing ACK-only
+// trains.
 func TestUDPAckPiggyback(t *testing.T) {
 	const msgs = 300
 	g := graph.Line(2)

@@ -114,11 +114,12 @@ type TransportStats struct {
 	// reorder buffer was full (each is recovered by retransmission).
 	ReorderDepthHW  uint64 `json:"reorder_depth_hw"`
 	ReorderOverflow uint64 `json:"reorder_overflow"`
-	// Datagram-coalescing counters (PR 10's fast wire path; zero on the
-	// channel transport, which has no datagrams). DatagramsSent counts
-	// every datagram written, AckDatagrams the standalone cumulative-ACK
-	// datagrams among them, AcksPiggybacked the ACKs that rode on a data
-	// datagram instead of costing their own.
+	// Datagram-coalescing counters (zero on the channel transport, which
+	// has no datagrams). A datagram is what one socket write carried — on
+	// the UDP transport a train of the link datagrams of one flush.
+	// DatagramsSent counts every one written, AckDatagrams those with no
+	// data in them (cumulative ACKs only), AcksPiggybacked the ACKs that
+	// rode in a datagram carrying data instead of costing their own.
 	DatagramsSent   uint64 `json:"datagrams_sent"`
 	AckDatagrams    uint64 `json:"ack_datagrams"`
 	AcksPiggybacked uint64 `json:"acks_piggybacked"`

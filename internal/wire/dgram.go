@@ -27,8 +27,20 @@ import (
 //	  [24:28] paylen   uint32 BE
 //	  [28:]   payload  (codec bytes, or gob when FlagGob)
 //
-// A header with no frames is a standalone ACK datagram.
+// A header with no frames carries only the ACK.
+//
+// Train format v3 — what a socket write carries. The transport hosts many
+// nodes behind one socket, so one UDP datagram is a train of v2 link
+// datagrams ("sections"), each for its own directed link, all addressed
+// to nodes behind the same destination socket:
+//
+//	[0]     version = 3
+//	sections (1+), each:
+//	  [0:2]   length   uint16 BE (≥ DgramHeaderLen)
+//	  [2:]    one v2 link datagram of that length
 const (
+	TrainVersion = 3
+
 	DgramVersion   = 2
 	DgramHeaderLen = 18
 	FrameHeaderLen = 28
@@ -137,4 +149,32 @@ func NextFrame(body []byte) (FrameView, []byte, error) {
 		Payload: body[FrameHeaderLen:end],
 	}
 	return f, body[end:], nil
+}
+
+// AppendSection appends one v2 link datagram to a train under
+// construction, opening the train (version byte) when it is empty. The
+// datagram must fit the 16-bit length field.
+func AppendSection(train, dgram []byte) []byte {
+	if len(train) == 0 {
+		train = append(train, TrainVersion)
+	}
+	train = binary.BigEndian.AppendUint16(train, uint16(len(dgram)))
+	return append(train, dgram...)
+}
+
+// NextSection splits the first link datagram off the section region of a
+// train (everything after the version byte) and returns it with the
+// remaining bytes; the datagram aliases body. Iterate until empty.
+func NextSection(body []byte) (dgram, rest []byte, err error) {
+	if len(body) < 2 {
+		return nil, nil, fmt.Errorf("wire: truncated section length (%d bytes)", len(body))
+	}
+	n := int(binary.BigEndian.Uint16(body))
+	if n < DgramHeaderLen {
+		return nil, nil, fmt.Errorf("wire: section of %d bytes is shorter than a datagram header", n)
+	}
+	if len(body)-2 < n {
+		return nil, nil, fmt.Errorf("wire: section truncated (%d of %d bytes)", len(body)-2, n)
+	}
+	return body[2 : 2+n], body[2+n:], nil
 }

@@ -24,10 +24,12 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math/rand/v2"
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"lme/internal/core"
 )
@@ -54,11 +56,22 @@ type Codec struct {
 	Sample func(rng *rand.Rand) core.Message
 }
 
+// registry is one immutable generation of the codec tables. Register
+// publishes a new generation; the encode and decode paths load the
+// current one without writing shared memory — a read lock's reader count
+// is a cache line every core that encodes would otherwise fight over,
+// four atomic writes per frame.
+type registry struct {
+	byID   map[uint16]*Codec
+	byType map[reflect.Type]*Codec
+}
+
 var (
-	regMu  sync.RWMutex
-	byID   = map[uint16]*Codec{}
-	byType = map[reflect.Type]*Codec{}
+	regMu sync.Mutex // serialises Register
+	reg   atomic.Pointer[registry]
 )
+
+func init() { reg.Store(&registry{}) }
 
 // Register adds a codec to the global registry. It panics on a nil
 // encode/decode pair, a zero or duplicate ID, or a duplicate concrete
@@ -76,15 +89,23 @@ func Register(c Codec) {
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
-	if prev, ok := byID[c.ID]; ok {
+	old := reg.Load()
+	if prev, ok := old.byID[c.ID]; ok {
 		panic(fmt.Sprintf("wire: Register(%s): ID %#04x already used by %s", c.Name, c.ID, prev.Name))
 	}
-	if prev, ok := byType[t]; ok {
+	if prev, ok := old.byType[t]; ok {
 		panic(fmt.Sprintf("wire: Register(%s): type %v already registered as %s", c.Name, t, prev.Name))
 	}
+	next := &registry{
+		byID:   make(map[uint16]*Codec, len(old.byID)+1),
+		byType: make(map[reflect.Type]*Codec, len(old.byType)+1),
+	}
+	maps.Copy(next.byID, old.byID)
+	maps.Copy(next.byType, old.byType)
 	cc := c
-	byID[c.ID] = &cc
-	byType[t] = &cc
+	next.byID[c.ID] = &cc
+	next.byType[t] = &cc
+	reg.Store(next)
 }
 
 // UnregisteredError reports an Append of a message type no codec covers.
@@ -102,9 +123,7 @@ func (e *UnregisteredError) Error() string {
 // returns the extended buffer. The buffer is returned unchanged alongside
 // an *UnregisteredError when msg's type has no codec.
 func AppendMessage(buf []byte, msg core.Message) ([]byte, error) {
-	regMu.RLock()
-	c := byType[reflect.TypeOf(msg)]
-	regMu.RUnlock()
+	c := reg.Load().byType[reflect.TypeOf(msg)]
 	if c == nil {
 		return buf, &UnregisteredError{Type: reflect.TypeOf(msg)}
 	}
@@ -118,9 +137,7 @@ func DecodeMessage(b []byte) (core.Message, error) {
 		return nil, fmt.Errorf("wire: payload too short for a type ID (%d bytes)", len(b))
 	}
 	id := binary.BigEndian.Uint16(b)
-	regMu.RLock()
-	c := byID[id]
-	regMu.RUnlock()
+	c := reg.Load().byID[id]
 	if c == nil {
 		return nil, fmt.Errorf("wire: unknown type ID %#04x", id)
 	}
@@ -130,8 +147,7 @@ func DecodeMessage(b []byte) (core.Message, error) {
 // Registered returns a copy of every codec, ID-ordered — the test
 // surface the differential suite iterates.
 func Registered() []Codec {
-	regMu.RLock()
-	defer regMu.RUnlock()
+	byID := reg.Load().byID
 	out := make([]Codec, 0, len(byID))
 	for _, c := range byID {
 		out = append(out, *c)

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -218,5 +219,37 @@ func TestBackfillFrameLen(t *testing.T) {
 	}
 	if string(f.Payload) != "xyz" || len(rest) != 0 {
 		t.Fatalf("frame = %+v rest %d", f, len(rest))
+	}
+}
+
+func TestTrainRoundTrip(t *testing.T) {
+	a := AppendDgramHeader(nil, 1, 2)
+	SetDgramAck(a, 9)
+	b := AppendFrame(AppendDgramHeader(nil, 3, 4), 5, 6, 7, []byte("xyz"))
+	train := AppendSection(AppendSection(nil, a), b)
+	if train[0] != TrainVersion || len(train) != 1+2+len(a)+2+len(b) {
+		t.Fatalf("train of %d bytes, version %d", len(train), train[0])
+	}
+	got, rest, err := NextSection(train[1:])
+	if err != nil || !bytes.Equal(got, a) {
+		t.Fatalf("first section = %x, %v; want %x", got, err, a)
+	}
+	got, rest, err = NextSection(rest)
+	if err != nil || !bytes.Equal(got, b) || len(rest) != 0 {
+		t.Fatalf("second section = %x, rest %d, %v; want %x", got, len(rest), err, b)
+	}
+}
+
+func TestNextSectionRejectsCorruption(t *testing.T) {
+	dgram := AppendDgramHeader(nil, 1, 2)
+	good := AppendSection(nil, dgram)[1:]
+	for name, body := range map[string][]byte{
+		"one byte":          good[:1],
+		"length past end":   good[:len(good)-1],
+		"shorter than head": {0, DgramHeaderLen - 1, 2, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0},
+	} {
+		if _, _, err := NextSection(body); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
