@@ -3,10 +3,11 @@ package lme
 // Architecture test: the algorithm cores are pure reactive automata and
 // must stay runtime-agnostic — no algorithm package may import the live
 // runtime (internal/livenet) or the simulator (internal/manet). The
-// Transport seam and the wire codec registration (each core's wire.go,
-// with gob kept as the differential oracle) keep both runtimes able
-// to move algorithm messages without the algorithms knowing either
-// exists; this test pins that boundary.
+// Transport seam and the wire codec registration (each core's wire.go)
+// keep both runtimes able to move algorithm messages without the
+// algorithms knowing either exists; this test pins that boundary. A
+// second test keeps encoding/gob, the codecs' differential oracle, in
+// test files: the codecs are the only payload encoding that ships.
 
 import (
 	"go/parser"
@@ -66,5 +67,27 @@ func TestAlgorithmCoresDoNotImportRuntimes(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+func TestGobOnlyInTests(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"encoding/gob"` {
+				t.Errorf("%s imports encoding/gob outside a test", path)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -10,7 +10,7 @@
 //	lmebench -quick                 # fast pass (the configuration unit tests use)
 //	lmebench -quick -json           # machine-readable results for benchmark diffing
 //	lmebench -replicas 5 -parallel 8 # 5 seeded runs per cell on 8 workers
-//	lmebench -micro -json           # substrate microbenchmarks (BENCH_micro.json)
+//	lmebench -micro -json           # observability/telemetry overhead ratios (BENCH_micro.json)
 //	lmebench -scale -json           # large-n sweep on the sharded engine (lme/scale/v1)
 //	lmebench -quick -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
@@ -29,12 +29,10 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"testing"
 	"time"
 
 	"lme/internal/fleet"
 	"lme/internal/harness"
-	"lme/internal/microbench"
 	"lme/internal/progress"
 	"lme/internal/sim"
 )
@@ -79,7 +77,7 @@ func run() error {
 		jsonOut    = flag.Bool("json", false, "emit results as a single JSON document instead of text tables")
 		parallel   = flag.Int("parallel", 0, "worker count for the fleet pool; 0 = all cores")
 		replicas   = flag.Int("replicas", 1, "independent seeded runs per measurement cell")
-		micro      = flag.Bool("micro", false, "run the substrate microbenchmarks instead of the experiments")
+		micro      = flag.Bool("micro", false, "run the observed-vs-dark and telemetry-vs-dark overhead benchmarks instead of the experiments")
 		scale      = flag.Bool("scale", false, "run the large-n scale sweep on the sharded engine instead of the experiments")
 		scaleNs    = flag.String("scale-n", "1000,10000,100000", "comma-separated node counts for -scale")
 		scaleHoriz = flag.Duration("scale-horizon", 150*time.Millisecond, "virtual-time span per -scale run")
@@ -292,213 +290,6 @@ func run() error {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(doc)
-	}
-	return nil
-}
-
-// MicroSchema identifies the lmebench -micro -json layout; bump on
-// breaking changes.
-const MicroSchema = "lme/microbench/v1"
-
-// microResult is one microbenchmark's measurement, mirroring the columns
-// `go test -bench` prints.
-type microResult struct {
-	Name        string  `json:"name"`
-	Iterations  int     `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	// Extras carries custom b.ReportMetric units — the scale sweeps
-	// publish "events/s" (engine throughput) and "heapB/node" here.
-	// Informational only: -check compares ns/op and allocs/op.
-	Extras map[string]float64 `json:"extras,omitempty"`
-}
-
-// microDoc is the lmebench -micro -json document (the layout of
-// BENCH_micro.json). ObservedVsDark is the EndToEndObserved/EndToEndDark
-// ns/op ratio — the end-to-end price of full observability — present
-// whenever both benchmarks ran.
-type microDoc struct {
-	Schema         string        `json:"schema"`
-	Results        []microResult `json:"results"`
-	ObservedVsDark float64       `json:"observed_vs_dark,omitempty"`
-	// TelemetryVsDark is TelemetryFold's interleaved-slab overhead ratio
-	// (telemetry-on ns / telemetry-off ns over alternating 5ms slabs of
-	// identical worlds) — the whole price of engine telemetry on the
-	// sharded window loop. Unlike ObservedVsDark it is load-bearing:
-	// -check fails when it exceeds telemetryOverheadBudget.
-	TelemetryVsDark float64 `json:"telemetry_vs_dark,omitempty"`
-	// CodecVsGob is the worse of WireEncode/WireEncodeGob and
-	// WireDecode/WireDecodeGob ns/op — the hand-written wire codecs
-	// against the retained gob oracle, both measured in this process.
-	// Load-bearing under -check: the fast path must stay at or below
-	// codecVsGobBudget of the oracle's cost, or it has stopped being a
-	// fast path.
-	CodecVsGob float64 `json:"codec_vs_gob,omitempty"`
-}
-
-// telemetryOverheadBudget caps TelemetryVsDark under -check: telemetry
-// collection may cost at most 2% of the sharded window loop. The two
-// benchmarks run identical worlds back to back in one process, so the
-// ratio is far less noisy than cross-run ns/op comparisons.
-const telemetryOverheadBudget = 1.02
-
-// codecVsGobBudget caps CodecVsGob under -check: the binary codecs must
-// run in at most half the gob oracle's ns/op on both directions. The
-// pair runs back to back over identical message samples in one process,
-// so the ratio is robust to machine speed.
-const codecVsGobBudget = 0.5
-
-// runMicro runs the substrate microbenchmarks of internal/microbench via
-// testing.Benchmark — the same bodies `go test -bench` runs in
-// internal/sim and internal/manet — and reports ns/op and allocs/op.
-// When baseline names a committed BENCH_micro.json, the fresh numbers
-// are compared against its results and large regressions fail the run.
-func runMicro(jsonOut bool, baseline string, tol float64) error {
-	doc := microDoc{Schema: MicroSchema, Results: []microResult{}}
-	for _, bench := range microbench.All() {
-		r := testing.Benchmark(bench.Fn)
-		res := microResult{
-			Name:        bench.Name,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-		}
-		if len(r.Extra) > 0 {
-			res.Extras = make(map[string]float64, len(r.Extra))
-			for unit, v := range r.Extra {
-				res.Extras[unit] = v
-			}
-		}
-		doc.Results = append(doc.Results, res)
-		if !jsonOut {
-			fmt.Printf("%-18s %12d ops %12.1f ns/op %8d B/op %6d allocs/op\n",
-				res.Name, res.Iterations, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp)
-			if ev, ok := res.Extras["events/s"]; ok {
-				fmt.Printf("%-18s %12.0f events/s %10.0f heapB/node\n",
-					"", ev, res.Extras["heapB/node"])
-			}
-		}
-	}
-	var dark, observed, overhead float64
-	var encC, encG, decC, decG float64
-	for _, r := range doc.Results {
-		switch r.Name {
-		case "EndToEndDark":
-			dark = r.NsPerOp
-		case "EndToEndObserved":
-			observed = r.NsPerOp
-		case "TelemetryFold":
-			overhead = r.Extras["overhead_x"]
-		case "WireEncode":
-			encC = r.NsPerOp
-		case "WireEncodeGob":
-			encG = r.NsPerOp
-		case "WireDecode":
-			decC = r.NsPerOp
-		case "WireDecodeGob":
-			decG = r.NsPerOp
-		}
-	}
-	if dark > 0 && observed > 0 {
-		doc.ObservedVsDark = observed / dark
-		if !jsonOut {
-			fmt.Printf("observed-vs-dark   %.2fx (dark %.1f ns/op, observed %.1f ns/op)\n",
-				doc.ObservedVsDark, dark, observed)
-		}
-	}
-	if overhead > 0 {
-		doc.TelemetryVsDark = overhead
-		if !jsonOut {
-			fmt.Printf("telemetry-vs-dark  %.3fx (interleaved slabs, budget %.2fx)\n",
-				doc.TelemetryVsDark, telemetryOverheadBudget)
-		}
-	}
-	if encC > 0 && encG > 0 && decC > 0 && decG > 0 {
-		doc.CodecVsGob = max(encC/encG, decC/decG)
-		if !jsonOut {
-			fmt.Printf("codec-vs-gob       %.3fx (encode %.3fx, decode %.3fx, budget %.2fx)\n",
-				doc.CodecVsGob, encC/encG, decC/decG, codecVsGobBudget)
-		}
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
-			return err
-		}
-	}
-	if baseline != "" {
-		return checkMicro(doc, baseline, tol)
-	}
-	return nil
-}
-
-// checkMicro compares fresh microbenchmark numbers against the committed
-// baseline's results array. ns/op may grow by the tolerance factor before
-// the check fails — microbenchmarks on shared CI machines are noisy, so
-// this is a smoke detector for order-of-magnitude regressions, not a
-// tachometer. allocs/op is compared near-exactly (one alloc of slack,
-// plus 2% for benchmarks whose baseline already allocates heavily —
-// live-cluster round trips schedule goroutines and timers, so their
-// counts wobble): allocation counts on the lean hot paths are
-// deterministic, and a new allocation there is precisely what the
-// encoding fast path exists to prevent.
-func checkMicro(doc microDoc, baseline string, tol float64) error {
-	raw, err := os.ReadFile(baseline)
-	if err != nil {
-		return fmt.Errorf("-check: %w", err)
-	}
-	var base microDoc
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("-check: parse %s: %w", baseline, err)
-	}
-	want := make(map[string]microResult, len(base.Results))
-	for _, r := range base.Results {
-		want[r.Name] = r
-	}
-	var regressions []string
-	for _, r := range doc.Results {
-		b, ok := want[r.Name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "check: %-18s no baseline (new benchmark), skipped\n", r.Name)
-			continue
-		}
-		status := "ok"
-		allocSlack := b.AllocsPerOp + 1
-		if wobble := b.AllocsPerOp + b.AllocsPerOp/50; wobble > allocSlack {
-			allocSlack = wobble
-		}
-		if b.NsPerOp > 0 && r.NsPerOp > b.NsPerOp*tol {
-			status = fmt.Sprintf("REGRESSION: %.1f ns/op vs baseline %.1f (>%.1fx)", r.NsPerOp, b.NsPerOp, tol)
-		} else if r.AllocsPerOp > allocSlack {
-			status = fmt.Sprintf("REGRESSION: %d allocs/op vs baseline %d", r.AllocsPerOp, b.AllocsPerOp)
-		}
-		fmt.Fprintf(os.Stderr, "check: %-18s %s\n", r.Name, status)
-		if status != "ok" {
-			regressions = append(regressions, r.Name)
-		}
-	}
-	if doc.TelemetryVsDark > 0 {
-		status := "ok"
-		if doc.TelemetryVsDark > telemetryOverheadBudget {
-			status = fmt.Sprintf("REGRESSION: %.3fx vs the %.2fx budget", doc.TelemetryVsDark, telemetryOverheadBudget)
-			regressions = append(regressions, "telemetry-vs-dark")
-		}
-		fmt.Fprintf(os.Stderr, "check: %-18s %s (%.3fx)\n", "telemetry-vs-dark", status, doc.TelemetryVsDark)
-	}
-	if doc.CodecVsGob > 0 {
-		status := "ok"
-		if doc.CodecVsGob > codecVsGobBudget {
-			status = fmt.Sprintf("REGRESSION: %.3fx vs the %.2fx budget", doc.CodecVsGob, codecVsGobBudget)
-			regressions = append(regressions, "codec-vs-gob")
-		}
-		fmt.Fprintf(os.Stderr, "check: %-18s %s (%.3fx)\n", "codec-vs-gob", status, doc.CodecVsGob)
-	}
-	if len(regressions) > 0 {
-		return fmt.Errorf("-check: %d benchmark(s) regressed vs %s: %s",
-			len(regressions), baseline, strings.Join(regressions, ", "))
 	}
 	return nil
 }

@@ -26,8 +26,9 @@ import (
 )
 
 // LoadSchema versions the -json document. v2 added the wire-cost fields
-// (bytes_per_acq, datagrams_per_acq) and the wire echo.
-const LoadSchema = "lme/load/v2"
+// (bytes_per_acq, datagrams_per_acq); v3 dropped the wire-encoding echo,
+// since the codecs are the only payload encoding.
+const LoadSchema = "lme/load/v3"
 
 func algUsage() string {
 	names := make([]string, 0, len(lme.Algorithms()))
@@ -52,8 +53,6 @@ type report struct {
 	Topology  string `json:"topology"`
 	Seed      uint64 `json:"seed"`
 	DurMS     int64  `json:"duration_ms"`
-	// Wire echoes the payload encoding of a UDP run ("codec" or "gob").
-	Wire string `json:"wire,omitempty"`
 	loadgen.Result
 }
 
@@ -63,7 +62,6 @@ func run() error {
 		topo      = flag.String("topo", "ring", "topology: ring|line|grid|clique")
 		n         = flag.Int("n", 1000, "number of nodes (grid uses the nearest square)")
 		transport = flag.String("transport", "channel", "transport: channel|udp")
-		wireMode  = flag.String("wire", "codec", "udp payload encoding: codec|gob (gob is the slow oracle baseline)")
 		dur       = flag.Duration("dur", 2*time.Second, "load duration (wall clock)")
 		hold      = flag.Duration("hold", 0, "lease hold time per acquisition (default live eat time)")
 		thinkMin  = flag.Duration("think-min", 0, "bounded-Pareto think scale (default 200µs)")
@@ -97,19 +95,13 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if *wireMode != "codec" && *wireMode != "gob" {
-		return fmt.Errorf("unknown wire mode %q (want codec or gob)", *wireMode)
-	}
 	var tr livenet.Transport
 	if *transport == "udp" {
-		tr, err = livenet.NewUDPTransportOpts(g, livenet.UDPOptions{Gob: *wireMode == "gob"})
+		tr, err = livenet.NewUDPTransport(g, 0)
 		if err != nil {
 			return err
 		}
 	} else if *transport != "channel" {
-		if *wireMode == "gob" {
-			return fmt.Errorf("-wire gob requires -transport udp")
-		}
 		return fmt.Errorf("unknown transport %q (want channel or udp)", *transport)
 	}
 
@@ -134,10 +126,6 @@ func run() error {
 	}
 
 	if *jsonOut {
-		wire := ""
-		if *transport == "udp" {
-			wire = *wireMode
-		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(report{
@@ -146,7 +134,6 @@ func run() error {
 			Topology:  topoName,
 			Seed:      *seed,
 			DurMS:     dur.Milliseconds(),
-			Wire:      wire,
 			Result:    res,
 		})
 	}

@@ -46,7 +46,7 @@ func TestBuildGraph(t *testing.T) {
 	}
 }
 
-// loadReportMirror pins the lme/load/v2 document: every JSON key the
+// loadReportMirror pins the lme/load/v3 document: every JSON key the
 // report emits must appear here, and decoding with DisallowUnknownFields
 // fails the test when a field is added without bumping (or at least
 // consciously extending) the schema. Nested documents carry their own
@@ -57,7 +57,6 @@ type loadReportMirror struct {
 	Topology  string `json:"topology"`
 	Seed      uint64 `json:"seed"`
 	DurMS     int64  `json:"duration_ms"`
-	Wire      string `json:"wire"`
 
 	Nodes     int     `json:"nodes"`
 	Clients   int     `json:"clients"`
@@ -87,12 +86,12 @@ type loadReportMirror struct {
 	TransportStats json.RawMessage `json:"transport_stats"`
 }
 
-// TestLoadSchemaV2Golden round-trips a fully populated report through
+// TestLoadSchemaV3Golden round-trips a fully populated report through
 // JSON and asserts the schema tag plus the v2 wire-cost fields survive
 // with no unknown keys — the cross-version compatibility contract for
 // any consumer parsing lmeload -json output.
-func TestLoadSchemaV2Golden(t *testing.T) {
-	if LoadSchema != "lme/load/v2" {
+func TestLoadSchemaV3Golden(t *testing.T) {
+	if LoadSchema != "lme/load/v3" {
 		t.Fatalf("LoadSchema = %q — update the golden mirror for the new version", LoadSchema)
 	}
 	rep := report{
@@ -101,7 +100,6 @@ func TestLoadSchemaV2Golden(t *testing.T) {
 		Topology:  "ring(64)",
 		Seed:      7,
 		DurMS:     2000,
-		Wire:      "codec",
 		Result: loadgen.Result{
 			Nodes:           64,
 			Clients:         64,
@@ -125,13 +123,10 @@ func TestLoadSchemaV2Golden(t *testing.T) {
 	dec.DisallowUnknownFields()
 	var got loadReportMirror
 	if err := dec.Decode(&got); err != nil {
-		t.Fatalf("lme/load/v2 document has a key the mirror does not pin: %v\n%s", err, blob)
+		t.Fatalf("lme/load/v3 document has a key the mirror does not pin: %v\n%s", err, blob)
 	}
-	if got.Schema != "lme/load/v2" {
-		t.Errorf("schema %q, want lme/load/v2", got.Schema)
-	}
-	if got.Wire != "codec" {
-		t.Errorf("wire %q, want codec", got.Wire)
+	if got.Schema != "lme/load/v3" {
+		t.Errorf("schema %q, want lme/load/v3", got.Schema)
 	}
 	if got.BytesPerAcq != 812.25 || got.DatagramsPerAcq != 6.4 {
 		t.Errorf("wire-cost fields bytes_per_acq=%v datagrams_per_acq=%v, want 812.25 / 6.4",

@@ -104,9 +104,6 @@ func (n *GlobalToken) Init(env core.Env) { n.env = env }
 // State implements core.Protocol.
 func (n *GlobalToken) State() core.State { return n.state }
 
-// Holder exposes the token direction (for tests).
-func (n *GlobalToken) Holder() core.NodeID { return n.holder }
-
 // BecomeHungry implements core.Protocol.
 func (n *GlobalToken) BecomeHungry() {
 	if n.state != core.Thinking {

@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"encoding/gob"
 	"math/rand/v2"
 
 	"lme/internal/core"
@@ -9,16 +8,10 @@ import (
 )
 
 // Register the baselines' message types for the live runtime: explicit
-// binary codecs (type IDs 0x0301–0x0304) on the hot path, gob retained
-// as the differential-test oracle; see internal/lme1/wire.go for the
-// layering rationale. (ChoySingh and NoNotify reuse lme1/lme2 messages,
-// registered there.)
+// binary codecs (type IDs 0x0301–0x0304); see internal/lme1/wire.go for
+// the layering rationale. (ChoySingh and NoNotify reuse lme1/lme2
+// messages, registered there.)
 func init() {
-	gob.Register(cmReq{})
-	gob.Register(cmFork{})
-	gob.Register(tokenReq{})
-	gob.Register(tokenGrant{})
-
 	empty := func(proto core.Message) func(b []byte) (core.Message, error) {
 		return func(b []byte) (core.Message, error) {
 			return proto, wire.NewReader(b).Done()

@@ -29,7 +29,6 @@ import (
 	"lme/internal/graph"
 	"lme/internal/metrics"
 	"lme/internal/sim"
-	"lme/internal/span"
 	"lme/internal/telemetry"
 	"lme/internal/trace"
 )
@@ -86,10 +85,6 @@ type Config struct {
 	// pass NewUDPTransport for real sockets. The cluster owns Start and
 	// Close either way.
 	Transport Transport
-
-	// Spans attaches the causal span layer to the cluster bus: CS-attempt
-	// spans over real clocks, summarised by SpanSummary after Stop.
-	Spans bool
 
 	// TraceRing keeps the last TraceRing events on the bus for
 	// Bus().Recent. The default 0 keeps none; a ring consumes every event
@@ -236,7 +231,6 @@ type Cluster struct {
 	bus   *trace.Bus
 	busMu sync.Mutex // the bus is single-threaded; live goroutines serialise here
 	namer *trace.TypeNamer
-	spans *span.Collector
 
 	start   time.Time
 	stopCh  chan struct{}
@@ -343,13 +337,6 @@ func New(cfg Config, g *graph.Graph, protocols []core.Protocol) (*Cluster, error
 		})
 	}
 	c.checker = metrics.NewSafetyChecker(topoAdapter{c})
-	if cfg.Spans {
-		c.spans = span.New()
-		c.spans.Attach(c.bus)
-		for _, e := range g.Edges() {
-			c.spans.SeedLink(core.NodeID(e[0]), core.NodeID(e[1]))
-		}
-	}
 	if cfg.Transport == nil {
 		cfg.Transport = NewChannelTransport(g, cfg.MaxMessageDelay, cfg.Seed)
 		c.cfg.Transport = cfg.Transport
@@ -373,7 +360,7 @@ func (t topoAdapter) Neighbors(id core.NodeID) []core.NodeID {
 // the bus itself is single-threaded, so the cluster serialises publishes
 // from its goroutines internally, and subscribers run one at a time. The
 // stream is pay-per-subscriber: the cluster publishes only the kinds
-// something consumes (a Subscribe, Config.Spans, a TraceRing or a sink),
+// something consumes (a Subscribe, a TraceRing or a sink),
 // and a cluster nobody observes publishes nothing and never takes the
 // serialising lock on the frame path.
 func (c *Cluster) Bus() *trace.Bus { return c.bus }
@@ -446,11 +433,6 @@ func (c *Cluster) Stop() error {
 		sh.inbox.close()
 	}
 	c.wg.Wait()
-	if c.spans != nil {
-		c.busMu.Lock()
-		c.spans.Finalize(c.now())
-		c.busMu.Unlock()
-	}
 	c.bus.Flush() //nolint:errcheck // loss is visible via SinkDropped
 	return c.checker.Err()
 }
@@ -637,17 +619,6 @@ func (c *Cluster) MessagesDelivered() uint64 {
 		total += n.delivered.Load()
 	}
 	return total
-}
-
-// SpanSummary returns the span layer's fold of the run (zero value when
-// Config.Spans was off). Call after Stop.
-func (c *Cluster) SpanSummary() span.Summary {
-	if c.spans == nil {
-		return span.Summary{}
-	}
-	c.busMu.Lock()
-	defer c.busMu.Unlock()
-	return c.spans.Summary()
 }
 
 // onState serialises state transitions for the checker and resolves

@@ -7,7 +7,6 @@ package livenet
 // and the link must recover to full FIFO delivery afterwards.
 
 import (
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -45,10 +44,8 @@ func TestTransportStatsCounters(t *testing.T) {
 			if st.Schema != telemetry.Schema {
 				t.Errorf("schema %q, want %q", st.Schema, telemetry.Schema)
 			}
-			// The maker name may carry a wire-mode suffix ("udp-gob");
-			// Kind names the implementation, not the payload encoding.
-			if want := strings.TrimSuffix(name, "-gob"); st.Kind != want {
-				t.Errorf("kind %q, want %q", st.Kind, want)
+			if st.Kind != name {
+				t.Errorf("kind %q, want %q", st.Kind, name)
 			}
 			if st.FramesSent < msgs {
 				t.Errorf("frames_sent %d, want >= %d", st.FramesSent, msgs)

@@ -8,7 +8,6 @@ package livenet
 // loopback transport.
 
 import (
-	"encoding/gob"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -19,14 +18,13 @@ import (
 	"lme/internal/wire"
 )
 
-// confMsg is the test payload; registered with both the codec registry
-// (test-range type ID) and gob so every UDP wire mode can move it.
+// confMsg is the test payload, registered with the codec registry under
+// a test-range type ID.
 type confMsg struct {
 	N int
 }
 
 func init() {
-	gob.Register(confMsg{})
 	wire.Register(wire.Codec{
 		ID: 0x7F01, Name: "livenet_test.conf", Proto: confMsg{},
 		Append: func(b []byte, m core.Message) []byte {
@@ -46,9 +44,8 @@ func init() {
 // transportMaker builds a fresh transport over g for each subtest.
 type transportMaker func(t *testing.T, g *graph.Graph) Transport
 
-// makers returns the conformance matrix: the channel transport, the UDP
-// transport on the codec fast path, and the UDP transport on the gob
-// oracle path — the shim semantics must be payload-encoding-agnostic.
+// makers returns the conformance matrix: the channel transport and the
+// UDP transport.
 func makers() map[string]transportMaker {
 	return map[string]transportMaker{
 		"channel": func(t *testing.T, g *graph.Graph) Transport {
@@ -58,13 +55,6 @@ func makers() map[string]transportMaker {
 			tr, err := NewUDPTransport(g, 0)
 			if err != nil {
 				t.Fatalf("NewUDPTransport: %v", err)
-			}
-			return tr
-		},
-		"udp-gob": func(t *testing.T, g *graph.Graph) Transport {
-			tr, err := NewUDPTransportOpts(g, UDPOptions{Gob: true})
-			if err != nil {
-				t.Fatalf("NewUDPTransportOpts: %v", err)
 			}
 			return tr
 		},

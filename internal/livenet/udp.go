@@ -1,8 +1,6 @@
 package livenet
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"net"
@@ -57,8 +55,7 @@ import (
 // (ACK debts with no traffic to ride on, a cork whose promise was broken)
 // is flushed by the timer loop after RTO/8. Payloads are encoded by the
 // zero-allocation codecs each algorithm's wire.go registers with
-// internal/wire; the gob path (UDPOptions.Gob) is retained as the
-// differential-test oracle and benchmark baseline.
+// internal/wire.
 //
 // Lock order: port (udpPort.mu) → link (udpSendLink.mu) → the port's ACK
 // list (udpPort.ackMu). The receive side starts from the port's receive
@@ -104,16 +101,6 @@ type UDPOptions struct {
 	RTO time.Duration
 	// MTU is the datagram coalescing budget in bytes (default 1400).
 	MTU int
-	// Gob switches payload encoding to the encoding/gob oracle (one
-	// encoder per message, as before the codec registry). Benchmarks and
-	// differential tests only.
-	Gob bool
-}
-
-// wirePayload wraps the protocol message so gob encodes it as an
-// interface value (restoring the concrete registered type on decode).
-type wirePayload struct {
-	M core.Message
 }
 
 // udpPort is one block of nodes behind one socket.
@@ -241,7 +228,6 @@ type udpParked struct {
 	mseq    uint64
 	sentAt  int64
 	payload []byte
-	gob     bool
 }
 
 // udpReorderCap bounds the reorder buffer per link; frames beyond the
@@ -265,7 +251,6 @@ type UDPTransport struct {
 	deliver DeliverFunc
 	rto     time.Duration
 	mtu     int
-	gob     bool
 	started bool
 	closed  atomic.Bool
 	stopCh  chan struct{}
@@ -312,7 +297,6 @@ func newUDPTransport(g *graph.Graph, opts UDPOptions, nports int) (*UDPTransport
 		recv:   make(map[linkKey]*udpRecvLink, 2*len(g.Edges())),
 		rto:    opts.RTO,
 		mtu:    opts.MTU,
-		gob:    opts.Gob,
 		stopCh: make(chan struct{}),
 	}
 	for range nports {
@@ -440,9 +424,6 @@ func (t *UDPTransport) encode(sl *udpSendLink, f Frame) bool {
 	}
 	if len(sl.buf) == 0 {
 		sl.buf = wire.AppendDgramHeader(sl.buf, uint32(sl.from), uint32(sl.to))
-		if t.gob {
-			wire.SetDgramGob(sl.buf)
-		}
 		sl.bufSeq = sl.nextSeq
 	}
 	// Encode the frame in place: header with a zero length, payload
@@ -459,20 +440,11 @@ func (t *UDPTransport) encode(sl *udpSendLink, f Frame) bool {
 	seq := sl.nextSeq
 	sl.buf = wire.AppendFrame(sl.buf, seq, f.Mseq, int64(f.SentAt), nil)
 	payStart := len(sl.buf)
-	if t.gob {
-		var gbuf bytes.Buffer
-		if err := gob.NewEncoder(&gbuf).Encode(wirePayload{M: f.Msg}); err != nil {
-			rollback()
-			return false
-		}
-		sl.buf = append(sl.buf, gbuf.Bytes()...)
-	} else {
-		var err error
-		sl.buf, err = wire.AppendMessage(sl.buf, f.Msg)
-		if err != nil {
-			rollback()
-			panic(err) // *wire.UnregisteredError: fail loudly at Send
-		}
+	var err error
+	sl.buf, err = wire.AppendMessage(sl.buf, f.Msg)
+	if err != nil {
+		rollback()
+		panic(err) // *wire.UnregisteredError: fail loudly at Send
 	}
 	paylen := len(sl.buf) - payStart
 	if paylen > udpMaxPayload {
@@ -682,9 +654,6 @@ func (t *UDPTransport) resendLink(sl *udpSendLink, now time.Time, dgram []byte) 
 	for i, frame := range due {
 		if frames == 0 {
 			dgram = wire.AppendDgramHeader(dgram[:0], uint32(sl.from), uint32(sl.to))
-			if t.gob {
-				wire.SetDgramGob(dgram)
-			}
 			if acks > 0 {
 				wire.SetDgramAck(dgram, cum)
 			}
@@ -756,7 +725,7 @@ func (t *UDPTransport) onTrain(p *udpPort, pkt []byte) {
 			t.onAck(rl.rev, hdr.Ack, now)
 		}
 		if len(frames) > 0 {
-			t.onFrames(rl, frames, hdr.Gob())
+			t.onFrames(rl, frames)
 		}
 	}
 }
@@ -793,7 +762,7 @@ func (t *UDPTransport) onAck(sl *udpSendLink, cum uint64, now time.Time) {
 // onFrames runs the receiver shim over every frame of one link datagram —
 // dedup, reorder, in-sequence delivery — then records the cumulative-ACK
 // debt on the reverse link (settled by its port's next flush).
-func (t *UDPTransport) onFrames(rl *udpRecvLink, body []byte, gobbed bool) {
+func (t *UDPTransport) onFrames(rl *udpRecvLink, body []byte) {
 	rl.mu.Lock()
 	if rl.down {
 		rl.mu.Unlock()
@@ -805,7 +774,7 @@ func (t *UDPTransport) onFrames(rl *udpRecvLink, body []byte, gobbed bool) {
 			break // truncated datagram tail; retransmission recovers
 		}
 		body = rest
-		t.frameLocked(rl, f, gobbed)
+		t.frameLocked(rl, f)
 	}
 	cum := rl.nextSeq - 1
 	rl.mu.Unlock()
@@ -813,7 +782,7 @@ func (t *UDPTransport) onFrames(rl *udpRecvLink, body []byte, gobbed bool) {
 }
 
 // frameLocked applies the shim to one frame. Caller holds rl.mu.
-func (t *UDPTransport) frameLocked(rl *udpRecvLink, f wire.FrameView, gobbed bool) {
+func (t *UDPTransport) frameLocked(rl *udpRecvLink, f wire.FrameView) {
 	switch {
 	case f.Seq < rl.nextSeq:
 		// Duplicate of a delivered frame (lost ack or retransmit race).
@@ -828,7 +797,7 @@ func (t *UDPTransport) frameLocked(rl *udpRecvLink, f wire.FrameView, gobbed boo
 			if rl.reorder == nil {
 				rl.reorder = make(map[uint64]udpParked)
 			}
-			rl.reorder[f.Seq] = udpParked{mseq: f.Mseq, sentAt: f.SentAt, payload: payload, gob: gobbed}
+			rl.reorder[f.Seq] = udpParked{mseq: f.Mseq, sentAt: f.SentAt, payload: payload}
 			if d := uint64(len(rl.reorder)); d > rl.depthHW {
 				rl.depthHW = d
 			}
@@ -842,21 +811,21 @@ func (t *UDPTransport) frameLocked(rl *udpRecvLink, f wire.FrameView, gobbed boo
 		return
 	}
 	// In sequence: deliver, then drain the reorder buffer.
-	t.deliverLocked(rl, f.Mseq, f.SentAt, f.Payload, gobbed)
+	t.deliverLocked(rl, f.Mseq, f.SentAt, f.Payload)
 	for len(rl.reorder) > 0 {
 		next, ok := rl.reorder[rl.nextSeq]
 		if !ok {
 			break
 		}
 		delete(rl.reorder, rl.nextSeq)
-		t.deliverLocked(rl, next.mseq, next.sentAt, next.payload, next.gob)
+		t.deliverLocked(rl, next.mseq, next.sentAt, next.payload)
 	}
 }
 
 // deliverLocked decodes and hands one in-sequence frame up, advancing
 // the shim state. Caller holds rl.mu, which serialises deliveries per
 // link — the FIFO contract.
-func (t *UDPTransport) deliverLocked(rl *udpRecvLink, mseq uint64, sentAt int64, payload []byte, gobbed bool) {
+func (t *UDPTransport) deliverLocked(rl *udpRecvLink, mseq uint64, sentAt int64, payload []byte) {
 	rl.nextSeq++
 	if mseq <= rl.lastMseq {
 		// Msg-id dedup: per link the sender's message ids are strictly
@@ -865,13 +834,7 @@ func (t *UDPTransport) deliverLocked(rl *udpRecvLink, mseq uint64, sentAt int64,
 		rl.dupDrops++
 		return
 	}
-	var msg core.Message
-	var err error
-	if gobbed {
-		msg, err = decodePayload(payload)
-	} else {
-		msg, err = wire.DecodeMessage(payload)
-	}
+	msg, err := wire.DecodeMessage(payload)
 	if err != nil {
 		return // undecodable payload; retransmission cannot help, drop
 	}
@@ -997,14 +960,4 @@ func (t *UDPTransport) Close() error {
 	t.closeConns()
 	t.wg.Wait()
 	return nil
-}
-
-// decodePayload restores the concrete gob-registered message type (the
-// oracle path; hot-path decoding goes through wire.DecodeMessage).
-func decodePayload(b []byte) (core.Message, error) {
-	var p wirePayload
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&p); err != nil {
-		return nil, err
-	}
-	return p.M, nil
 }

@@ -310,6 +310,10 @@ func hostileTrains() []hostileTrain {
 	withVersion := func(train []byte, v byte) []byte { train[0] = v; return train }
 	badInner := good(1)
 	badInner[0] = 9
+	// flagged sets a flags bit other than FlagAck on a section that would
+	// otherwise deliver 1 and 2.
+	flagged := func(bit uint) []byte { d := good(1, 2); d[1] |= 1 << bit; return d }
+	acked := func(d []byte) []byte { wire.SetDgramAck(d, 1); return d }
 	return []hostileTrain{
 		{"good train", trainOf(good(1), good(2, 3)), []int{1, 2, 3}},
 		{"empty", nil, nil},
@@ -327,6 +331,8 @@ func hostileTrains() []hostileTrain {
 		{"not an edge, then good", trainOf(linkDgram(0, 2, 1), good(1)), []int{1}},
 		{"a section repeated", trainOf(good(1), good(1), good(2)), []int{1, 2}},
 		{"truncated frame tail", trainOf(good(1), good(2)[:wire.DgramHeaderLen+wire.FrameHeaderLen]), []int{1}},
+		{"flag bit 1, then good", trainOf(flagged(1), good(1)), []int{1}},
+		{"flag bit 7 beside FlagAck, then good", trainOf(acked(flagged(7)), good(1)), []int{1}},
 	}
 }
 

@@ -256,7 +256,7 @@ func TestUDPAckPiggyback(t *testing.T) {
 	}
 }
 
-// unregMsg has no wire codec (and no gob registration): Send must fail
+// unregMsg has no wire codec: Send must fail
 // loudly at the sender, never surface as a silent drop or a peer-side
 // decode error.
 type unregMsg struct{ X int }
@@ -283,29 +283,4 @@ func TestUDPSendUnregisteredPanics(t *testing.T) {
 		}
 	}()
 	tr.Send(Frame{From: 0, To: 1, Msg: unregMsg{X: 1}, Mseq: 1})
-}
-
-// TestUDPGobModeUnregisteredDrops pins the oracle path's legacy
-// semantics: in gob mode an unencodable payload is silently dropped (no
-// panic), matching the pre-codec transport.
-func TestUDPGobModeUnregisteredDrops(t *testing.T) {
-	g := graph.Line(2)
-	tr, err := NewUDPTransportOpts(g, UDPOptions{Gob: true})
-	if err != nil {
-		t.Fatalf("NewUDPTransportOpts: %v", err)
-	}
-	col := newCollector()
-	if err := tr.Start(col.deliver); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	defer tr.Close() //nolint:errcheck
-
-	tr.Send(Frame{From: 0, To: 1, Msg: unregMsg{X: 1}, Mseq: 1})
-	tr.Send(Frame{From: 0, To: 1, Msg: confMsg{N: 7}, Mseq: 2})
-	if !waitFor(t, 5*time.Second, func() bool { return col.count() >= 1 }) {
-		t.Fatal("the encodable frame never arrived")
-	}
-	if got := col.link(0, 1); len(got) != 1 || got[0].Msg.(confMsg).N != 7 {
-		t.Fatalf("delivered %v, want only the encodable frame", got)
-	}
 }

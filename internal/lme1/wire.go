@@ -1,7 +1,6 @@
 package lme1
 
 import (
-	"encoding/gob"
 	"math/rand/v2"
 
 	"lme/internal/coloring"
@@ -14,18 +13,8 @@ import (
 // binary codecs registered here (type IDs 0x0101–0x0108; see
 // internal/wire). Registration keeps the algorithm core free of any
 // runtime import: the transport never names these types, and this
-// package never names the transport. gob registration is retained for
-// the differential-test oracle and the transport's -wire gob mode.
+// package never names the transport.
 func init() {
-	gob.Register(msgDoorway{})
-	gob.Register(msgUpdateColor{})
-	gob.Register(msgStatus{})
-	gob.Register(msgReq{})
-	gob.Register(msgFork{})
-	gob.Register(msgNACK{})
-	gob.Register(msgGraph{})
-	gob.Register(msgTempColor{})
-
 	wire.Register(wire.Codec{
 		ID: 0x0101, Name: "lme1.doorway", Proto: msgDoorway{},
 		Append: func(b []byte, m core.Message) []byte {

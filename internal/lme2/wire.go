@@ -1,7 +1,6 @@
 package lme2
 
 import (
-	"encoding/gob"
 	"math/rand/v2"
 
 	"lme/internal/core"
@@ -9,15 +8,9 @@ import (
 )
 
 // Register the protocol's message types for the live runtime: explicit
-// binary codecs (type IDs 0x0201–0x0204) on the hot path, gob retained
-// as the differential-test oracle; see internal/lme1/wire.go for the
-// layering rationale.
+// binary codecs (type IDs 0x0201–0x0204); see internal/lme1/wire.go for
+// the layering rationale.
 func init() {
-	gob.Register(msgNotification{})
-	gob.Register(msgSwitch{})
-	gob.Register(msgReq{})
-	gob.Register(msgFork{})
-
 	wire.Register(wire.Codec{
 		ID: 0x0201, Name: "lme2.notification", Proto: msgNotification{},
 		Append: func(b []byte, _ core.Message) []byte { return b },

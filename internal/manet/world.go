@@ -272,11 +272,9 @@ type World struct {
 	nodes []*node
 
 	// grid is the spatial index link maintenance queries; scratch is its
-	// reusable candidate buffer. bruteLinks disables the index in favour
-	// of the all-pairs reference scan (the differential tests' oracle).
-	grid       grid
-	scratch    []core.NodeID
-	bruteLinks bool
+	// reusable candidate buffer.
+	grid    grid
+	scratch []core.NodeID
 
 	// freeDeliveries and freeTickers pool the reusable in-flight message
 	// and movement-tick records of the closure-free timer paths.
@@ -583,9 +581,7 @@ func (w *World) emit(n *node, e trace.Event) {
 // sharded engine, its tile assignment and pending events — in sync.
 // Coordinator context only (topology events are serialised there).
 func (w *World) relocate(n *node, p graph.Point) {
-	if !w.bruteLinks {
-		w.grid.move(n.id, n.pos, p)
-	}
+	w.grid.move(n.id, n.pos, p)
 	n.pos = p
 	if sx := w.shard; sx != nil {
 		sx.migrate(n)
@@ -615,33 +611,22 @@ func (w *World) Start() error {
 		}
 	}
 	w.started = true
-	nn := len(w.nodes)
 	r2 := w.cfg.Radius * w.cfg.Radius
-	if w.bruteLinks {
-		for i := range w.nodes {
-			for j := i + 1; j < nn; j++ {
-				if w.nodes[i].pos.Dist2(w.nodes[j].pos) <= r2 {
-					w.addLink(w.nodes[i].id, w.nodes[j].id)
-				}
+	w.grid = newGrid(w.cfg.Radius)
+	for _, n := range w.nodes {
+		w.grid.insert(n.id, n.pos)
+	}
+	for _, n := range w.nodes {
+		cand := w.grid.appendNearby(n.pos, w.scratch[:0])
+		for _, j := range cand {
+			if j <= n.id {
+				continue // each unordered pair once
+			}
+			if n.pos.Dist2(w.nodes[j].pos) <= r2 {
+				w.addLink(n.id, j)
 			}
 		}
-	} else {
-		w.grid = newGrid(w.cfg.Radius)
-		for _, n := range w.nodes {
-			w.grid.insert(n.id, n.pos)
-		}
-		for _, n := range w.nodes {
-			cand := w.grid.appendNearby(n.pos, w.scratch[:0])
-			for _, j := range cand {
-				if j <= n.id {
-					continue // each unordered pair once
-				}
-				if n.pos.Dist2(w.nodes[j].pos) <= r2 {
-					w.addLink(n.id, j)
-				}
-			}
-			w.scratch = cand[:0]
-		}
+		w.scratch = cand[:0]
 	}
 	if w.cfg.Tiles > 1 {
 		w.initShard()
@@ -1087,21 +1072,11 @@ func (w *World) pickMovingSide(a, b *node) core.NodeID {
 // positions. Candidates come from the spatial index (possible link-ups)
 // plus the current neighbour list (possible link-downs); any node in
 // neither set is out of range with no link, for which setLink would be a
-// no-op — so the grid path transitions exactly the links the reference
-// all-pairs scan would, in the same ascending-ID order, and the event
-// streams coincide bit for bit.
+// no-op — so it transitions exactly the links an all-pairs scan would, in
+// ascending peer order (the differential tests check both).
 func (w *World) refreshLinks(id core.NodeID) {
 	n := w.nodes[id]
 	r2 := w.cfg.Radius * w.cfg.Radius
-	if w.bruteLinks {
-		for _, other := range w.nodes {
-			if other.id == id {
-				continue
-			}
-			w.setLink(id, other.id, n.pos.Dist2(other.pos) <= r2)
-		}
-		return
-	}
 	cand := append(w.scratch[:0], n.nbrs...)
 	cand = w.grid.appendNearby(n.pos, cand)
 	slices.Sort(cand)

@@ -61,3 +61,22 @@ func TestAtRunnerAllocFree(t *testing.T) {
 		t.Fatalf("AtRunner+Step allocates %.1f times per op, want 0", allocs)
 	}
 }
+
+// TestClosureChurnAllocFree: a standing population of events where every
+// executed one reschedules the same closure at a pseudo-random later
+// instant — the timer churn of a running world — allocates nothing per
+// event.
+func TestClosureChurnAllocFree(t *testing.T) {
+	s := NewScheduler(42)
+	var fire func()
+	fire = func() { s.After(Time(1+s.Rand().Int64N(1_000)), fire) }
+	for i := 0; i < 512; i++ {
+		s.At(Time(i), fire)
+	}
+	for i := 0; i < 10_000; i++ {
+		s.Step()
+	}
+	if allocs := testing.AllocsPerRun(1_000, func() { s.Step() }); allocs != 0 {
+		t.Fatalf("a churning Step allocates %.2f times", allocs)
+	}
+}

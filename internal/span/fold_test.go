@@ -156,3 +156,57 @@ func TestNodeAggregates(t *testing.T) {
 		t.Fatalf("node aggregates = %+v, want %+v", got, want)
 	}
 }
+
+// TestStreamingFoldAllocs pins the steady-state cost of a streaming
+// collector that is never restarted, folding complete CS attempts —
+// hungry, doorway enter/cross, request and fork, eating, exit, thinking:
+// once its tables have grown, nothing per event and at most
+// allocsPerAttempt short-lived objects per closed attempt (the phase list
+// and the fold's scratch), whatever the run length. Each pass replays the
+// same attempts later in virtual time.
+func TestStreamingFoldAllocs(t *testing.T) {
+	const allocsPerAttempt = 5
+	const rounds, nodes = 40, 8
+	var evs []trace.Event
+	at := sim.Time(0)
+	for round := 0; round < rounds; round++ {
+		for n := core.NodeID(0); n < nodes; n++ {
+			peer := (n + 1) % nodes
+			seq := uint64(round*nodes) + uint64(n)
+			for _, e := range []trace.Event{
+				evState(n, "thinking", "hungry", 0),
+				evDoorway(n, "enter", "adr", 0),
+				evDoorway(n, "cross", "adr", 0),
+				evSend(n, peer, "req", seq, 0),
+				evDeliver(n, peer, "fork", seq, 0),
+				evState(n, "hungry", "eating", 0),
+				evDoorway(n, "exit", "adr", 0),
+				evState(n, "eating", "thinking", 0),
+			} {
+				at += 37
+				e.At = at
+				evs = append(evs, e)
+			}
+		}
+	}
+	c := NewStreaming()
+	var base sim.Time
+	pass := func() {
+		for _, e := range evs {
+			e.At += base
+			c.Feed(e)
+		}
+		base += at
+	}
+	for range 10 {
+		pass()
+	}
+	const attempts = rounds * nodes
+	if avg := testing.AllocsPerRun(20, pass); avg > allocsPerAttempt*attempts {
+		t.Fatalf("the streaming fold allocates %.0f times per pass of %d attempts, budget %d per attempt",
+			avg, attempts, allocsPerAttempt)
+	}
+	if c.OpenCount() != 0 {
+		t.Fatalf("%d attempts left open", c.OpenCount())
+	}
+}

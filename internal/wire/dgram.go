@@ -16,7 +16,7 @@ import (
 //
 //	header (18 bytes):
 //	  [0]     version  = 2
-//	  [1]     flags    bit0 FlagAck (ack field valid), bit1 FlagGob
+//	  [1]     flags    bit0 FlagAck (ack field valid); every other bit 0
 //	  [2:6]   from     uint32 BE (sender node)
 //	  [6:10]  to       uint32 BE (receiver node)
 //	  [10:18] ack      uint64 BE cumulative ack for the to→from link
@@ -25,9 +25,10 @@ import (
 //	  [8:16]  mseq     uint64 BE (per-message dedup id)
 //	  [16:24] sentAt   int64  BE unix nanos (RTT sampling)
 //	  [24:28] paylen   uint32 BE
-//	  [28:]   payload  (codec bytes, or gob when FlagGob)
+//	  [28:]   payload  (codec bytes, see wire.go)
 //
-// A header with no frames carries only the ACK.
+// A header with no frames carries only the ACK. A header with a flag bit
+// other than FlagAck does not parse: no frame of it is decoded.
 //
 // Train format v3 — what a socket write carries. The transport hosts many
 // nodes behind one socket, so one UDP datagram is a train of v2 link
@@ -46,7 +47,6 @@ const (
 	FrameHeaderLen = 28
 
 	FlagAck = 1 << 0
-	FlagGob = 1 << 1
 )
 
 // AppendDgramHeader appends a v2 header with no ACK and no frames.
@@ -64,9 +64,6 @@ func SetDgramAck(dgram []byte, ack uint64) {
 	binary.BigEndian.PutUint64(dgram[10:18], ack)
 }
 
-// SetDgramGob marks the datagram's payloads as gob-encoded.
-func SetDgramGob(dgram []byte) { dgram[1] |= FlagGob }
-
 // AppendFrame appends one frame (header + payload) to a datagram under
 // construction.
 func AppendFrame(buf []byte, seq, mseq uint64, sentAt int64, payload []byte) []byte {
@@ -76,10 +73,6 @@ func AppendFrame(buf []byte, seq, mseq uint64, sentAt int64, payload []byte) []b
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
 	return append(buf, payload...)
 }
-
-// FrameSize returns the on-wire size of a frame with the given payload
-// length — what the MTU budget accounts per frame.
-func FrameSize(payloadLen int) int { return FrameHeaderLen + payloadLen }
 
 // BackfillFrameLen patches the paylen field of the frame starting at
 // frameStart, for senders that AppendFrame with an empty payload and
@@ -101,17 +94,18 @@ type DgramHeader struct {
 // HasAck reports whether the ACK field is valid.
 func (h DgramHeader) HasAck() bool { return h.Flags&FlagAck != 0 }
 
-// Gob reports whether the frame payloads are gob-encoded.
-func (h DgramHeader) Gob() bool { return h.Flags&FlagGob != 0 }
-
 // ParseDgram splits a received datagram into its header and the frame
-// region (possibly empty for a standalone ACK).
+// region (possibly empty for a standalone ACK). Unknown flag bits are an
+// error.
 func ParseDgram(pkt []byte) (DgramHeader, []byte, error) {
 	if len(pkt) < DgramHeaderLen {
 		return DgramHeader{}, nil, fmt.Errorf("wire: datagram too short (%d bytes)", len(pkt))
 	}
 	if pkt[0] != DgramVersion {
 		return DgramHeader{}, nil, fmt.Errorf("wire: datagram version %d, want %d", pkt[0], DgramVersion)
+	}
+	if pkt[1]&^FlagAck != 0 {
+		return DgramHeader{}, nil, fmt.Errorf("wire: datagram flags %#02x, only FlagAck is defined", pkt[1])
 	}
 	h := DgramHeader{
 		Flags: pkt[1],

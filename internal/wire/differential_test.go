@@ -2,10 +2,12 @@ package wire_test
 
 // Codec differential suite: every registered message type must
 // round-trip byte-exactly through its hand-written codec and decode to
-// the same value the retained gob oracle produces — the same
+// the same value the encoding/gob oracle produces — the same
 // oracle-vs-fast-path discipline DESIGN.md §10 applies to the
 // observability encoders. Runs over the full shipped registry (the
-// blank imports pull in each algorithm's wire.go registrations).
+// blank imports pull in each algorithm's wire.go registrations); gob
+// learns the concrete types here, from each codec's Sample, so no
+// shipped package imports encoding/gob.
 
 import (
 	"bytes"
@@ -22,10 +24,19 @@ import (
 	_ "lme/internal/lme2"
 )
 
-// oraclePayload mirrors the transport's gob framing: the message rides
-// as an interface value so gob restores the registered concrete type.
+// oraclePayload is the oracle's framing: the message rides as an
+// interface value so gob restores the registered concrete type.
 type oraclePayload struct {
 	M core.Message
+}
+
+func init() {
+	rng := rand.New(rand.NewPCG(0x60B, 0))
+	for _, c := range wire.Registered() {
+		if c.Sample != nil {
+			gob.Register(c.Sample(rng))
+		}
+	}
 }
 
 func gobRoundTrip(t *testing.T, msg core.Message) core.Message {
@@ -146,5 +157,98 @@ func TestCodecRejectsMutations(t *testing.T) {
 				wire.DecodeMessage(enc[:cut]) //nolint:errcheck
 			}()
 		}
+	}
+}
+
+// codecVsGobBudget caps TestCodecVsGob: the codecs must run in at most
+// half the gob oracle's time per message, in both directions.
+const codecVsGobBudget = 0.5
+
+// TestCodecVsGob times the codecs against the gob oracle — one fresh gob
+// encoder or decoder per message, the way a per-frame transport would run
+// it — over one sample of every shipped message type, back to back in one
+// process, so the ratio does not depend on the machine's speed. A ratio
+// above the budget means the fast path has stopped being one.
+func TestCodecVsGob(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times four benchmarks")
+	}
+	rng := rand.New(rand.NewPCG(0xBE7C, 0x7A11))
+	var msgs []core.Message
+	var encs, gobs [][]byte
+	for _, c := range wire.Registered() {
+		if c.Sample == nil {
+			continue
+		}
+		m := c.Sample(rng)
+		enc, err := wire.AppendMessage(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(oraclePayload{M: m}); err != nil {
+			t.Fatal(err)
+		}
+		msgs, encs, gobs = append(msgs, m), append(encs, enc), append(gobs, buf.Bytes())
+	}
+	nsPerOp := func(body func(i int) error) float64 {
+		r := testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := body(i % len(msgs)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		if r.N == 0 {
+			t.Fatal("benchmark did not run")
+		}
+		return float64(r.T.Nanoseconds()) / float64(r.N)
+	}
+	out := make([]byte, 0, 1024)
+	var buf bytes.Buffer
+	encC := nsPerOp(func(i int) (err error) {
+		out, err = wire.AppendMessage(out[:0], msgs[i])
+		return err
+	})
+	decC := nsPerOp(func(i int) error {
+		_, err := wire.DecodeMessage(encs[i])
+		return err
+	})
+	encG := nsPerOp(func(i int) error {
+		buf.Reset()
+		return gob.NewEncoder(&buf).Encode(oraclePayload{M: msgs[i]})
+	})
+	decG := nsPerOp(func(i int) error {
+		var p oraclePayload
+		return gob.NewDecoder(bytes.NewReader(gobs[i])).Decode(&p)
+	})
+	ratio := max(encC/encG, decC/decG)
+	t.Logf("codec vs gob %.3fx (encode %.1f vs %.1f ns, decode %.1f vs %.1f ns; budget %.2fx)",
+		ratio, encC, encG, decC, decG, codecVsGobBudget)
+	if ratio > codecVsGobBudget {
+		t.Errorf("codec vs gob %.3fx exceeds the %.2fx budget", ratio, codecVsGobBudget)
+	}
+}
+
+// TestCodecEncodeDoesNotAllocate: appending one sample of every shipped
+// message type to a reused buffer allocates nothing.
+func TestCodecEncodeDoesNotAllocate(t *testing.T) {
+	rng := rand.New(rand.NewPCG(0xA110C, 0))
+	var msgs []core.Message
+	for _, c := range wire.Registered() {
+		if c.Sample != nil {
+			msgs = append(msgs, c.Sample(rng))
+		}
+	}
+	buf := make([]byte, 0, 1024)
+	if avg := testing.AllocsPerRun(100, func() {
+		for _, m := range msgs {
+			var err error
+			if buf, err = wire.AppendMessage(buf[:0], m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); avg != 0 {
+		t.Fatalf("encoding %d messages allocates %.2f times", len(msgs), avg)
 	}
 }

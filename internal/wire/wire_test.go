@@ -135,7 +135,7 @@ func TestDgramRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hdr.From != 3 || hdr.To != 9 || !hdr.HasAck() || hdr.Ack != 42 || hdr.Gob() {
+	if hdr.From != 3 || hdr.To != 9 || !hdr.HasAck() || hdr.Ack != 42 || hdr.Flags != FlagAck {
 		t.Fatalf("header = %+v", hdr)
 	}
 	f1, rest, err := NextFrame(body)
@@ -191,15 +191,17 @@ func TestDgramRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestGobFlag pins that FlagAck is the only flag: a datagram with any
+// other bit of the flags byte set, bit 1 (gob payloads, retired)
+// included, does not parse.
 func TestGobFlag(t *testing.T) {
-	pkt := AppendDgramHeader(nil, 1, 2)
-	SetDgramGob(pkt)
-	hdr, _, err := ParseDgram(pkt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hdr.Gob() || hdr.HasAck() {
-		t.Fatalf("flags = %+v", hdr)
+	for bit := 1; bit < 8; bit++ {
+		pkt := AppendDgramHeader(nil, 1, 2)
+		SetDgramAck(pkt, 5)
+		pkt[1] |= 1 << bit
+		if _, _, err := ParseDgram(pkt); err == nil {
+			t.Errorf("flags %#02x parsed", pkt[1])
+		}
 	}
 }
 
@@ -251,5 +253,31 @@ func TestNextSectionRejectsCorruption(t *testing.T) {
 		if _, _, err := NextSection(body); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestDgramDoesNotAllocate: building an MTU-shaped datagram — header, 16
+// frames, piggybacked ACK — into a reused buffer and parsing it back frame
+// by frame allocates nothing.
+func TestDgramDoesNotAllocate(t *testing.T) {
+	payload := make([]byte, 64)
+	buf := make([]byte, 0, 2048)
+	const frames = 16
+	avg := testing.AllocsPerRun(100, func() {
+		buf = AppendDgramHeader(buf[:0], 3, 9)
+		for f := 0; f < frames; f++ {
+			buf = AppendFrame(buf, uint64(f+1), uint64(f+1), 0, payload)
+		}
+		SetDgramAck(buf, 7)
+		_, body, err := ParseDgram(buf)
+		for err == nil && len(body) > 0 {
+			_, body, err = NextFrame(body)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("a datagram round trip allocates %.2f times", avg)
 	}
 }
