@@ -1,6 +1,7 @@
 package livenet
 
 import (
+	"math"
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
@@ -121,88 +122,128 @@ type StatsSource interface {
 // linkKey identifies a directed link.
 type linkKey [2]core.NodeID
 
-// frameQueue is an unbounded FIFO of frames with blocking pop, the
-// channel transport's per-link buffer.
-type frameQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	items  []Frame
-	closed bool
-}
-
-func newFrameQueue() *frameQueue {
-	q := &frameQueue{}
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-// push enqueues f and reports whether the link still takes frames.
-func (q *frameQueue) push(f Frame) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return false
-	}
-	q.items = append(q.items, f)
-	q.cond.Signal()
-	return true
-}
-
-func (q *frameQueue) pop() (Frame, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if q.closed {
-		// A closed link destroys its in-flight frames (the simulator's
-		// LinkDown semantics); nothing is drained.
-		return Frame{}, false
-	}
-	f := q.items[0]
-	q.items[0] = Frame{} // the backing array must not keep the payload alive
-	q.items = q.items[1:]
-	return f, true
-}
-
-// isClosed reports whether the link was torn down; the forwarder checks
-// it after its delay sleep so a frame in flight when LinkDown ran is
-// destroyed rather than delivered.
-func (q *frameQueue) isClosed() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.closed
-}
-
-func (q *frameQueue) close() {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.closed = true
-	q.cond.Broadcast()
-}
-
-// ChannelTransport is the in-process transport: one unbounded FIFO queue
-// and one forwarder goroutine per directed link, each adding a uniform
-// random delay in (0, MaxDelay] before handing the frame to the cluster.
-// It keeps the live tests hermetic (no sockets) and race-clean, and it is
-// the transport the 10k-node load generator runs on. It has no datagrams
-// to share, so it ignores Frame.More.
+// ChannelTransport is the in-process transport. Every directed link is a
+// FIFO server whose service time is a uniform random delay in (0, ν]:
+// frame i on a link is due at max(sent_i, due_{i−1}) + delay_i. No link
+// runs a goroutine; a frame waits in the delay line of its destination's
+// block (the blocks the cluster's shards use), and one goroutine per line
+// hands frames to the cluster as they come due. It keeps the live tests
+// hermetic (no sockets) and race-clean, and it is the transport the
+// 10k-node load generator runs on. It has no datagrams to share, so it
+// ignores Frame.More.
 type ChannelTransport struct {
-	maxDelay time.Duration
-	seed     uint64
+	maxDelay int64 // ν in nanoseconds
+	epoch    time.Time
 
-	// links is built once by the constructor and never written again, so
-	// Send reads it without a lock; a link that went down is a closed
-	// queue, not a missing entry.
-	links   map[linkKey]*frameQueue
+	// index and links are built once by the constructor and never
+	// resized, so Send finds a link without a lock; a link that went down
+	// is flagged, not removed.
+	index   map[linkKey]int32
+	links   []chanLink
+	lines   []*delayLine
 	started bool
 
 	deliver DeliverFunc
 	closed  atomic.Bool
+	stopCh  chan struct{}
 	wg      sync.WaitGroup
+}
 
-	framesSent      atomic.Uint64
-	framesDelivered atomic.Uint64
+// chanLink is one directed link: its delay stream, the instant its latest
+// frame is due, and whether it went down.
+type chanLink struct {
+	line *delayLine
+	// rng and due are guarded by line.mu.
+	rng  *rand.Rand
+	due  int64
+	down atomic.Bool
+}
+
+// never is the deadline of an empty delay line.
+const never = math.MaxInt64
+
+// lineKeep is the capacity, in frames, a delay line keeps in its slab and
+// its delivery batch once it drains; larger buffers, left by a burst, are
+// released, so an idle cluster retains no high-water mark.
+const lineKeep = 32
+
+// lineItem is one frame in a delay line: when it is due and on which link.
+type lineItem struct {
+	due  int64
+	link int32
+	f    Frame
+}
+
+// delayLine holds the frames in flight to one block of nodes in a
+// value-typed 4-ary min-heap on due. A link's due instants strictly
+// increase, so due order is send order on every link.
+type delayLine struct {
+	mu    sync.Mutex
+	items []lineItem
+	// armed is the deadline the line's goroutine sleeps until (never when
+	// the line is empty); a sender that files an earlier frame wakes it.
+	armed int64
+	wake  chan struct{}
+	sent  uint64 // guarded by mu
+
+	delivered atomic.Uint64
+}
+
+// push files it and restores the heap order: the hole at the end climbs
+// while its parent is due later, as in sim.EventHeap.
+func (ln *delayLine) push(it lineItem) {
+	s := append(ln.items, lineItem{})
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if s[parent].due <= it.due {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
+	}
+	s[i] = it
+	ln.items = s
+}
+
+// pop removes and returns the earliest frame; the line must be non-empty.
+// A line that drains gives back a slab larger than lineKeep.
+func (ln *delayLine) pop() lineItem {
+	s := ln.items
+	root := s[0]
+	last := len(s) - 1
+	it := s[last]
+	s[last] = lineItem{} // the slab must not keep the payload alive
+	s = s[:last]
+	if last == 0 && cap(s) > lineKeep {
+		s = nil
+	}
+	ln.items = s
+	if last == 0 {
+		return root
+	}
+	// The hole at the root sinks, the earliest of up to four children
+	// moving up into it, until none is due before it.
+	i, n := 0, len(s)
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		min := first
+		for c := first + 1; c < first+4 && c < n; c++ {
+			if s[c].due < s[min].due {
+				min = c
+			}
+		}
+		if s[min].due >= it.due {
+			break
+		}
+		s[i] = s[min]
+		i = min
+	}
+	s[i] = it
+	return root
 }
 
 var (
@@ -218,51 +259,29 @@ func NewChannelTransport(g *graph.Graph, maxDelay time.Duration, seed uint64) *C
 	if maxDelay <= 0 {
 		maxDelay = DefaultMaxMessageDelay
 	}
+	n := g.N()
 	t := &ChannelTransport{
-		maxDelay: maxDelay,
-		seed:     seed,
-		links:    make(map[linkKey]*frameQueue, 2*len(g.Edges())),
+		maxDelay: int64(maxDelay),
+		epoch:    time.Now(),
+		index:    make(map[linkKey]int32, 2*len(g.Edges())),
+		links:    make([]chanLink, 0, 2*len(g.Edges())),
+		lines:    make([]*delayLine, blocks(n)),
+		stopCh:   make(chan struct{}),
+	}
+	for i := range t.lines {
+		t.lines[i] = &delayLine{armed: never, wake: make(chan struct{}, 1)}
 	}
 	for _, e := range g.Edges() {
 		a, b := core.NodeID(e[0]), core.NodeID(e[1])
-		t.links[linkKey{a, b}] = newFrameQueue()
-		t.links[linkKey{b, a}] = newFrameQueue()
+		for _, key := range []linkKey{{a, b}, {b, a}} {
+			t.index[key] = int32(len(t.links))
+			t.links = append(t.links, chanLink{
+				line: t.lines[blockOf(key[1], len(t.lines), n)],
+				rng:  rand.New(rand.NewPCG(seed, linkSalt(key))),
+			})
+		}
 	}
 	return t
-}
-
-// Start launches one forwarder goroutine per directed link.
-func (t *ChannelTransport) Start(deliver DeliverFunc) error {
-	if t.started {
-		return errAlreadyStarted
-	}
-	t.started = true
-	t.deliver = deliver
-	for key, q := range t.links {
-		t.wg.Add(1)
-		go t.forward(key, q)
-	}
-	return nil
-}
-
-// forward is the per-link goroutine: popping sequentially and sleeping
-// the random delay in between preserves FIFO order per link while frames
-// on different links race freely.
-func (t *ChannelTransport) forward(key linkKey, q *frameQueue) {
-	defer t.wg.Done()
-	rng := rand.New(rand.NewPCG(t.seed, linkSalt(key)))
-	for {
-		f, ok := q.pop()
-		if !ok {
-			return
-		}
-		time.Sleep(time.Duration(rng.Int64N(int64(t.maxDelay)) + 1))
-		if t.closed.Load() || q.isClosed() {
-			return
-		}
-		t.framesDelivered.Add(1)
-		t.deliver(f)
-	}
 }
 
 // linkSalt derives a per-link PCG stream id from the directed pair.
@@ -270,48 +289,145 @@ func linkSalt(key linkKey) uint64 {
 	return uint64(key[0])<<32 ^ uint64(uint32(key[1])) ^ 0x9e3779b97f4a7c15
 }
 
-// Send enqueues the frame, dropping it when the pair is not a live link.
+// now is the transport's clock in nanoseconds.
+func (t *ChannelTransport) now() int64 { return int64(time.Since(t.epoch)) }
+
+// Start launches one goroutine per delay line.
+func (t *ChannelTransport) Start(deliver DeliverFunc) error {
+	if t.started {
+		return errAlreadyStarted
+	}
+	t.started = true
+	t.deliver = deliver
+	for _, ln := range t.lines {
+		t.wg.Add(1)
+		go t.run(ln)
+	}
+	return nil
+}
+
+// Send files the frame in its destination's delay line, dropping it when
+// the pair is not a live link.
 func (t *ChannelTransport) Send(f Frame) {
 	if t.closed.Load() {
 		return
 	}
-	if q := t.links[linkKey{f.From, f.To}]; q != nil && q.push(f) {
-		t.framesSent.Add(1)
+	i, ok := t.index[linkKey{f.From, f.To}]
+	if !ok {
+		return
 	}
-}
-
-// Stats reports the channel transport's telemetry: frame counts plus
-// zeros for the reliability-shim counters — in-process queues never
-// retransmit, duplicate or reorder, and the zeros say so explicitly.
-func (t *ChannelTransport) Stats() telemetry.TransportStats {
-	return telemetry.TransportStats{
-		Schema:          telemetry.Schema,
-		Kind:            "channel",
-		Links:           len(t.links),
-		FramesSent:      t.framesSent.Load(),
-		FramesDelivered: t.framesDelivered.Load(),
-		AckRTTUS:        metrics.NewSketch().Snapshot(),
+	l := &t.links[i]
+	if l.down.Load() {
+		return
 	}
-}
-
-// LinkDown removes the link in both directions; in-flight frames on it
-// are destroyed with the queues.
-func (t *ChannelTransport) LinkDown(a, b core.NodeID) {
-	for _, key := range []linkKey{{a, b}, {b, a}} {
-		if q := t.links[key]; q != nil {
-			q.close()
+	ln := l.line
+	now := t.now()
+	ln.mu.Lock()
+	l.due = max(now, l.due) + l.rng.Int64N(t.maxDelay) + 1
+	ln.push(lineItem{due: l.due, link: i, f: f})
+	ln.sent++
+	wake := l.due < ln.armed
+	if wake {
+		ln.armed = l.due
+	}
+	ln.mu.Unlock()
+	if wake {
+		select {
+		case ln.wake <- struct{}{}:
+		default:
 		}
 	}
 }
 
-// Close stops delivery and waits for the forwarders to exit.
+// run is a delay line's goroutine: it takes every frame that is due in
+// one lock hold, delivers them in due order without the lock (a delivery
+// may Send), and sleeps on one reused timer until the next is due or a
+// sender files an earlier one. A frame whose link went down while it
+// waited is destroyed.
+func (t *ChannelTransport) run(ln *delayLine) {
+	defer t.wg.Done()
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
+	var batch []lineItem
+	for {
+		ln.mu.Lock()
+		now := t.now()
+		for len(ln.items) > 0 && ln.items[0].due <= now {
+			batch = append(batch, ln.pop())
+		}
+		next := int64(never)
+		if len(ln.items) > 0 {
+			next = ln.items[0].due
+		}
+		ln.armed = next
+		ln.mu.Unlock()
+
+		for i := range batch {
+			if t.closed.Load() {
+				return
+			}
+			if it := &batch[i]; !t.links[it.link].down.Load() {
+				ln.delivered.Add(1)
+				t.deliver(it.f)
+			}
+		}
+		if len(batch) > 0 {
+			clear(batch) // drop the payload references, keep the capacity
+			batch = batch[:0]
+			continue // time has passed: look again before sleeping
+		}
+
+		var fire <-chan time.Time
+		if next != never {
+			timer.Reset(time.Duration(next - now))
+			fire = timer.C
+		} else if cap(batch) > lineKeep {
+			batch = nil
+		}
+		select {
+		case <-t.stopCh:
+			return
+		case <-ln.wake:
+		case <-fire:
+		}
+	}
+}
+
+// Stats reports the channel transport's telemetry: frame counts plus
+// zeros for the reliability-shim counters — in-process delay lines never
+// retransmit, duplicate or reorder, and the zeros say so explicitly.
+func (t *ChannelTransport) Stats() telemetry.TransportStats {
+	ts := telemetry.TransportStats{
+		Schema:   telemetry.Schema,
+		Kind:     "channel",
+		Links:    len(t.links),
+		AckRTTUS: metrics.NewSketch().Snapshot(),
+	}
+	for _, ln := range t.lines {
+		ln.mu.Lock()
+		ts.FramesSent += ln.sent
+		ln.mu.Unlock()
+		ts.FramesDelivered += ln.delivered.Load()
+	}
+	return ts
+}
+
+// LinkDown removes the link in both directions: later sends on it drop,
+// and its frames still in a delay line are destroyed when they come due.
+func (t *ChannelTransport) LinkDown(a, b core.NodeID) {
+	for _, key := range []linkKey{{a, b}, {b, a}} {
+		if i, ok := t.index[key]; ok {
+			t.links[i].down.Store(true)
+		}
+	}
+}
+
+// Close stops delivery and waits for the delay lines' goroutines to exit.
 func (t *ChannelTransport) Close() error {
 	if t.closed.Swap(true) {
 		return nil
 	}
-	for _, q := range t.links {
-		q.close()
-	}
+	close(t.stopCh)
 	t.wg.Wait()
 	return nil
 }

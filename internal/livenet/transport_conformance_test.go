@@ -114,6 +114,7 @@ func TestTransportConformance(t *testing.T) {
 			t.Run("CorkedAcrossLinks", func(t *testing.T) { testCorkedAcrossLinks(t, mk) })
 			t.Run("UnknownLinkDropped", func(t *testing.T) { testUnknownLink(t, mk) })
 			t.Run("NoDeliveryAfterLinkDown", func(t *testing.T) { testLinkDown(t, mk) })
+			t.Run("LinkDownMidFlight", func(t *testing.T) { testLinkDownMidFlight(t, mk) })
 			t.Run("QuiescentAfterClose", func(t *testing.T) { testClose(t, mk) })
 		})
 	}
@@ -364,6 +365,42 @@ func testLinkDown(t *testing.T, mk transportMaker) {
 	if got := col.link(1, 0); len(got) != 0 {
 		t.Fatalf("%d frames delivered on downed link 1→0", len(got))
 	}
+}
+
+// testLinkDownMidFlight takes a link down under a queue of frames: what
+// was delivered before is a FIFO prefix, at most one delivery already in
+// progress may land after LinkDown returns, nothing after it, and a
+// sibling link of the sender keeps delivering.
+func testLinkDownMidFlight(t *testing.T, mk transportMaker) {
+	const queued = 2000
+	g := graph.Clique(3)
+	tr := mk(t, g)
+	col := newCollector()
+	if err := tr.Start(col.deliver); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	defer tr.Close() //nolint:errcheck
+
+	for n := 0; n < queued; n++ {
+		tr.Send(Frame{From: 0, To: 1, Msg: confMsg{N: n}, Mseq: uint64(n) + 1})
+	}
+	tr.LinkDown(0, 1)
+	before := len(col.link(0, 1))
+	tr.Send(Frame{From: 0, To: 2, Msg: confMsg{N: 0}, Mseq: queued + 1})
+	if !waitFor(t, 5*time.Second, func() bool { return len(col.link(0, 2)) >= 1 }) {
+		t.Fatal("surviving link 0→2 stopped delivering")
+	}
+	time.Sleep(50 * time.Millisecond)
+	frames := col.link(0, 1)
+	if late := len(frames) - before; late > 1 {
+		t.Fatalf("%d frames delivered on 0→1 after LinkDown returned (%d before), want at most 1", late, before)
+	}
+	for n, f := range frames {
+		if m := f.Msg.(confMsg); m.N != n {
+			t.Fatalf("link 0→1: frame %d carries N=%d — FIFO violated", n, m.N)
+		}
+	}
+	t.Logf("%d of %d frames delivered on 0→1 when LinkDown returned, %d after", before, queued, len(frames)-before)
 }
 
 // testClose checks Close waits for quiescence: no deliver callback runs
