@@ -7,9 +7,12 @@ package lme
 // keep both runtimes able to move algorithm messages without the
 // algorithms knowing either exists; this test pins that boundary. A
 // second test keeps encoding/gob, the codecs' differential oracle, in
-// test files: the codecs are the only payload encoding that ships.
+// test files: the codecs are the only payload encoding that ships. A
+// third keeps the simulator on one engine: outside internal/sim and the
+// benchmark module, no shipped file drives a sim.Scheduler.
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
@@ -85,6 +88,51 @@ func TestGobOnlyInTests(t *testing.T) {
 				t.Errorf("%s imports encoding/gob outside a test", path)
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNoSchedulerOutsideSim keeps the single-heap sim.Scheduler out of the
+// shipped code: the world runs on its tile engine alone, and scripts
+// schedule through World.At. Outside internal/sim and bench/ (a module of
+// its own that times the bare scheduler), no non-test file may name
+// sim.Scheduler or sim.NewScheduler, or call a Scheduler() accessor.
+func TestNoSchedulerOutsideSim(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || path == filepath.Join("internal", "sim") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && x.Name == "sim" &&
+					(n.Sel.Name == "Scheduler" || n.Sel.Name == "NewScheduler") {
+					t.Errorf("%s: names sim.%s outside internal/sim", fset.Position(n.Pos()), n.Sel.Name)
+				}
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Scheduler" && len(n.Args) == 0 {
+					t.Errorf("%s: calls .Scheduler() outside internal/sim", fset.Position(n.Pos()))
+				}
+			}
+			return true
+		})
 		return nil
 	})
 	if err != nil {

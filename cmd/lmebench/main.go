@@ -82,7 +82,7 @@ func run() error {
 		scaleNs    = flag.String("scale-n", "1000,10000,100000", "comma-separated node counts for -scale")
 		scaleHoriz = flag.Duration("scale-horizon", 150*time.Millisecond, "virtual-time span per -scale run")
 		scaleSeed  = flag.Uint64("scale-seed", 1, "seed for -scale runs")
-		scaleTiles = flag.Int("scale-tiles", 0, "tile grid side for -scale (0 = auto per n, 1 = single-heap reference)")
+		scaleTiles = flag.Int("scale-tiles", 0, "tile grid side for -scale (0 = auto per n, 1 = one tile, the reference)")
 		scaleWork  = flag.Int("scale-workers", 0, "worker goroutines for -scale (0 = GOMAXPROCS)")
 		scaleTel   = flag.Bool("scale-telemetry", true, "attach per-tile engine telemetry to -scale results (out-of-band; result_hash is unaffected)")
 		check      = flag.Bool("check", false, "with -micro: compare against the committed baseline and fail on large regressions")

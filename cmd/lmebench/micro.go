@@ -198,7 +198,7 @@ func endToEndWorld(b *testing.B, observe bool) *manet.World {
 	}
 	w := manet.NewWorld(cfg)
 	protos := make([]*nullProto, 64)
-	r := sim.NewScheduler(5).Rand()
+	r := sim.NewRand(5)
 	for i := range protos {
 		protos[i] = &nullProto{}
 		id := w.AddNode(graph.Point{X: r.Float64(), Y: r.Float64()})

@@ -93,7 +93,7 @@ func run() error {
 		progFlag = flag.Bool("progress", false, "print a live heartbeat to stderr while the run executes")
 		progOut  = flag.String("progress-out", "", "write lme/progress/v1 heartbeat records as JSONL to this file")
 		progEach = flag.Duration("progress-every", 2*time.Second, "wall-clock interval between heartbeats")
-		tiles    = flag.String("tiles", "1", "region-sharded engine tile grid side: an integer or \"auto\" (1 = classic single-heap engine; the trace is identical either way)")
+		tiles    = flag.String("tiles", "1", "tile grid side of the engine: an integer or \"auto\" (1 = one tile on the calling goroutine; the trace is identical for every side)")
 		shardW   = flag.Int("shard-workers", 0, "worker goroutines for the sharded engine (0 = GOMAXPROCS; needs -tiles > 1)")
 		telFlag  = flag.Bool("telemetry", false, "collect engine execution telemetry (lme/telemetry/v1) and attach it to -progress heartbeats; out-of-band, the trace is unchanged")
 	)

@@ -6,10 +6,10 @@
 // automaton observes its neighbourhood and sends messages.
 //
 // A Protocol is a purely reactive, single-threaded state machine: the
-// runtime (the discrete-event simulator in internal/manet, or the
-// goroutine-per-node runtime in internal/livenet) delivers one event at a
-// time, which matches the atomic local computation steps of the paper's
-// execution model.
+// runtime (the discrete-event simulator in internal/manet, or the live
+// runtime in internal/livenet, one event loop per core) delivers one
+// event at a time to each protocol, which matches the atomic local
+// computation steps of the paper's execution model.
 package core
 
 import "lme/internal/sim"

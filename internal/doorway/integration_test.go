@@ -108,11 +108,10 @@ func TestDoorwayGuarantee(t *testing.T) {
 	for _, kind := range []doorway.Kind{doorway.Synchronous, doorway.Asynchronous} {
 		t.Run(kind.String(), func(t *testing.T) {
 			w, protos := buildClique(t, 2, kind)
-			sched := w.Scheduler()
-			sched.At(0, func() { protos[0].enter() })
-			sched.At(50_000, func() { protos[1].enter() }) // after ν=10ms
-			sched.At(100_000, func() { protos[0].exit() })
-			if err := sched.RunUntil(300_000, 0); err != nil {
+			w.At(0, func() { protos[0].enter() })
+			w.At(50_000, func() { protos[1].enter() }) // after ν=10ms
+			w.At(100_000, func() { protos[0].exit() })
+			if err := w.RunUntil(300_000, 0); err != nil {
 				t.Fatal(err)
 			}
 			if len(protos[0].crossAt) != 1 || protos[0].crossAt[0] != 0 {
@@ -139,7 +138,6 @@ func TestDoorwayContention(t *testing.T) {
 		gap    = sim.Time(5_000)
 	)
 	w, protos := buildClique(t, nodes, doorway.Asynchronous)
-	sched := w.Scheduler()
 	var cycle func(p *dwProto, round int)
 	cycle = func(p *dwProto, round int) {
 		if round >= rounds {
@@ -150,18 +148,18 @@ func TestDoorwayContention(t *testing.T) {
 		waitExit = func() {
 			if p.d.Behind() {
 				p.exit()
-				sched.After(gap, func() { cycle(p, round+1) })
+				w.At(w.Now()+gap, func() { cycle(p, round+1) })
 				return
 			}
-			sched.After(1_000, waitExit)
+			w.At(w.Now()+1_000, waitExit)
 		}
-		sched.After(hold, waitExit)
+		w.At(w.Now()+hold, waitExit)
 	}
 	for i, p := range protos {
 		p := p
-		sched.At(sim.Time(i)*1_000, func() { cycle(p, 0) })
+		w.At(sim.Time(i)*1_000, func() { cycle(p, 0) })
 	}
-	if err := sched.RunUntil(60_000_000, 0); err != nil {
+	if err := w.RunUntil(60_000_000, 0); err != nil {
 		t.Fatal(err)
 	}
 	for i, p := range protos {
@@ -208,11 +206,10 @@ func TestDoorwayForgetOnMobility(t *testing.T) {
 	if err := w.Start(); err != nil {
 		t.Fatal(err)
 	}
-	sched := w.Scheduler()
-	sched.At(0, func() { protos[0].enter() })         // crosses immediately
-	sched.At(50_000, func() { protos[1].enter() })    // blocked by node 0
+	w.At(0, func() { protos[0].enter() })             // crosses immediately
+	w.At(50_000, func() { protos[1].enter() })        // blocked by node 0
 	w.JumpAt(0, graph.Point{X: 0.9}, 10_000, 100_000) // node 0 departs
-	if err := sched.RunUntil(300_000, 0); err != nil {
+	if err := w.RunUntil(300_000, 0); err != nil {
 		t.Fatal(err)
 	}
 	if len(protos[1].crossAt) != 1 {

@@ -97,19 +97,18 @@ func doorwayProbe(n int, hold, horizon sim.Time, seed uint64) (metrics.Stats, er
 	if err := w.Start(); err != nil {
 		return metrics.Stats{}, err
 	}
-	sched := w.Scheduler()
 	for i, p := range probes {
 		p := p
 		// On crossing, hold then exit then re-enter after a short gap.
 		p.crossed = func() {
-			sched.After(hold, func() {
+			w.At(w.Now()+hold, func() {
 				p.leave()
-				sched.After(2_000, p.enter)
+				w.At(w.Now()+2_000, p.enter)
 			})
 		}
-		sched.At(sim.Time(i)*500, p.enter)
+		w.At(sim.Time(i)*500, p.enter)
 	}
-	if err := sched.RunUntil(horizon, 0); err != nil {
+	if err := w.RunUntil(horizon, 0); err != nil {
 		return metrics.Stats{}, err
 	}
 	return lat.Stats(), nil

@@ -532,7 +532,6 @@ func stealScenario(ctx context.Context, a algName, n int) (sim.Time, error) {
 		return 0, err
 	}
 	w := r.World
-	sched := w.Scheduler()
 	const (
 		eat      = sim.Time(10_000)
 		hungryAt = sim.Time(1_000)
@@ -542,7 +541,7 @@ func stealScenario(ctx context.Context, a algName, n int) (sim.Time, error) {
 	w.AddStateListener(core.ListenerFunc(func(id core.NodeID, old, new core.State, at sim.Time) {
 		if new == core.Eating {
 			p := w.Protocol(id)
-			sched.After(eat, func() {
+			w.At(w.Now()+eat, func() {
 				if p.State() == core.Eating {
 					p.ExitCS()
 				}
@@ -555,11 +554,11 @@ func stealScenario(ctx context.Context, a algName, n int) (sim.Time, error) {
 			resp = at - hungryAt
 		}
 	}))
-	sched.At(0, func() { w.Protocol(0).BecomeHungry() })
-	sched.At(hungryAt, func() { w.Protocol(1).BecomeHungry() })
+	w.At(0, func() { w.Protocol(0).BecomeHungry() })
+	w.At(hungryAt, func() { w.Protocol(1).BecomeHungry() })
 	for i := 2; i < n; i++ {
 		i := i
-		sched.At(hungryAt+sim.Time(i-1)*5_000, func() { w.Protocol(core.NodeID(i)).BecomeHungry() })
+		w.At(hungryAt+sim.Time(i-1)*5_000, func() { w.Protocol(core.NodeID(i)).BecomeHungry() })
 	}
 	if err := r.RunContext(ctx, sim.Time(n)*60_000+2_000_000); err != nil {
 		return 0, err
@@ -780,7 +779,7 @@ func ColoringScaling(q Quality, replicas int) (*Plan, error) {
 			// The layout stream is keyed by n, not by the job seed, so
 			// the geometric rows ignore -seed and replicas; it stays
 			// that way because the committed rows depend on it.
-			rng := sim.NewScheduler(uint64(n)).Rand()
+			rng := sim.NewRand(uint64(n))
 			g, _, err := graph.ConnectedGeometric(n, ConnectedRadius(n), rng)
 			if err != nil {
 				return nil, err

@@ -71,11 +71,11 @@ type Spec struct {
 	// the dump's ring section non-empty.
 	PostmortemPath string
 
-	// Tiles and ShardWorkers select manet's region-sharded parallel
-	// engine (see manet.Config): Tiles > 1 partitions the world into a
-	// Tiles×Tiles grid executed by up to ShardWorkers goroutines
-	// (0 = GOMAXPROCS). Zero or one keeps the single-heap engine. The
-	// event trace is bit-identical either way.
+	// Tiles and ShardWorkers shape manet's tile engine (see
+	// manet.Config): the world is partitioned into a Tiles×Tiles grid
+	// executed by up to ShardWorkers goroutines (0 = GOMAXPROCS); zero
+	// or one runs one tile. The event trace is bit-identical for every
+	// choice.
 	Tiles        int
 	ShardWorkers int
 
@@ -224,8 +224,8 @@ func Build(spec Spec) (*Run, error) {
 		w.AddStateListener(r.Timeline)
 	}
 	// The driver runs inline in the transitioning node's execution
-	// context (it schedules the node's follow-up events); under the
-	// single-heap engine this preserves its legacy last-listener slot.
+	// context (it schedules the node's follow-up events); outside
+	// parallel windows this preserves its legacy last-listener slot.
 	w.AddLocalStateListener(r.Driver)
 	w.AddLinkListener(r.Checker)
 	w.AddMoveListener(r.Recorder)
@@ -440,7 +440,7 @@ func GridPoints(rows, cols int, spacing float64) []graph.Point {
 
 // GeometricPoints samples a connected random geometric layout.
 func GeometricPoints(n int, radius float64, seed uint64) ([]graph.Point, error) {
-	rng := sim.NewScheduler(seed).Rand()
+	rng := sim.NewRand(seed)
 	_, pts, err := graph.ConnectedGeometric(n, radius, rng)
 	return pts, err
 }

@@ -43,8 +43,8 @@ func TestRunLifecycle(t *testing.T) {
 }
 
 // TestEventsProcessedMatchesWorld: the process-wide event total advances
-// by exactly what each run's world executed — under both engines, across
-// repeated RunFor calls — now that it is fed from the per-slice
+// by exactly what each run's world executed — on 1×1 and 3×3 grids,
+// across repeated RunFor calls — now that it is fed from the per-slice
 // World.Processed delta rather than a per-event hook. (Not parallel: no
 // other run may feed the total meanwhile.)
 func TestEventsProcessedMatchesWorld(t *testing.T) {

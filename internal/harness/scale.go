@@ -33,8 +33,8 @@ type ScaleSpec struct {
 	// Horizon is the virtual-time span of the run (µs). The lattice
 	// centre node crashes at Horizon/3.
 	Horizon sim.Time
-	// Tiles/Workers select the engine (0 tiles = AutoTiles for N;
-	// 1 = single-heap reference; workers 0 = GOMAXPROCS).
+	// Tiles/Workers shape the engine (0 tiles = AutoTiles for N;
+	// 1 = one tile, the reference; workers 0 = GOMAXPROCS).
 	Tiles   int
 	Workers int
 	// Telemetry collects the engine's execution telemetry and attaches

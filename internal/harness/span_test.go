@@ -104,7 +104,7 @@ func TestPostmortemOnViolation(t *testing.T) {
 	if err := r.RunFor(300_000); err != nil {
 		t.Fatal(err)
 	}
-	now := r.World.Scheduler().Now()
+	now := r.World.Now()
 	// Guarantee an open span in the dump: the collector folds the bus, so
 	// a synthetic hungry transition opens an attempt for node 2 without
 	// touching the protocols.

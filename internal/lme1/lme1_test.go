@@ -232,8 +232,9 @@ func TestConcurrentRecoloring(t *testing.T) {
 type miniDriver struct {
 	w interface {
 		Protocol(core.NodeID) core.Protocol
+		At(sim.Time, func())
+		Now() sim.Time
 	}
-	sched *sim.Scheduler
 	eat   sim.Time
 	think sim.Time
 	on    map[core.NodeID]bool
@@ -246,13 +247,13 @@ func (d *miniDriver) OnStateChange(id core.NodeID, old, new core.State, at sim.T
 	p := d.w.Protocol(id)
 	switch new {
 	case core.Eating:
-		d.sched.After(d.eat, func() {
+		d.w.At(d.w.Now()+d.eat, func() {
 			if p.State() == core.Eating {
 				p.ExitCS()
 			}
 		})
 	case core.Thinking:
-		d.sched.After(d.think, func() {
+		d.w.At(d.w.Now()+d.think, func() {
 			if p.State() == core.Thinking {
 				p.BecomeHungry()
 			}
@@ -300,8 +301,7 @@ func TestFigure6Scenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := r.World
-	sched := w.Scheduler()
-	md := &miniDriver{w: w, sched: sched, eat: 5_000, think: 5_000,
+	md := &miniDriver{w: w, eat: 5_000, think: 5_000,
 		on: map[core.NodeID]bool{p1: true, p2: true, p3: true}}
 	w.AddStateListener(md)
 	if err := r.Start(); err != nil {
@@ -311,7 +311,7 @@ func TestFigure6Scenario(t *testing.T) {
 	w.CrashAt(p4, 0) // p4 dies holding the p3–p4 fork, colour 4
 	for _, id := range []core.NodeID{p1, p2, p3} {
 		id := id
-		sched.At(100_000, func() { w.Protocol(id).BecomeHungry() })
+		w.At(100_000, func() { w.Protocol(id).BecomeHungry() })
 	}
 	if err := r.RunFor(3_000_000); err != nil {
 		t.Fatal(err)

@@ -211,15 +211,14 @@ func TestEatingMoverDemotesItself(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := r.World
-	sched := w.Scheduler()
 	var demoted bool
 	w.AddStateListener(core.ListenerFunc(func(id core.NodeID, old, new core.State, at sim.Time) {
 		if id == 0 && old == core.Eating && new == core.Hungry {
 			demoted = true
 		}
 	}))
-	sched.At(0, func() { w.Protocol(0).BecomeHungry() }) // eats alone
-	sched.At(10_000, func() { w.Protocol(1).BecomeHungry() })
+	w.At(0, func() { w.Protocol(0).BecomeHungry() }) // eats alone
+	w.At(10_000, func() { w.Protocol(1).BecomeHungry() })
 	// Node 0, still eating, wanders next to node 1.
 	w.JumpAt(0, graph.Point{X: 0.45}, 50_000, 100_000)
 	if err := r.RunFor(2_000_000); err != nil {
@@ -252,7 +251,7 @@ func TestNotificationLowersThinkingNeighbor(t *testing.T) {
 	w := r.World
 	// Node 0 has priority over node 1 initially (smaller ID). When 1
 	// becomes hungry, thinking node 0 must reverse the edge.
-	w.Scheduler().At(0, func() { w.Protocol(1).BecomeHungry() })
+	w.At(0, func() { w.Protocol(1).BecomeHungry() })
 	if err := r.RunFor(500_000); err != nil {
 		t.Fatal(err)
 	}

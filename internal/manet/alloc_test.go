@@ -18,7 +18,7 @@ func TestBroadcastDoesNotAllocate(t *testing.T) {
 	cfg.Radius = 0.5
 	w := NewWorld(cfg)
 	protos := make([]*chatter, 64)
-	r := sim.NewScheduler(99).Rand()
+	r := sim.NewRand(99)
 	for i := range protos {
 		protos[i] = &chatter{}
 		id := w.AddNode(graph.Point{X: 0.4 + 0.2*r.Float64(), Y: 0.4 + 0.2*r.Float64()})
@@ -49,7 +49,7 @@ func TestNeighborsDoesNotAllocate(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Radius = 0.12
 	w := NewWorld(cfg)
-	r := sim.NewScheduler(13).Rand()
+	r := sim.NewRand(13)
 	const side = 10
 	for i := 0; i < side*side; i++ {
 		x := (float64(i%side) + 0.2 + 0.6*r.Float64()) / side

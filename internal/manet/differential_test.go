@@ -110,7 +110,7 @@ func differentialRun(t *testing.T, seed uint64) int {
 	w := NewWorld(cfg)
 	o := newLinkOracle(t, w)
 
-	pos := sim.NewScheduler(seed ^ 0xabcdef).Rand()
+	pos := sim.NewRand(seed ^ 0xabcdef)
 	const n = 40
 	for i := 0; i < n; i++ {
 		id := w.AddNode(graph.Point{X: pos.Float64(), Y: pos.Float64()})
@@ -155,7 +155,7 @@ func TestGridStartAdjacency(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Radius = 0.2
 	w := NewWorld(cfg)
-	pos := sim.NewScheduler(5).Rand()
+	pos := sim.NewRand(5)
 	for i := 0; i < 60; i++ {
 		// Half the nodes hug cell corners, half are uniform.
 		var p graph.Point

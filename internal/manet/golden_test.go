@@ -29,9 +29,10 @@ import (
 // draws and workload think times now come from per-node random streams
 // (instead of one shared scheduler stream), and events execute in the
 // canonical (time, owner, class, …) key order — the construction that
-// makes runs bit-identical across engines, tile grids and worker counts.
-// Once recorded on the single-heap engine, this hash is reproduced
-// exactly by every sharded configuration (see sharded_test.go).
+// makes runs bit-identical across tile grids and worker counts.
+// Recorded on the single-heap engine the tile engine replaced, this hash
+// is reproduced exactly by the 1×1 grid the scenario runs on, and every
+// other grid reproduces that grid's stream (see sharded_test.go).
 const goldenTraceHash = "4399863567ac1281cf86c93576a42cdec7948c626db996c8fd769699cd90a8c3"
 
 // runGoldenScenario builds and runs a fixed mid-size scenario that
@@ -59,7 +60,7 @@ func runGoldenScenarioCfg(t *testing.T, sink io.Writer, mutate func(*manet.Confi
 	w := manet.NewWorld(cfg)
 	w.Bus().SetSink(sink)
 
-	pos := sim.NewScheduler(0xfeed).Rand()
+	pos := sim.NewRand(0xfeed)
 	const n = 14
 	for i := 0; i < n; i++ {
 		id := w.AddNode(graph.Point{X: pos.Float64(), Y: pos.Float64()})
@@ -88,11 +89,11 @@ func runGoldenScenarioCfg(t *testing.T, sink io.Writer, mutate func(*manet.Confi
 				p.ExitCS()
 			}
 		}
-		w.Scheduler().After(50_000, cycle)
+		w.At(w.Now()+50_000, cycle)
 	}
-	w.Scheduler().At(10_000, cycle)
+	w.At(10_000, cycle)
 
-	if err := w.Scheduler().RunUntil(1_500_000, 5_000_000); err != nil {
+	if err := w.RunUntil(1_500_000, 5_000_000); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Bus().Flush(); err != nil {
@@ -123,9 +124,9 @@ func TestGoldenTraceHash(t *testing.T) {
 
 // TestGoldenTraceHashTelemetryOn pins the out-of-band contract at the
 // strongest oracle we have: collecting execution telemetry must
-// reproduce the recorded golden stream bit for bit. (The scenario's
-// workload uses Scheduler(), so it runs single-heap only; the sharded
-// grids are covered by TestTelemetryInvariance's byte-level diffs.)
+// reproduce the recorded golden stream bit for bit. (The scenario runs
+// on the 1×1 grid; larger grids are covered by TestTelemetryInvariance's
+// byte-level diffs.)
 func TestGoldenTraceHashTelemetryOn(t *testing.T) {
 	h := sha256.New()
 	runGoldenScenarioCfg(t, h, func(cfg *manet.Config) { cfg.Telemetry = true })

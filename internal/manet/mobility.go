@@ -124,7 +124,7 @@ func (w *World) moveTick(n *node, moveID uint64) {
 // model: each mover repeatedly pauses, picks a uniform destination on the
 // unit square, and travels there at its speed. Pause lengths and
 // destinations are drawn from each mover's private random stream, so the
-// model is deterministic under both engines and any worker count.
+// model is deterministic under any tiling and worker count.
 type Waypoint struct {
 	// Speed in plane units per second.
 	Speed float64

@@ -1,28 +1,38 @@
 package manet
 
-// The region-sharded execution engine (Config.Tiles > 1): conservative
+// The tile engine, the world's one execution engine: conservative
 // parallel discrete-event simulation over a grid of spatial tiles.
 //
 // The bounding box of the initial node positions is split into a g×g grid
-// of tiles, each owning the nodes inside it and a private sim.EventHeap of
-// their pending events. Execution alternates between windows and serial
-// barriers:
+// of tiles (g = Config.Tiles, at least 1), each owning the nodes inside it
+// and a private sim.EventHeap of their pending events. Execution
+// alternates between windows and serial barriers:
 //
 //   - Window: every tile whose earliest event precedes the window bound
-//     runs its events below the bound. The bound is KeyFloor(W + ν) where
-//     W is the globally earliest pending instant and ν = Config.MinDelay:
-//     inside a window, the only way one node affects another is a
-//     message, which arrives no earlier than ν after it was sent, hence
-//     at or after the bound — so no tile can receive an event it should
-//     already have executed (the classic conservative lookahead argument,
-//     with ν as the lookahead). Everything a tile touches in a window is
-//     owned by its own nodes; the topology is frozen.
+//     runs its events below the bound. The bound is KeyFloor(W + L) where
+//     W is the globally earliest pending instant and the lookahead L is
+//     min(Config.MinDelay, TickInterval): inside a window, the only way
+//     one node affects another is a message, which arrives no earlier
+//     than MinDelay after it was sent, hence at or after the bound — so
+//     no tile can receive an event it should already have executed (the
+//     classic conservative lookahead argument) — and a movement tick a
+//     window queues is due a tick later, also at or after the bound.
+//     Everything a tile touches in a window is owned by its own nodes;
+//     the topology is frozen.
 //
-//   - Barrier: at most one topology event — a movement tick or jump,
-//     which mutates two nodes' link state and the spatial index at once —
-//     runs serially on the coordinator. Windows never extend past the
-//     earliest pending topology event, so topology events interleave with
-//     node events in exact canonical order.
+//   - Barrier: at most one serial event runs on the coordinator: a
+//     topology event — a movement tick or jump, which mutates two nodes'
+//     link state and the spatial index at once — or an ownerless script
+//     closure queued by World.At. Windows never extend past the earliest
+//     pending serial event, so serial events interleave with node events
+//     in exact canonical order.
+//
+// A 1×1 grid has no other tile whose cursor could go stale, so it needs
+// no lookahead: its window runs to the earliest serial event or to the
+// deadline, always direct — the plain single-heap loop over one tile
+// heap. A serial event queued from inside a direct window (a tick from
+// MoveTo, a script's World.At) that falls below the window's bound lowers
+// the bound at push time, so the window stops short of it.
 //
 // A window runs in one of two modes, chosen per window from the smoothed
 // events-per-window estimate (see runTiles):
@@ -35,20 +45,20 @@ package manet
 //
 //   - Direct: the coordinator runs the window itself, popping the
 //     globally smallest key across the active tile heaps one event at a
-//     time. Every event executes in coordinator context exactly as under
-//     the single heap — effects publish inline, deliveries push straight
-//     into the receiver's tile heap — so there is nothing to buffer,
-//     merge or replay, and no goroutine to start. A window too small to
-//     repay a fork/join and an effect replay runs this way.
+//     time. Every event executes in coordinator context — effects publish
+//     inline, deliveries push straight into the receiver's tile heap — so
+//     there is nothing to buffer, merge or replay, and no goroutine to
+//     start. A window too small to repay a fork/join and an effect replay
+//     runs this way.
 //
 // Determinism: every event executes in the canonical sim.Key order — the
 // window bound arithmetic only decides how events are grouped into
 // windows and the mode only where they run, never their relative order,
 // and all randomness is drawn from per-node streams. A run's event
-// sequence (and hence its trace) is bit-identical to the single-heap
-// engine's, for every tile-grid size, every worker count and every mix of
-// window modes. The differential tests in sharded_test.go and
-// window_test.go and TestGoldenTraceHash pin this.
+// sequence (and hence its trace) is bit-identical for every tile-grid
+// size, every worker count and every mix of window modes. The
+// differential tests in sharded_test.go and window_test.go, with the 1×1
+// grid as the reference, and TestGoldenTraceHash pin this.
 
 import (
 	"fmt"
@@ -80,8 +90,8 @@ const (
 // effect is one observable occurrence buffered during a parallel window:
 // a bus publication or a deferred listener callback, stamped with the
 // canonical key of the event that produced it, so the barrier can replay
-// all tiles' effects as one stream in exactly the order the single-heap
-// engine would have produced them. One event's effects sit next to each
+// all tiles' effects as one stream in exactly the order a direct window
+// would have produced them. One event's effects sit next to each
 // other in its tile's buffer, in emission order.
 type effect struct {
 	key  sim.Key
@@ -120,8 +130,8 @@ type tile struct {
 
 	// effs buffers a parallel window's observable effects; outMsgs its
 	// cross-tile deliveries (routed at the barrier); outTopo its
-	// topology-event requests (pushed to the coordinator's heap at the
-	// barrier). freeDel is the tile-local delivery-record pool.
+	// topology-event requests (pushed to the coordinator's serial heap at
+	// the barrier). freeDel is the tile-local delivery-record pool.
 	effs    []effect
 	outMsgs []sim.Item
 	outTopo []sim.Item
@@ -135,7 +145,7 @@ func (t *tile) buffer(e effect) {
 }
 
 // run executes the tile's events strictly below bound, in worker context.
-func (t *tile) run(bound sim.Key, hook func(sim.Time)) {
+func (t *tile) run(bound sim.Key) {
 	for {
 		k, ok := t.heap.MinKey()
 		if !ok || !k.Less(bound) {
@@ -150,14 +160,11 @@ func (t *tile) run(bound sim.Key, hook func(sim.Time)) {
 			it.R.Run()
 		}
 		t.processed++
-		if hook != nil {
-			hook(t.now)
-		}
 	}
 }
 
-// shardExec is the sharded engine: the tile set, the coordinator's
-// topology-event heap, and the window/barrier loop state.
+// shardExec is the tile engine: the tile set, the coordinator's serial
+// heap, and the window/barrier loop state.
 type shardExec struct {
 	w     *World
 	g     int // tiles per side
@@ -166,11 +173,18 @@ type shardExec struct {
 	// workers bounds the goroutines a window may use.
 	workers int
 
-	// topo is the coordinator's serial heap of ClassTopo events.
-	topo sim.EventHeap
+	// serial is the coordinator's heap of serial events: ClassTopo
+	// events, owned by a node (movement ticks, jumps) or ownerless
+	// (World.At scripts).
+	serial sim.EventHeap
+
+	// bound is the running window's exclusive upper key. A serial event
+	// queued below it from coordinator context lowers it (pushSerial),
+	// which a direct window reads after every event.
+	bound sim.Key
 
 	// now is the coordinator clock: the latest instant any event has
-	// executed at (== the single-heap engine's clock at every barrier).
+	// executed at.
 	now sim.Time
 
 	// inWindow is true while tile workers run a parallel window; it
@@ -189,16 +203,13 @@ type shardExec struct {
 	// all-parallel and alternating runs through it.
 	forceDirect func() bool
 
-	// hook is the per-event observer (World.SetEventHook). In parallel
-	// windows it runs concurrently from tile workers.
-	hook func(sim.Time)
-
-	// processed counts coordinator-executed (topology) events; tiles
-	// count their own.
+	// processed counts coordinator-executed (serial) events; tiles count
+	// their own.
 	processed uint64
 
-	// lookahead is the conservative window width: ν = Config.MinDelay,
-	// the minimum time for any cross-node influence.
+	// lookahead is the conservative window width of a grid of more than
+	// one tile: min(Config.MinDelay, TickInterval), the minimum time for
+	// any cross-node influence and for a movement tick a window queues.
 	lookahead sim.Time
 
 	// Tile-grid geometry: tileIdx(p) maps a position to a tile.
@@ -331,7 +342,7 @@ func (sx *shardExec) telemetrySnapshot() *telemetry.EngineStats {
 	es := &telemetry.EngineStats{
 		Schema:         telemetry.Schema,
 		Tiles:          sx.g,
-		Workers:        sx.workers,
+		Workers:        sx.workers, // 1 on a 1×1 grid
 		Windows:        tel.windows,
 		Events:         sx.totalProcessed(),
 		StealAttempts:  tel.stealAttempts,
@@ -373,22 +384,21 @@ func (sx *shardExec) telemetrySnapshot() *telemetry.EngineStats {
 }
 
 // initShard builds the tile grid over the initial node positions and
-// switches the world to the sharded engine. Called from Start after the
-// initial topology is computed and before protocols initialise, so Init's
-// sends route into tile heaps.
+// starts the engine. Called from Start after the initial topology is
+// computed and before protocols initialise, so Init's sends route into
+// tile heaps.
 func (w *World) initShard() {
 	g := w.cfg.Tiles
 	sx := &shardExec{
 		w:         w,
 		g:         g,
 		workers:   w.cfg.ShardWorkers,
-		lookahead: w.cfg.MinDelay,
+		lookahead: max(min(w.cfg.MinDelay, w.cfg.TickInterval), 1),
 	}
-	if sx.workers <= 0 {
+	if g == 1 {
+		sx.workers = 1
+	} else if sx.workers <= 0 {
 		sx.workers = runtime.GOMAXPROCS(0)
-	}
-	if sx.lookahead < 1 {
-		sx.lookahead = 1
 	}
 	if w.cfg.Telemetry {
 		sx.tel = newShardTelemetry(g*g, max(sx.workers, 1))
@@ -420,12 +430,10 @@ func (w *World) initShard() {
 	for _, n := range w.nodes {
 		n.tile = sx.tileIdx(n.pos)
 	}
-	sx.hook = w.pendingHook
-	w.pendingHook = nil
 	w.shard = sx
 	for _, it := range w.pending {
 		if it.K.Class == sim.ClassTopo {
-			sx.topo.Push(it)
+			sx.serial.Push(it)
 		} else {
 			sx.tiles[w.nodes[it.K.Owner].tile].heap.Push(it)
 		}
@@ -479,37 +487,59 @@ func (sx *shardExec) totalProcessed() uint64 {
 	return total
 }
 
-// runUntil is the engine's window/barrier loop: World.RunUntil routed
-// here when sharded. maxEvents is checked at barriers, so a call may
-// overshoot the budget by up to one window before reporting
-// sim.ErrEventLimit.
+// pushSerial queues a serial event from coordinator context. One queued
+// below the running window's bound lowers the bound, so a direct window
+// stops short of it; between windows the bound is stale and lowering it
+// is harmless.
+func (sx *shardExec) pushSerial(it sim.Item) {
+	sx.serial.Push(it)
+	if it.K.Less(sx.bound) {
+		sx.bound = it.K
+	}
+}
+
+// runUntil is the engine's window/barrier loop behind World.RunUntil.
+// maxEvents is checked after every event of a direct window and at the
+// barrier of a parallel one, so a call may overshoot the budget by up to
+// one parallel window before reporting sim.ErrEventLimit.
 func (sx *shardExec) runUntil(deadline sim.Time, maxEvents uint64) error {
-	start := sx.totalProcessed()
+	var done uint64 // events executed by this call
 	for {
 		// W: the globally earliest pending instant.
 		wstart, ok := sx.earliest()
 		if !ok || wstart.At > deadline {
 			break
 		}
-		// The window runs events strictly below min(W+ν, deadline+1),
-		// and never past the earliest topology event, which runs
-		// serially at the barrier if it falls inside the window.
-		tb := wstart.At + sx.lookahead
+		// The window runs events strictly below min(W+L, deadline+1) —
+		// a 1×1 grid below deadline+1 — and never past the earliest
+		// serial event, which runs at the barrier if it falls inside the
+		// window.
+		tb := sim.Infinity
+		if len(sx.tiles) > 1 {
+			tb = wstart.At + sx.lookahead
+		}
 		if deadline != sim.Infinity && tb > deadline+1 {
 			tb = deadline + 1
 		}
-		bound := sim.KeyFloor(tb)
-		topoKey, haveTopo := sx.topo.MinKey()
-		topoDue := haveTopo && topoKey.Less(bound)
-		if topoDue {
-			bound = topoKey
+		limit := sim.KeyFloor(tb)
+		sx.bound = limit
+		if k, ok := sx.serial.MinKey(); ok && k.Less(limit) {
+			sx.bound = k
 		}
-		sx.runTiles(bound)
+		var budget uint64
+		if maxEvents > 0 {
+			budget = maxEvents - done
+		}
+		done += sx.runTiles(budget)
 		if sx.tel != nil {
-			sx.foldWindow(wstart.At, bound.At)
+			end := sx.bound.At
+			if end == sim.Infinity {
+				end = sx.now + 1 // an open-ended 1×1 window: up to its last event
+			}
+			sx.foldWindow(wstart.At, end)
 		}
-		if topoDue {
-			it := sx.topo.Pop()
+		if k, ok := sx.serial.MinKey(); ok && k.Less(limit) && (maxEvents == 0 || done < maxEvents) {
+			it := sx.serial.Pop()
 			sx.now = it.K.At
 			if it.Fn != nil {
 				it.Fn()
@@ -517,14 +547,10 @@ func (sx *shardExec) runUntil(deadline sim.Time, maxEvents uint64) error {
 				it.R.Run()
 			}
 			sx.processed++
-			if sx.hook != nil {
-				sx.hook(sx.now)
-			}
+			done++
 		}
-		if maxEvents > 0 {
-			if done := sx.totalProcessed() - start; done >= maxEvents {
-				return fmt.Errorf("%w (%d events by t=%v)", sim.ErrEventLimit, done, sx.now)
-			}
+		if maxEvents > 0 && done >= maxEvents {
+			return fmt.Errorf("%w (%d events by t=%v)", sim.ErrEventLimit, done, sx.now)
 		}
 	}
 	if deadline != sim.Infinity && sx.now < deadline {
@@ -534,7 +560,7 @@ func (sx *shardExec) runUntil(deadline sim.Time, maxEvents uint64) error {
 }
 
 // earliest returns the smallest pending key across all tiles and the
-// topology heap.
+// serial heap.
 func (sx *shardExec) earliest() (sim.Key, bool) {
 	var best sim.Key
 	have := false
@@ -543,7 +569,7 @@ func (sx *shardExec) earliest() (sim.Key, bool) {
 			best, have = k, true
 		}
 	}
-	if k, ok := sx.topo.MinKey(); ok && (!have || k.Less(best)) {
+	if k, ok := sx.serial.MinKey(); ok && (!have || k.Less(best)) {
 		best, have = k, true
 	}
 	return best, have
@@ -565,18 +591,21 @@ func (sx *shardExec) earliest() (sim.Key, bool) {
 // 2 915) far above.
 const directBelow = 600
 
-// runTiles executes one window: every tile with work below bound runs it,
-// either on up to sx.workers goroutines (runParallel) or in place on the
-// coordinator (runDirect). The mode is picked from what the engine has
-// seen, never from configuration: a window goes direct when it has one
-// active tile or one worker — nothing to run side by side — or when evEst,
+// runTiles executes one window and reports how many events it ran: every
+// tile with work below sx.bound runs it, either on up to sx.workers
+// goroutines (runParallel) or in place on the coordinator (runDirect,
+// which stops after budget events when budget is not 0). The mode is picked from what the engine has seen, never from
+// configuration: a window goes direct when it has one active tile or one
+// worker — nothing to run side by side — or when evEst,
 // an exponential moving average (weight 1/8) of the events in the
 // non-empty windows so far, is below directBelow. The average rather than
 // the last window, because RunUntil deadlines cut the odd short window out
 // of a run of long ones and one of those must not send the next long
 // window direct. Both modes execute the same events in the same canonical
-// order, so the choice is invisible in every output.
-func (sx *shardExec) runTiles(bound sim.Key) {
+// order, so the choice is invisible in every output. A 1×1 grid's window
+// is not bounded by the lookahead, so it always runs direct.
+func (sx *shardExec) runTiles(budget uint64) uint64 {
+	bound := sx.bound
 	active := sx.active[:0]
 	var before uint64
 	for _, t := range sx.tiles {
@@ -587,14 +616,14 @@ func (sx *shardExec) runTiles(bound sim.Key) {
 	}
 	sx.active = active
 	if len(active) == 0 {
-		return
+		return 0
 	}
 	direct := sx.workers <= 1 || len(active) == 1 || sx.evEst < directBelow
-	if sx.forceDirect != nil {
+	if sx.forceDirect != nil && sx.g > 1 {
 		direct = sx.forceDirect()
 	}
 	if direct {
-		sx.runDirect(bound)
+		sx.runDirect(budget)
 	} else {
 		sx.runParallel(bound)
 	}
@@ -611,6 +640,7 @@ func (sx *shardExec) runTiles(bound sim.Key) {
 		tel.directWindows++
 		tel.directEvents += events
 	}
+	return events
 }
 
 // windowPanic re-raises a panic caught in a window on the caller of
@@ -660,12 +690,15 @@ func heapifyCursors(h []cursor) {
 // runDirect executes one window on the coordinator: it pops the smallest
 // key across the active tiles' heaps through a binary heap of cursors and
 // runs the event with inWindow false — emit publishes, listeners fire and
-// deliveries land in their receiver's tile heap on the spot, as under the
-// single heap. What an event schedules for its own node may fall inside
-// the window and is picked up when its tile's cursor is refreshed; what it
-// sends to other nodes arrives at or beyond the bound (the lookahead
-// argument), so no other cursor goes stale.
-func (sx *shardExec) runDirect(bound sim.Key) {
+// deliveries land in their receiver's tile heap on the spot. What an event
+// schedules for its own node (or, on a 1×1 grid, for any node) may fall
+// inside the window and is picked up when its tile's cursor is refreshed;
+// what it sends to another tile arrives at or beyond the bound (the
+// lookahead argument), so no other cursor goes stale. The bound is re-read
+// after every event, because a serial event the event queued may have
+// lowered it (pushSerial); the window also ends after budget events when
+// budget is not 0.
+func (sx *shardExec) runDirect(budget uint64) {
 	defer func() {
 		if r := recover(); r != nil {
 			windowPanic(r, debug.Stack())
@@ -677,8 +710,7 @@ func (sx *shardExec) runDirect(bound sim.Key) {
 		h = append(h, cursor{key: k, t: t})
 	}
 	heapifyCursors(h)
-	hook := sx.hook
-	for len(h) > 0 {
+	for ran := uint64(0); len(h) > 0 && h[0].key.Less(sx.bound); {
 		t := h[0].t
 		it := t.heap.Pop()
 		sx.now = it.K.At
@@ -688,10 +720,10 @@ func (sx *shardExec) runDirect(bound sim.Key) {
 			it.R.Run()
 		}
 		t.processed++
-		if hook != nil {
-			hook(sx.now)
+		if ran++; ran == budget {
+			break
 		}
-		if k, ok := t.heap.MinKey(); ok && k.Less(bound) {
+		if k, ok := t.heap.MinKey(); ok && k.Less(sx.bound) {
 			h[0].key = k
 		} else {
 			h[0] = h[len(h)-1]
@@ -736,7 +768,7 @@ func (sx *shardExec) runParallel(bound sim.Key) {
 					break
 				}
 				hits++
-				active[i].run(bound, sx.hook)
+				active[i].run(bound)
 			}
 			if tel != nil {
 				tel.workerDone(wi, attempts, hits)
@@ -761,7 +793,7 @@ func (sx *shardExec) runParallel(bound sim.Key) {
 }
 
 // drainOutboxes routes a parallel window's cross-tile deliveries to their
-// receivers' tiles and its topology requests to the coordinator heap.
+// receivers' tiles and its topology requests to the serial heap.
 // Every routed delivery's instant is at or beyond the window bound, so no
 // tile has executed past it.
 func (sx *shardExec) drainOutboxes() {
@@ -778,7 +810,7 @@ func (sx *shardExec) drainOutboxes() {
 		}
 		t.outMsgs = t.outMsgs[:0]
 		for i, it := range t.outTopo {
-			sx.topo.Push(it)
+			sx.serial.Push(it)
 			t.outTopo[i] = sim.Item{}
 		}
 		t.outTopo = t.outTopo[:0]
@@ -788,7 +820,7 @@ func (sx *shardExec) drainOutboxes() {
 // dispatchEffects replays a parallel window's buffered effects from all
 // active tiles — bus publications and deferred listener callbacks — in
 // canonical key order, an event's effects in emission order: exactly the
-// stream the single-heap engine would have produced inline. Each tile
+// stream a direct window would have produced inline. Each tile
 // buffered its effects in that order already (it executes its events in
 // key order and appends as they emit), so the replay is a k-way merge over
 // the tiles' heads through the cursor heap; the effect records, two

@@ -2,12 +2,16 @@ package manet
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"lme/internal/core"
 	"lme/internal/graph"
+	"lme/internal/sim"
 )
 
 // shardedLayout is one topology family of the differential matrix. The
@@ -48,16 +52,16 @@ func shardedLayouts(n int) []shardedLayout {
 // shardedTrace runs the full scenario — waypoint movers crossing tile
 // boundaries, scripted jumps, crashes with messages in flight, all
 // scheduled before Start to also cover the pre-start pending path — and
-// returns the complete JSONL event stream. tiles ≤ 1 selects the
-// single-heap engine (the reference); larger values the sharded engine
-// with the given worker bound.
+// returns the complete JSONL event stream. tiles ≤ 1 selects the 1×1
+// grid (the reference); larger values a g×g grid with the given worker
+// bound.
 func shardedTrace(t *testing.T, lay shardedLayout, seed uint64, tiles, workers int) []byte {
 	t.Helper()
 	return shardedTraceMode(t, lay, seed, tiles, workers, nil)
 }
 
-// shardedTraceMode is shardedTrace with the sharded engine's window mode
-// forced by hook (nil: the engine's own choice).
+// shardedTraceMode is shardedTrace with the engine's window mode forced
+// by hook (nil: the engine's own choice; a 1×1 grid ignores it).
 func shardedTraceMode(t *testing.T, lay shardedLayout, seed uint64, tiles, workers int, hook func() bool) []byte {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -125,10 +129,10 @@ func diffTraces(t *testing.T, ref, got []byte, what string) {
 }
 
 // TestShardedMatchesSingleHeap is the engine's differential oracle: for
-// every layout × seed × tile-grid combination, the sharded engine's full
-// event stream must be byte-identical to the single-heap engine's — same
-// link transitions, message fates, mobility and crash handling, in the
-// same canonical order.
+// every layout × seed × tile-grid combination, the full event stream must
+// be byte-identical to the 1×1 grid's, the reference (which runs the
+// single-heap loop over one tile heap) — same link transitions, message
+// fates, mobility and crash handling, in the same canonical order.
 func TestShardedMatchesSingleHeap(t *testing.T) {
 	for _, lay := range shardedLayouts(48) {
 		for _, seed := range []uint64{1, 7, 42, 1337} {
@@ -157,21 +161,6 @@ func TestShardedWorkerCountInvariance(t *testing.T) {
 			diffTraces(t, ref, got, fmt.Sprintf("workers=%d vs 1", workers))
 		})
 	}
-}
-
-// TestShardedSchedulerUnavailable pins the API contract: the raw
-// scheduler does not exist under the sharded engine, and asking for it
-// panics with guidance instead of silently handing out a dead loop.
-func TestShardedSchedulerUnavailable(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Tiles = 2
-	w := NewWorld(cfg)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Scheduler() did not panic under the sharded engine")
-		}
-	}()
-	w.Scheduler()
 }
 
 // TestShardedRunDrains covers World.Run under the sharded engine: the
@@ -204,6 +193,88 @@ func TestShardedRunDrains(t *testing.T) {
 	w2 := build()
 	if err := w2.Run(3); err == nil {
 		t.Fatal("tiny event budget did not trip")
+	}
+}
+
+// TestOneTileEventLimit pins the event budget of a 1×1 grid, whose window
+// is not bounded by the lookahead: Run(3) stops after exactly three
+// events, not at the end of the window.
+func TestOneTileEventLimit(t *testing.T) {
+	w := pulserWorld(shardedLayouts(48)[1], 1, 1, 0, true)
+	if err := w.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(3); !errors.Is(err, sim.ErrEventLimit) {
+		t.Fatalf("Run(3) = %v, want ErrEventLimit", err)
+	}
+	if got := w.Processed(); got != 3 {
+		t.Fatalf("Processed() = %d after Run(3), want 3", got)
+	}
+}
+
+// TestAtPanicsInParallelWindow pins World.At's coordinator-only contract:
+// a node event that calls it from a tile worker fails loudly instead of
+// racing on the serial heap.
+func TestAtPanicsInParallelWindow(t *testing.T) {
+	lay := shardedLayouts(48)[1]
+	cfg := DefaultConfig()
+	cfg.Radius = lay.radius
+	cfg.Tiles = 4
+	cfg.ShardWorkers = 2
+	w := NewWorld(cfg)
+	for _, pt := range lay.points {
+		w.SetProtocol(w.AddNode(pt), &chatter{})
+	}
+	w.ScheduleLocal(5, 1_000, func() { w.At(w.Now()+5, func() {}) })
+	startForced(t, w, func() bool { return false })
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "World.At called inside a parallel window") {
+			t.Fatalf("recovered %q, want the World.At panic", msg)
+		}
+	}()
+	err := w.RunUntil(50_000, 0)
+	t.Fatalf("RunUntil returned (%v) past World.At in a parallel window", err)
+}
+
+// TestAtInsideDirectWindow pins the lowered bound: a script that a node
+// event queues 5 µs ahead, well inside the running direct window, runs
+// after the events before its instant and before every node event at or
+// after it — on the 1×1 grid, whose window would otherwise run to the
+// deadline, and identically on a 4×4 grid.
+func TestAtInsideDirectWindow(t *testing.T) {
+	lay := shardedLayouts(48)[1]
+	run := func(tiles int) []string {
+		cfg := DefaultConfig()
+		cfg.Radius = lay.radius
+		cfg.Tiles = tiles
+		cfg.ShardWorkers = 2
+		w := NewWorld(cfg)
+		for _, pt := range lay.points {
+			w.SetProtocol(w.AddNode(pt), &chatter{})
+		}
+		var log []string
+		for id := range lay.points {
+			id := core.NodeID(id)
+			for _, at := range []sim.Time{1_000, 1_005, 1_010} {
+				w.ScheduleLocal(id, at, func() { log = append(log, fmt.Sprintf("node %d @%d", id, w.Now())) })
+			}
+		}
+		w.ScheduleLocal(5, 1_000, func() {
+			w.At(w.Now()+5, func() { log = append(log, fmt.Sprintf("script @%d", w.Now())) })
+		})
+		startForced(t, w, func() bool { return true })
+		if err := w.RunUntil(50_000, 0); err != nil {
+			t.Fatal(err)
+		}
+		return log
+	}
+	ref := run(1)
+	if i, want := slices.Index(ref, "script @1005"), len(lay.points); i != want {
+		t.Fatalf("script ran at position %d, want %d (after the @1000 events, before the @1005 ones): %v", i, want, ref)
+	}
+	if got := run(4); !slices.Equal(got, ref) {
+		t.Fatalf("4×4 grid ran\n%v\n1×1 grid ran\n%v", got, ref)
 	}
 }
 

@@ -57,8 +57,8 @@ func telemetryTrace(t *testing.T, lay shardedLayout, seed uint64, tiles, workers
 
 // TestTelemetryInvariance pins that telemetry collection is invisible to
 // the run: same seed, telemetry on vs off, across tile grids {1, 4} and
-// 2 workers — every event stream byte-identical to the single-heap
-// reference with telemetry off.
+// 2 workers — every event stream byte-identical to the 1×1 grid's with
+// telemetry off.
 func TestTelemetryInvariance(t *testing.T) {
 	lay := shardedLayouts(48)[1] // grid: spreads load across tiles
 	const seed = 42
@@ -123,19 +123,25 @@ func TestEngineTelemetryRecord(t *testing.T) {
 	}
 }
 
-// TestEngineTelemetrySingleHeap pins the degenerate single-heap record:
-// a 1×1 grid with the scheduler's totals and no window machinery.
-func TestEngineTelemetrySingleHeap(t *testing.T) {
+// TestEngineTelemetryOneTile pins the 1×1 grid's record: one tile and one
+// worker, every event counted once — on the tile or as a serial event on
+// the coordinator — and no barrier stall, because every window runs
+// direct.
+func TestEngineTelemetryOneTile(t *testing.T) {
 	lay := shardedLayouts(48)[0]
 	_, w := telemetryTrace(t, lay, 3, 1, 0, true)
 	e := w.EngineTelemetry()
 	if e == nil {
 		t.Fatal("EngineTelemetry() = nil with telemetry on")
 	}
-	if e.Tiles != 1 || len(e.PerTile) != 1 || e.Windows != 0 {
-		t.Fatalf("degenerate record wrong shape: %+v", e)
+	if e.Tiles != 1 || e.Workers != 1 || len(e.PerTile) != 1 {
+		t.Fatalf("1×1 record wrong shape: %+v", e)
 	}
-	if e.Events == 0 || e.PerTile[0].Events != e.Events {
-		t.Fatalf("single-heap events inconsistent: %+v", e)
+	serial := w.shard.processed
+	if e.Events == 0 || e.Events != w.Processed() || e.PerTile[0].Events+serial != e.Events || serial == 0 {
+		t.Fatalf("events %d, Processed() %d, tile %d + serial %d", e.Events, w.Processed(), e.PerTile[0].Events, serial)
+	}
+	if e.BarrierStallNS.Count != 0 || e.DirectWindows == 0 {
+		t.Fatalf("1×1 grid stalled at a barrier or ran no direct window: %+v", e)
 	}
 }

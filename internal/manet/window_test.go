@@ -102,6 +102,11 @@ func pulserWorld(lay shardedLayout, seed uint64, tiles, workers int, mobile bool
 	cfg.Radius = lay.radius
 	cfg.Tiles = tiles
 	cfg.ShardWorkers = workers
+	return pulserWorldCfg(lay, cfg, mobile)
+}
+
+// pulserWorldCfg is pulserWorld over an explicit configuration.
+func pulserWorldCfg(lay shardedLayout, cfg Config, mobile bool) *World {
 	w := NewWorld(cfg)
 	d := &pulseDriver{w: w}
 	for _, pt := range lay.points {
@@ -154,7 +159,7 @@ func pulserTrace(t *testing.T, lay shardedLayout, seed uint64, tiles, workers in
 
 // TestWindowModeDifferential is the mode oracle: all-direct, all-parallel
 // and alternating windows, over tile grids {2,4,8} and worker bounds
-// {1,2,4}, produce the single heap's event stream byte for byte — on the
+// {1,2,4}, produce the 1×1 grid's event stream byte for byte — on the
 // mobility/jump/crash scenario of the sharded differential (every layout)
 // and on a pulser world, whose windows are dense with state changes (line
 // and grid: the clique is one tile, and 47 pings a hunger). Run under -race
@@ -182,6 +187,45 @@ func TestWindowModeDifferential(t *testing.T) {
 					})
 				}
 			}
+		}
+	}
+}
+
+// TestWindowStopsAtOwnTick is the regression test of a lookahead wider
+// than the mobility tick: with MinDelay 30 ms and TickInterval 20 ms, a
+// tick that MoveTo queues from inside a window falls due before that
+// window's bound, and must still run before the window's later events.
+// Tiles 2 and 4 in both forced window modes must match tiles 1.
+func TestWindowStopsAtOwnTick(t *testing.T) {
+	lay := shardedLayouts(48)[1]
+	run := func(tiles int, hook func() bool) []byte {
+		cfg := DefaultConfig()
+		cfg.Seed = 7
+		cfg.Radius = lay.radius
+		cfg.Tiles = tiles
+		cfg.ShardWorkers = 2
+		cfg.MinDelay, cfg.MaxDelay = 30_000, 40_000
+		w := pulserWorldCfg(lay, cfg, false)
+		n := core.NodeID(len(lay.points))
+		Waypoint{Speed: 3, PauseMin: 2_000, PauseMax: 25_000}.Attach(w, []core.NodeID{2, 17, 30, n - 3})
+		var buf bytes.Buffer
+		w.Bus().SetSink(&buf)
+		startForced(t, w, hook)
+		if err := w.RunUntil(800_000, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Bus().Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	ref := run(1, nil)
+	for _, tiles := range []int{2, 4} {
+		for _, mode := range windowModes[:2] {
+			name := fmt.Sprintf("tiles=%d/%s", tiles, mode.name)
+			t.Run(name, func(t *testing.T) {
+				diffTraces(t, ref, run(tiles, mode.hook()), name)
+			})
 		}
 	}
 }
@@ -244,9 +288,8 @@ func (l orderListener) OnStateChange(id core.NodeID, old, new core.State, at sim
 
 // TestDirectWindowListenerOrder pins the order observers are called in
 // inside a direct window: for one transition the bus event, then the
-// state listeners, then the local listeners — inline, as under the single
-// heap — and the whole interleaved sequence of a run equal to the single
-// heap's.
+// state listeners, then the local listeners — inline — and the whole
+// interleaved sequence of a run on a 4×4 grid equal to the 1×1 grid's.
 func TestDirectWindowListenerOrder(t *testing.T) {
 	lay := shardedLayouts(48)[1]
 	run := func(tiles int) []string {
@@ -268,11 +311,11 @@ func TestDirectWindowListenerOrder(t *testing.T) {
 		t.Fatalf("reference run observed only %d callbacks", len(ref))
 	}
 	if len(got) != len(ref) {
-		t.Fatalf("direct run observed %d callbacks, single heap %d", len(got), len(ref))
+		t.Fatalf("4×4 grid observed %d callbacks, 1×1 grid %d", len(got), len(ref))
 	}
 	for i := range ref {
 		if got[i] != ref[i] {
-			t.Fatalf("callback %d: direct %q, single heap %q", i, got[i], ref[i])
+			t.Fatalf("callback %d: 4×4 grid %q, 1×1 grid %q", i, got[i], ref[i])
 		}
 	}
 	for i := 0; i+2 < len(got); i += 3 {

@@ -1,23 +1,22 @@
 // Package manet models the mobile ad hoc network of §3.1 of the paper on
-// top of the discrete-event scheduler: nodes with positions on the plane, a
+// top of the discrete-event substrate: nodes with positions on the plane, a
 // unit-disk communication graph that changes as nodes move, reliable FIFO
 // links with bounded message delay ν, link-level LinkUp/LinkDown
 // indications with the paper's static/moving symmetry-breaking bias, crash
 // failures, and the dispatch loop that drives each node's Protocol one
 // atomic event at a time.
 //
-// The world has two interchangeable execution engines behind one API.
-// The single-heap engine (Config.Tiles ≤ 1) runs every event off one
-// sim.Scheduler — the exact legacy behaviour. The region-sharded engine
-// (Config.Tiles > 1, see shard.go) partitions the plane into a grid of
-// tiles, each with its own value-typed event heap, synchronised by
-// conservative lookahead; a window of events runs on worker goroutines,
-// or — when it is too small to repay them — in place on the coordinator.
-// Both engines execute events in the canonical
-// (time, owner, class, a, b) key order and draw every random number from
-// per-node streams, so a run's event trace is bit-identical regardless of
-// engine, tiling, or worker count (pinned by the sharded differential
-// tests and TestGoldenTraceHash).
+// The world runs on one execution engine, the tile engine of shard.go. It
+// partitions the plane into a g×g grid of tiles (Config.Tiles; g = 1 is
+// a single tile), each with its own value-typed event heap, synchronised
+// by conservative lookahead; a window of events runs on worker
+// goroutines, or — when it is too small to repay them — in place on the
+// coordinator. Topology changes and scripted closures (World.At) are
+// serial events that run on the coordinator between windows. Events
+// execute in the canonical (time, owner, class, a, b) key order and draw
+// every random number from per-node streams, so a run's event trace is
+// bit-identical for every tiling and worker count (pinned by the
+// differential tests and TestGoldenTraceHash).
 //
 // The transport and link-maintenance layer is allocation-lean and scales
 // to 100k+ nodes: adjacency is a per-node sorted ID slice with a parallel
@@ -35,7 +34,6 @@ import (
 
 	"lme/internal/core"
 	"lme/internal/graph"
-	"lme/internal/metrics"
 	"lme/internal/sim"
 	"lme/internal/telemetry"
 	"lme/internal/trace"
@@ -46,7 +44,7 @@ type Config struct {
 	// Seed derives every random choice (delays, mobility); runs with the
 	// same seed and the same call sequence are identical. Each node owns
 	// an independent stream derived from (Seed, id), which is what keeps
-	// runs identical across engines and worker counts.
+	// runs identical across tilings and worker counts.
 	Seed uint64
 
 	// Radius is the radio range: two nodes are neighbours iff their
@@ -56,12 +54,14 @@ type Config struct {
 	// MinDelay and MaxDelay bound the end-to-end message delay; MaxDelay
 	// is the paper's ν. Delays are drawn uniformly per message, then
 	// clamped so that each directed link delivers in FIFO order. MinDelay
-	// also lower-bounds how soon one node can affect another, which is
-	// the sharded engine's conservative lookahead.
+	// also lower-bounds how soon one node can affect another, which
+	// bounds the tile engine's conservative lookahead.
 	MinDelay, MaxDelay sim.Time
 
 	// TickInterval is the mobility integration step for continuous
-	// movement. Zero selects a default of 20ms.
+	// movement. Zero selects a default of 20ms. A tick queued inside a
+	// window falls due one interval later, so it bounds the lookahead
+	// too.
 	TickInterval sim.Time
 
 	// NonFIFO disables the per-directed-link FIFO delivery order — an
@@ -72,15 +72,14 @@ type Config struct {
 	// no history; subscribers and sinks still receive every event).
 	TraceRing int
 
-	// Tiles selects the execution engine: ≤ 1 runs the single-heap
-	// scheduler (exact legacy behaviour); g > 1 partitions the node
-	// bounding box into a g×g grid of tiles executed by the sharded
-	// engine. The event trace is identical either way.
+	// Tiles is the side g of the tile grid the engine partitions the
+	// node bounding box into (≤ 1 = one tile, which runs every event on
+	// the calling goroutine). The event trace is identical for every g.
 	Tiles int
 
-	// ShardWorkers bounds the sharded engine's worker goroutines
-	// (0 = GOMAXPROCS). Ignored by the single-heap engine. The trace is
-	// identical for every worker count.
+	// ShardWorkers bounds the engine's worker goroutines (0 =
+	// GOMAXPROCS). A 1×1 grid uses none. The trace is identical for every
+	// worker count.
 	ShardWorkers int
 
 	// Telemetry enables the engine's execution-telemetry counters
@@ -91,7 +90,7 @@ type Config struct {
 }
 
 // DefaultConfig returns the parameters used throughout the experiments:
-// ν = 10ms with a 1ms floor, 20ms mobility ticks, single-heap engine.
+// ν = 10ms with a 1ms floor, 20ms mobility ticks, one tile.
 func DefaultConfig() Config {
 	return Config{
 		Seed:         1,
@@ -168,8 +167,8 @@ type node struct {
 	// order — the prerequisite for bit-identical parallel runs.
 	rng *rand.Rand
 
-	// tile is the index of the tile currently owning the node (sharded
-	// engine only; updated by the coordinator on migration).
+	// tile is the index of the tile currently owning the node (updated
+	// by the coordinator on migration).
 	tile int32
 
 	// movement target; valid while moving.
@@ -260,15 +259,13 @@ func nodeSeed(seed uint64, id core.NodeID) uint64 {
 	return z
 }
 
-// World is the simulated MANET. With the single-heap engine all mutation
-// happens inside scheduler events or before the run starts; with the
-// sharded engine, node-local events run on tile workers (parallel windows)
-// or on the coordinating goroutine (direct windows), while topology events
-// and all observable effects (bus, listeners) are serialised on the
-// coordinating goroutine in canonical key order.
+// World is the simulated MANET. Node-local events run on tile workers
+// (parallel windows) or on the coordinating goroutine (direct windows),
+// while serial events — topology changes and scripted closures — and all
+// observable effects (bus, listeners) are serialised on the coordinating
+// goroutine in canonical key order.
 type World struct {
 	cfg   Config
-	sched *sim.Scheduler
 	nodes []*node
 
 	// grid is the spatial index link maintenance queries; scratch is its
@@ -276,19 +273,16 @@ type World struct {
 	grid    grid
 	scratch []core.NodeID
 
-	// freeDeliveries and freeTickers pool the reusable in-flight message
-	// and movement-tick records of the closure-free timer paths.
-	// freeDeliveries serves the single-heap engine only: under the sharded
-	// engine every tile keeps its own delivery pool.
-	freeDeliveries []*delivery
-	freeTickers    []*moveTicker
+	// freeTickers pools the reusable movement-tick records (every tile
+	// keeps its own pool of delivery records).
+	freeTickers []*moveTicker
 
 	// stateListeners are deferred observers: in parallel windows their
 	// callbacks are buffered and replayed at barriers in canonical
 	// order. localStateListeners (the workload driver) run inline in the
 	// executing context, because they schedule follow-up events for the
-	// node itself; they are invoked after the deferred ones in single
-	// mode and in direct windows, preserving the legacy registration
+	// node itself; they are invoked after the deferred ones in serial
+	// events and in direct windows, preserving the legacy registration
 	// order.
 	stateListeners      []core.Listener
 	localStateListeners []core.Listener
@@ -302,22 +296,18 @@ type World struct {
 
 	started bool
 
-	// shard is the sharded executor; nil before Start and in single-heap
-	// mode. pending holds events scheduled before Start in sharded mode
-	// (routed into tile heaps once tiles exist); pendingHook likewise.
-	shard       *shardExec
-	pending     []sim.Item
-	pendingHook func(sim.Time)
+	// shard is the tile engine; nil before Start. pending holds events
+	// scheduled before Start (routed into tile heaps and the serial heap
+	// once tiles exist).
+	shard   *shardExec
+	pending []sim.Item
 
-	// msgsSent and msgsDelivered count protocol messages (the paper's
-	// future-work measure of message complexity). They are maintained
-	// natively so the cheap headline numbers survive even when nothing
-	// subscribes to the bus. The sharded engine counts into per-tile
-	// fields instead; readers sum.
-	msgsSent, msgsDelivered uint64
+	// seq is the schedule counter of ownerless serial events (World.At):
+	// their key's A component, so same-instant scripts run in call order.
+	seq uint64
 }
 
-// NewWorld creates an empty world driven by its own scheduler.
+// NewWorld creates an empty world.
 func NewWorld(cfg Config) *World {
 	if cfg.TickInterval <= 0 {
 		cfg.TickInterval = 20_000
@@ -339,7 +329,6 @@ func NewWorld(cfg Config) *World {
 	}
 	return &World{
 		cfg:   cfg,
-		sched: sim.NewScheduler(cfg.Seed),
 		bus:   trace.NewBus(cfg.TraceRing),
 		namer: trace.NewTypeNamer(),
 	}
@@ -354,122 +343,83 @@ func (w *World) Bus() *trace.Bus { return w.bus }
 // it to resolve dense type IDs back to schema names.
 func (w *World) TypeNamer() *trace.TypeNamer { return w.namer }
 
-// Scheduler exposes the single-heap event loop for workloads and
-// harnesses that script scenarios with raw closures. It is unavailable in
-// sharded mode, where no global scheduler exists: use Now, RunUntil,
-// ScheduleLocal and the mobility/crash helpers instead — they work with
-// both engines.
-func (w *World) Scheduler() *sim.Scheduler {
-	if w.cfg.Tiles > 1 {
-		panic("manet: Scheduler() is unavailable with the sharded engine (Tiles > 1); use World.Now/RunUntil/ScheduleLocal")
-	}
-	return w.sched
-}
-
 // Config returns the world's configuration.
 func (w *World) Config() Config { return w.cfg }
 
 // N returns the number of nodes.
 func (w *World) N() int { return len(w.nodes) }
 
-// Now returns the current virtual time under either engine.
+// Now returns the current virtual time (zero before Start).
 func (w *World) Now() sim.Time {
 	if sx := w.shard; sx != nil {
 		return sx.now
 	}
-	return w.sched.Now()
+	return 0
 }
 
 // nowOf returns the virtual time of n's execution context: its tile clock
 // inside a parallel window, the coordinator clock otherwise.
 func (w *World) nowOf(n *node) sim.Time {
-	if sx := w.shard; sx != nil {
-		if sx.inWindow {
-			return sx.tiles[n.tile].now
-		}
-		return sx.now
+	if sx := w.shard; sx != nil && sx.inWindow {
+		return sx.tiles[n.tile].now
 	}
-	return w.sched.Now()
+	return w.Now()
 }
 
-// Processed reports how many events have been executed under either
-// engine.
+// Processed reports how many events have been executed.
 func (w *World) Processed() uint64 {
 	if sx := w.shard; sx != nil {
-		total := sx.processed
-		for _, t := range sx.tiles {
-			total += t.processed
-		}
-		return total
+		return sx.totalProcessed()
 	}
-	return w.sched.Processed()
+	return 0
 }
 
 // EngineTelemetry assembles the execution-layer lme/telemetry/v1 record,
-// or nil when Config.Telemetry is off (or the sharded engine has not
-// started yet). The single-heap engine reports the degenerate 1×1 grid —
-// one tile, zero windows and steals — so consumers see one shape from
-// both engines. Coordinator context only: call between RunUntil slices
-// or after the run, never from an event handler under the sharded
-// engine.
+// or nil when Config.Telemetry is off or the world has not started.
+// Coordinator context only: call between RunUntil slices or after the
+// run, never from an event handler.
 func (w *World) EngineTelemetry() *telemetry.EngineStats {
-	if !w.cfg.Telemetry {
-		return nil
+	if sx := w.shard; sx != nil {
+		return sx.telemetrySnapshot()
 	}
-	if w.cfg.Tiles > 1 {
-		if sx := w.shard; sx != nil {
-			return sx.telemetrySnapshot()
-		}
-		return nil
-	}
-	events := w.sched.Processed()
-	empty := metrics.NewSketch().Snapshot()
-	return &telemetry.EngineStats{
-		Schema: telemetry.Schema,
-		Tiles:  1, Workers: 1,
-		Events:         events,
-		WindowSpanUS:   empty,
-		BarrierStallNS: empty,
-		PerTile: []telemetry.TileStats{{
-			Tile: 0, Events: events,
-			MsgsSent: w.msgsSent, MsgsDelivered: w.msgsDelivered,
-		}},
-	}
-}
-
-// SetEventHook installs f to run after every executed event, at the
-// event's virtual time (nil uninstalls). Under the sharded engine the
-// hook may be invoked concurrently from tile workers, so it must be
-// goroutine-safe (the harness's throughput counter is atomic).
-func (w *World) SetEventHook(f func(sim.Time)) {
-	if w.cfg.Tiles > 1 {
-		if sx := w.shard; sx != nil {
-			sx.hook = f
-		} else {
-			w.pendingHook = f
-		}
-		return
-	}
-	w.sched.SetEventHook(f)
+	return nil
 }
 
 // RunUntil executes events in canonical order until the queues are empty
 // or the next event is later than deadline; events at exactly the
 // deadline still run and the clock lands on deadline. maxEvents bounds
 // the total executed in this call (0 = no bound); exceeding it returns
-// sim.ErrEventLimit. Under the sharded engine the bound is checked at
-// window barriers, so it may overshoot by up to one window.
+// sim.ErrEventLimit. A direct window checks the bound per event, a
+// parallel one at its barrier, so it may overshoot by up to one window.
 func (w *World) RunUntil(deadline sim.Time, maxEvents uint64) error {
-	if sx := w.shard; sx != nil {
-		return sx.runUntil(deadline, maxEvents)
+	if w.shard == nil {
+		return fmt.Errorf("manet: RunUntil before Start")
 	}
-	return w.sched.RunUntil(deadline, maxEvents)
+	return w.shard.runUntil(deadline, maxEvents)
 }
 
 // Run executes pending events (including ones they schedule) until the
 // queues drain, with an event budget.
 func (w *World) Run(maxEvents uint64) error {
 	return w.RunUntil(sim.Infinity, maxEvents)
+}
+
+// At schedules fn to run at virtual time t (clamped to the present) as an
+// ownerless serial event: on the coordinator, with every tile paused,
+// before every node's event of the same instant, and after the At calls
+// made earlier for that instant. It is how a script drives the world with
+// raw closures. Coordinator context only — before Start, between runs,
+// or from a serial event or a direct window; it panics inside a parallel
+// window.
+func (w *World) At(t sim.Time, fn func()) {
+	if sx := w.shard; sx != nil && sx.inWindow {
+		panic("manet: World.At called inside a parallel window")
+	}
+	w.seq++
+	w.queueSerial(sim.Item{
+		K:  sim.Key{At: max(t, w.Now()), Owner: sim.NoOwner, Class: sim.ClassTopo, A: w.seq},
+		Fn: fn,
+	})
 }
 
 // AddNode places a new node at pos and returns its ID. Must be called
@@ -502,10 +452,10 @@ func (w *World) SetProtocol(id core.NodeID, p core.Protocol) {
 // driver's think-time source). Draw only from id's own execution context.
 func (w *World) NodeRand(id core.NodeID) *rand.Rand { return w.nodes[id].rng }
 
-// AddStateListener registers a dining-state transition observer. Under
-// the sharded engine the callbacks of a parallel window are deferred to
-// its barrier and replayed in canonical event order (a direct window calls
-// them inline, in the same order); listeners must therefore derive
+// AddStateListener registers a dining-state transition observer. The
+// callbacks of a parallel window are deferred to its barrier and replayed
+// in canonical event order (a direct window calls them inline, in the
+// same order); listeners must therefore derive
 // their state from the callback stream (plus the frozen-between-barriers
 // topology) rather than reading live node state — which every metrics
 // listener already does.
@@ -514,10 +464,10 @@ func (w *World) AddStateListener(l core.Listener) {
 }
 
 // AddLocalStateListener registers a state observer that runs inline in
-// the transitioning node's own execution context even under the sharded
-// engine — required for listeners that schedule follow-up events for the
-// node (the workload driver). Inline listeners run after the deferred
-// ones registered so far when both engines run single-threaded.
+// the transitioning node's own execution context, on a tile worker too —
+// required for listeners that schedule follow-up events for the node (the
+// workload driver). Outside parallel windows, inline listeners run after
+// the deferred ones registered so far.
 func (w *World) AddLocalStateListener(l core.Listener) {
 	w.localStateListeners = append(w.localStateListeners, l)
 }
@@ -577,8 +527,8 @@ func (w *World) emit(n *node, e trace.Event) {
 	w.bus.Publish(e)
 }
 
-// relocate moves a node to p, keeping the spatial index — and, under the
-// sharded engine, its tile assignment and pending events — in sync.
+// relocate moves a node to p, keeping the spatial index — and, once
+// started, its tile assignment and pending events — in sync.
 // Coordinator context only (topology events are serialised there).
 func (w *World) relocate(n *node, p graph.Point) {
 	w.grid.move(n.id, n.pos, p)
@@ -597,10 +547,10 @@ func (w *World) addLink(a, b core.NodeID) {
 
 // Start computes the initial communication graph (silently: pre-existing
 // links generate no LinkUp indications; the paper's initial fork and colour
-// distributions are ID-based conventions each protocol applies in Init) and
-// initialises every protocol. With Tiles > 1 it also partitions the node
-// bounding box into the tile grid and routes any pre-scheduled events to
-// their owners' tiles.
+// distributions are ID-based conventions each protocol applies in Init),
+// partitions the node bounding box into the tile grid, routes any
+// pre-scheduled events to their owners' tiles and the serial heap, and
+// initialises every protocol.
 func (w *World) Start() error {
 	if w.started {
 		return fmt.Errorf("manet: Start called twice")
@@ -628,9 +578,7 @@ func (w *World) Start() error {
 		}
 		w.scratch = cand[:0]
 	}
-	if w.cfg.Tiles > 1 {
-		w.initShard()
-	}
+	w.initShard()
 	for _, n := range w.nodes {
 		n.proto.Init(&env{w: w, n: n})
 	}
@@ -671,9 +619,10 @@ func (w *World) CommGraph() *graph.Graph {
 }
 
 // MessagesSent reports the number of protocol messages handed to the
-// transport so far.
+// transport so far (the paper's future-work measure of message
+// complexity; counted per tile, summed here).
 func (w *World) MessagesSent() uint64 {
-	total := w.msgsSent
+	var total uint64
 	if sx := w.shard; sx != nil {
 		for _, t := range sx.tiles {
 			total += t.msgsSent
@@ -685,7 +634,7 @@ func (w *World) MessagesSent() uint64 {
 // MessagesDelivered reports the number of protocol messages delivered so
 // far (sent minus dropped on link failures and crashes).
 func (w *World) MessagesDelivered() uint64 {
-	total := w.msgsDelivered
+	var total uint64
 	if sx := w.shard; sx != nil {
 		for _, t := range sx.tiles {
 			total += t.msgsDelivered
@@ -705,27 +654,6 @@ func (w *World) MaxDegree() int {
 	return max
 }
 
-// countSent tallies one protocol message handed to the transport, on the
-// sender's tile under the sharded engine (the executing context owns it:
-// the tile's worker in a parallel window, the coordinator otherwise).
-func (w *World) countSent(src *node) {
-	if sx := w.shard; sx != nil {
-		sx.tiles[src.tile].msgsSent++
-		return
-	}
-	w.msgsSent++
-}
-
-// countDelivered tallies one delivered protocol message, on the
-// receiver's tile under the sharded engine.
-func (w *World) countDelivered(dst *node) {
-	if sx := w.shard; sx != nil {
-		sx.tiles[dst.tile].msgsDelivered++
-		return
-	}
-	w.msgsDelivered++
-}
-
 // Crash fails node id at the current instant: it stops processing events,
 // stops moving, and never recovers. Other nodes receive no indication (the
 // paper's crash model is undetectable).
@@ -743,14 +671,13 @@ func (w *World) Crash(id core.NodeID) {
 }
 
 // CrashAt schedules a crash of id at time t. The crash is a node-local
-// event owned by id, so it executes on id's tile under the sharded
-// engine.
+// event owned by id, so it executes on id's tile.
 func (w *World) CrashAt(id core.NodeID, t sim.Time) {
 	w.scheduleLocalAt(w.nodes[id], t, func() { w.Crash(id) })
 }
 
 // ScheduleLocal schedules fn to run in id's execution context, after time
-// units from id's current instant. It is the engine-agnostic timer the
+// units from id's current instant. It is the node-local timer the
 // workload driver uses for dining follow-ups; fn must touch only id-local
 // state. Call it from id's own execution context (or while the world is
 // not running).
@@ -784,61 +711,48 @@ func (w *World) scheduleLocalRunner(n *node, at sim.Time, r sim.Runner) {
 	}, n)
 }
 
-// scheduleTopo schedules a ClassTopo event owned by n at time at: a
-// topology mutation (movement tick, jump) the sharded engine serialises
-// on its coordinator.
+// scheduleTopo schedules a ClassTopo event owned by n at time at
+// (clamped to n's present): a topology mutation (movement tick, jump)
+// the engine serialises on its coordinator.
 func (w *World) scheduleTopo(n *node, at sim.Time, it sim.Item) {
 	n.oseq++
-	it.K = sim.Key{At: at, Owner: int32(n.id), Class: sim.ClassTopo, A: n.oseq}
-	if w.cfg.Tiles > 1 {
-		sx := w.shard
-		if sx == nil {
-			w.pending = append(w.pending, it)
-			return
-		}
-		if sx.inWindow {
-			// Tile context: hand the request to the coordinator at the
-			// barrier. Topo events are always ≥ one tick or one settle
-			// ahead, hence outside the current window.
-			t := sx.tiles[n.tile]
-			t.outTopo = append(t.outTopo, it)
-			return
-		}
-		sx.topo.Push(it)
+	it.K = sim.Key{At: max(at, w.nowOf(n)), Owner: int32(n.id), Class: sim.ClassTopo, A: n.oseq}
+	if sx := w.shard; sx != nil && sx.inWindow {
+		// Tile context: hand the request to the coordinator at the
+		// barrier. Topo events are always ≥ one tick or one settle
+		// ahead, and the lookahead is at most one tick, hence outside
+		// the current window.
+		t := sx.tiles[n.tile]
+		t.outTopo = append(t.outTopo, it)
 		return
 	}
-	if it.Fn != nil {
-		w.sched.AtKey(it.K, it.Fn)
-	} else {
-		w.sched.AtRunnerKey(it.K, it.R)
-	}
+	w.queueSerial(it)
 }
 
-// push routes an owned node-local event to the engine: the single heap,
-// the owner's tile heap, or the pre-Start pending list. In tile context
-// the owner is necessarily the executing node, so pushing into its own
-// heap is race-free.
+// queueSerial queues a serial event from coordinator context: on the
+// coordinator's serial heap, or on the pre-Start pending list.
+func (w *World) queueSerial(it sim.Item) {
+	if sx := w.shard; sx != nil {
+		sx.pushSerial(it)
+		return
+	}
+	w.pending = append(w.pending, it)
+}
+
+// push routes an owned node-local event to the owner's tile heap or the
+// pre-Start pending list. In tile context the owner is necessarily the
+// executing node, so pushing into its own heap is race-free.
 func (w *World) push(it sim.Item, n *node) {
-	if w.cfg.Tiles > 1 {
-		sx := w.shard
-		if sx == nil {
-			w.pending = append(w.pending, it)
-			return
-		}
+	if sx := w.shard; sx != nil {
 		sx.tiles[n.tile].heap.Push(it)
 		return
 	}
-	if it.Fn != nil {
-		w.sched.AtKey(it.K, it.Fn)
-	} else {
-		w.sched.AtRunnerKey(it.K, it.R)
-	}
+	w.pending = append(w.pending, it)
 }
 
 // delivery is one pooled in-flight message: the sim.Runner the transport
 // schedules instead of capturing six variables in a fresh closure per
-// send. Records are recycled through per-tile free lists (sharded) or
-// World.freeDeliveries after firing.
+// send. Records are recycled through per-tile free lists after firing.
 type delivery struct {
 	w        *World
 	from, to core.NodeID
@@ -874,7 +788,7 @@ func (d *delivery) Run() {
 			})
 		}
 	} else {
-		w.countDelivered(dst)
+		w.shard.tiles[dst.tile].msgsDelivered++
 		if d.observed && w.bus.Wants(trace.KindDeliver) {
 			w.emit(dst, trace.Event{
 				Kind: trace.KindDeliver, Node: d.to, Peer: d.from,
@@ -885,33 +799,20 @@ func (d *delivery) Run() {
 		dst.proto.OnMessage(d.from, d.msg)
 	}
 	d.msg = nil // release the payload before pooling
-	w.releaseDelivery(dst, d)
+	t := w.shard.tiles[dst.tile]
+	t.freeDel = append(t.freeDel, d)
 }
 
-// allocDelivery takes a record from the sender's pool: its tile's under
-// the sharded engine — in either window mode, so records keep circulating
-// among the tiles however the modes mix — the world's otherwise.
-func (w *World) allocDelivery(src *node) *delivery {
-	pool := &w.freeDeliveries
-	if sx := w.shard; sx != nil {
-		pool = &sx.tiles[src.tile].freeDel
-	}
-	if k := len(*pool); k > 0 {
-		d := (*pool)[k-1]
-		*pool = (*pool)[:k-1]
+// allocDelivery takes a record from the sender's tile's pool — in either
+// window mode, so records keep circulating among the tiles however the
+// modes mix. The receiver's tile takes it back after firing.
+func (t *tile) allocDelivery() *delivery {
+	if k := len(t.freeDel); k > 0 {
+		d := t.freeDel[k-1]
+		t.freeDel = t.freeDel[:k-1]
 		return d
 	}
 	return new(delivery)
-}
-
-// releaseDelivery returns a fired record to the receiver's pool.
-func (w *World) releaseDelivery(dst *node, d *delivery) {
-	if sx := w.shard; sx != nil {
-		t := sx.tiles[dst.tile]
-		t.freeDel = append(t.freeDel, d)
-		return
-	}
-	w.freeDeliveries = append(w.freeDeliveries, d)
 }
 
 // send transmits a message over the link from→to, if it exists, with a
@@ -929,7 +830,9 @@ func (w *World) send(from, to core.NodeID, msg core.Message) {
 	if !ok {
 		return
 	}
-	w.countSent(src)
+	sx := w.shard
+	st := sx.tiles[src.tile]
+	st.msgsSent++
 	src.sendSeq++
 	observed := w.bus.Wants(trace.KindSend) ||
 		w.bus.Wants(trace.KindDeliver) || w.bus.Wants(trace.KindDrop)
@@ -957,48 +860,34 @@ func (w *World) send(from, to core.NodeID, msg core.Message) {
 		}
 		src.links[oi].lastOut = at
 	}
-	d := w.allocDelivery(src)
+	d := st.allocDelivery()
 	*d = delivery{
 		w: w, from: from, to: to, msg: msg, sentAt: sentAt,
 		ep: src.links[oi].epoch, seq: src.sendSeq,
 		msgName: msgName, msgSize: msgSize, msgID: msgID, observed: observed,
 	}
 	key := sim.Key{At: at, Owner: int32(to), Class: sim.ClassDeliver, A: uint64(from), B: src.sendSeq}
-	if w.cfg.Tiles > 1 {
-		sx := w.shard
-		if sx == nil {
-			w.pending = append(w.pending, sim.Item{K: key, R: d})
-			return
-		}
-		if sx.inWindow {
-			st := sx.tiles[src.tile]
-			if w.nodes[to].tile == src.tile {
-				st.heap.Push(sim.Item{K: key, R: d})
-			} else {
-				// Cross-tile: arrival is ≥ window start + ν, so the
-				// coordinator can route it at the barrier before any
-				// tile could reach that instant.
-				st.outMsgs = append(st.outMsgs, sim.Item{K: key, R: d})
-			}
-			return
-		}
-		// Coordinator context (a direct window, a topology event, Init):
-		// every tile is paused, so the delivery goes straight in.
-		dt := w.nodes[to].tile
-		if sx.tel != nil && dt != src.tile {
-			sx.tel.crossTile(src.tile, dt)
-		}
-		sx.tiles[dt].heap.Push(sim.Item{K: key, R: d})
+	dt := w.nodes[to].tile
+	if sx.inWindow && dt != src.tile {
+		// Cross-tile: arrival is ≥ window start + ν, so the coordinator
+		// can route it at the barrier before any tile could reach that
+		// instant.
+		st.outMsgs = append(st.outMsgs, sim.Item{K: key, R: d})
 		return
 	}
-	w.sched.AtRunnerKey(key, d)
+	// Same tile, or coordinator context (a direct window, a serial event,
+	// Init) with every tile paused: the delivery goes straight in.
+	if sx.tel != nil && dt != src.tile {
+		sx.tel.crossTile(src.tile, dt)
+	}
+	sx.tiles[dt].heap.Push(sim.Item{K: key, R: d})
 }
 
 // setLink creates or destroys the link between a and b, dispatching the
 // biased notifications of §3.1. No-op if the link is already in the
 // requested state. Coordinator context only: link transitions mutate both
 // endpoints and are serialised with every tile paused, which is also what
-// freezes the topology between sharded window barriers.
+// freezes the topology between window barriers.
 func (w *World) setLink(a, b core.NodeID, up bool) {
 	na, nb := w.nodes[a], w.nodes[b]
 	if na.hasNbr(b) == up {

@@ -85,12 +85,12 @@ func TestSendDelayBoundsAndFIFO(t *testing.T) {
 	cfg.MinDelay, cfg.MaxDelay = 500, 2_000
 	w, stubs := buildWorld(t, cfg, []graph.Point{{X: 0}, {X: 0.1}})
 	const k = 200
-	w.Scheduler().At(0, func() {
+	w.At(0, func() {
 		for i := 0; i < k; i++ {
 			w.send(0, 1, i)
 		}
 	})
-	if err := w.Scheduler().Run(0); err != nil {
+	if err := w.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if len(stubs[1].msgs) != k {
@@ -111,8 +111,8 @@ func TestSendDelayBoundsAndFIFO(t *testing.T) {
 
 func TestSendToNonNeighborDropped(t *testing.T) {
 	w, stubs := buildWorld(t, lineConfig(), []graph.Point{{X: 0}, {X: 0.5}})
-	w.Scheduler().At(0, func() { w.send(0, 1, "hello") })
-	if err := w.Scheduler().Run(0); err != nil {
+	w.At(0, func() { w.send(0, 1, "hello") })
+	if err := w.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if len(stubs[1].msgs) != 0 {
@@ -124,10 +124,10 @@ func TestInFlightDestroyedWithLink(t *testing.T) {
 	cfg := lineConfig()
 	cfg.MinDelay, cfg.MaxDelay = 5_000, 5_000
 	w, stubs := buildWorld(t, cfg, []graph.Point{{X: 0}, {X: 0.1}})
-	w.Scheduler().At(0, func() { w.send(0, 1, "doomed") })
+	w.At(0, func() { w.send(0, 1, "doomed") })
 	// Node 1 jumps out of range at t=1ms, before the 5ms delivery.
 	w.JumpAt(1, graph.Point{X: 0.9}, 1_000, 1_000)
-	if err := w.Scheduler().Run(0); err != nil {
+	if err := w.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if len(stubs[1].msgs) != 0 {
@@ -145,14 +145,14 @@ func TestInFlightDestroyedWithLink(t *testing.T) {
 	// within one incarnation gets through.
 	w, stubs = buildWorld(t, cfg, []graph.Point{{X: 0}, {X: 0.1}})
 	away, back := graph.Point{X: 0.9}, graph.Point{X: 0.1}
-	w.Scheduler().At(0, func() { w.send(0, 1, "sent on incarnation 0") })
+	w.At(0, func() { w.send(0, 1, "sent on incarnation 0") })
 	w.JumpAt(1, away, 100, 1_000)
 	w.JumpAt(1, back, 100, 2_000)
-	w.Scheduler().At(3_000, func() { w.send(0, 1, "sent on incarnation 1") })
+	w.At(3_000, func() { w.send(0, 1, "sent on incarnation 1") })
 	w.JumpAt(1, away, 100, 4_000)
 	w.JumpAt(1, back, 100, 4_500) // both earlier messages now due on incarnation 2
-	w.Scheduler().At(9_000, func() { w.send(1, 0, "delivered") })
-	if err := w.Scheduler().Run(0); err != nil {
+	w.At(9_000, func() { w.send(1, 0, "delivered") })
+	if err := w.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if len(stubs[0].ups) != 2 || len(stubs[0].downs) != 2 {
@@ -169,7 +169,7 @@ func TestInFlightDestroyedWithLink(t *testing.T) {
 func TestLinkUpBiasMoverVsStatic(t *testing.T) {
 	w, stubs := buildWorld(t, lineConfig(), []graph.Point{{X: 0}, {X: 0.5}})
 	w.JumpAt(1, graph.Point{X: 0.1}, 10_000, 1_000)
-	if err := w.Scheduler().Run(0); err != nil {
+	if err := w.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if len(stubs[0].ups) != 1 || stubs[0].ups[0].iAmMoving {
@@ -186,7 +186,7 @@ func TestLinkUpBiasTwoMovers(t *testing.T) {
 	// moving when the second jump recomputes links.
 	w.JumpAt(0, graph.Point{X: 0.45}, 50_000, 1_000)
 	w.JumpAt(1, graph.Point{X: 0.55}, 50_000, 1_000)
-	if err := w.Scheduler().Run(0); err != nil {
+	if err := w.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	movingSides := 0
@@ -206,13 +206,13 @@ func TestLinkUpBiasTwoMovers(t *testing.T) {
 func TestJumpSettlesToStatic(t *testing.T) {
 	w, _ := buildWorld(t, lineConfig(), []graph.Point{{X: 0}, {X: 0.5}})
 	w.JumpAt(1, graph.Point{X: 0.1}, 5_000, 1_000)
-	if err := w.Scheduler().RunUntil(2_000, 0); err != nil {
+	if err := w.RunUntil(2_000, 0); err != nil {
 		t.Fatal(err)
 	}
 	if !w.Moving(1) {
 		t.Fatal("node should be moving during settle window")
 	}
-	if err := w.Scheduler().RunUntil(10_000, 0); err != nil {
+	if err := w.RunUntil(10_000, 0); err != nil {
 		t.Fatal(err)
 	}
 	if w.Moving(1) {
@@ -224,8 +224,8 @@ func TestMoveToCreatesAndDestroysLinks(t *testing.T) {
 	cfg := lineConfig()
 	w, stubs := buildWorld(t, cfg, []graph.Point{{X: 0}, {X: 0.1}, {X: 0.5}})
 	// Node 0 travels from x=0 to x=0.6: loses 1, gains 2.
-	w.Scheduler().At(0, func() { w.MoveTo(0, graph.Point{X: 0.6}, 1.0) })
-	if err := w.Scheduler().Run(0); err != nil {
+	w.At(0, func() { w.MoveTo(0, graph.Point{X: 0.6}, 1.0) })
+	if err := w.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if w.Moving(0) {
@@ -247,10 +247,10 @@ func TestMoveToCreatesAndDestroysLinks(t *testing.T) {
 
 func TestCrashStopsProcessingAndMovement(t *testing.T) {
 	w, stubs := buildWorld(t, lineConfig(), []graph.Point{{X: 0}, {X: 0.1}})
-	w.Scheduler().At(0, func() { w.MoveTo(0, graph.Point{X: 1}, 0.5) })
+	w.At(0, func() { w.MoveTo(0, graph.Point{X: 1}, 0.5) })
 	w.CrashAt(0, 30_000)
-	w.Scheduler().At(40_000, func() { w.send(1, 0, "late") })
-	if err := w.Scheduler().Run(0); err != nil {
+	w.At(40_000, func() { w.send(1, 0, "late") })
+	if err := w.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if !w.Crashed(0) {
@@ -271,9 +271,9 @@ func TestStateListenerFanout(t *testing.T) {
 	w.AddStateListener(core.ListenerFunc(func(id core.NodeID, old, new core.State, at sim.Time) {
 		events = append(events, new)
 	}))
-	w.Scheduler().At(0, func() { stubs[0].BecomeHungry() })
-	w.Scheduler().At(10, func() { stubs[0].ExitCS() })
-	if err := w.Scheduler().Run(0); err != nil {
+	w.At(0, func() { stubs[0].BecomeHungry() })
+	w.At(10, func() { stubs[0].ExitCS() })
+	if err := w.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 2 || events[0] != core.Hungry || events[1] != core.Thinking {
@@ -296,7 +296,7 @@ func TestLinkListenerFanout(t *testing.T) {
 	}))
 	w.JumpAt(1, graph.Point{X: 0.1}, 1_000, 1_000)
 	w.JumpAt(1, graph.Point{X: 0.9}, 1_000, 50_000)
-	if err := w.Scheduler().Run(0); err != nil {
+	if err := w.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 2 || !events[0].up || events[1].up {
@@ -321,8 +321,8 @@ func TestCommGraphSnapshot(t *testing.T) {
 
 func TestBroadcastReachesAllNeighbors(t *testing.T) {
 	w, stubs := buildWorld(t, lineConfig(), []graph.Point{{X: 0.1}, {X: 0}, {X: 0.2}, {X: 0.9}})
-	w.Scheduler().At(0, func() { stubs[0].env.Broadcast("hi") })
-	if err := w.Scheduler().Run(0); err != nil {
+	w.At(0, func() { stubs[0].env.Broadcast("hi") })
+	if err := w.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	for _, i := range []int{1, 2} {
@@ -343,7 +343,7 @@ func TestWaypointKeepsMovingNodes(t *testing.T) {
 	Waypoint{Speed: 0.5, PauseMin: 1_000, PauseMax: 5_000, Until: 400_000}.Attach(w, []core.NodeID{0})
 	// A trip started just before Until can take up to ~2.9s at speed
 	// 0.5; run long enough for the last trip to finish.
-	if err := w.Scheduler().RunUntil(4_000_000, 0); err != nil {
+	if err := w.RunUntil(4_000_000, 0); err != nil {
 		t.Fatal(err)
 	}
 	if w.Position(0) == start {
@@ -369,8 +369,8 @@ func TestWorldDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		Waypoint{Speed: 0.4, PauseMin: 1_000, PauseMax: 20_000, Until: 300_000}.Attach(w, []core.NodeID{0, 3})
-		w.Scheduler().At(0, func() { stubs[1].env.Broadcast("x") })
-		if err := w.Scheduler().RunUntil(500_000, 0); err != nil {
+		w.At(0, func() { stubs[1].env.Broadcast("x") })
+		if err := w.RunUntil(500_000, 0); err != nil {
 			t.Fatal(err)
 		}
 		var times []sim.Time
@@ -410,9 +410,9 @@ func TestFIFOProperty(t *testing.T) {
 		n := int(burst%50) + 1
 		for i := 0; i < n; i++ {
 			i := i
-			w.Scheduler().At(sim.Time(i*100), func() { w.send(0, 1, i) })
+			w.At(sim.Time(i*100), func() { w.send(0, 1, i) })
 		}
-		if err := w.Scheduler().Run(0); err != nil {
+		if err := w.Run(0); err != nil {
 			return false
 		}
 		if len(s1.msgs) != n {
@@ -434,11 +434,11 @@ func TestMessageCounters(t *testing.T) {
 	cfg := lineConfig()
 	cfg.MinDelay, cfg.MaxDelay = 5_000, 5_000
 	w, stubs := buildWorld(t, cfg, []graph.Point{{X: 0}, {X: 0.1}})
-	w.Scheduler().At(0, func() { stubs[0].env.Send(1, "a") })     // delivers at 5ms
-	w.Scheduler().At(3_000, func() { stubs[0].env.Send(1, "b") }) // would deliver at 8ms
+	w.At(0, func() { stubs[0].env.Send(1, "a") })     // delivers at 5ms
+	w.At(3_000, func() { stubs[0].env.Send(1, "b") }) // would deliver at 8ms
 	// The second message dies with the link: node 1 jumps away at 6ms.
 	w.JumpAt(1, graph.Point{X: 0.9}, 1_000, 6_000)
-	if err := w.Scheduler().Run(0); err != nil {
+	if err := w.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.MessagesSent(); got != 2 {
@@ -451,11 +451,11 @@ func TestMessageCounters(t *testing.T) {
 
 func TestJumpSupersedesMoveTo(t *testing.T) {
 	w, _ := buildWorld(t, lineConfig(), []graph.Point{{X: 0}, {X: 0.5}})
-	w.Scheduler().At(0, func() { w.MoveTo(0, graph.Point{X: 1}, 0.2) })
+	w.At(0, func() { w.MoveTo(0, graph.Point{X: 1}, 0.2) })
 	// The jump at 50ms overrides the slow trip; stale ticks must not
 	// resurrect the old movement.
 	w.JumpAt(0, graph.Point{X: 0.25}, 10_000, 50_000)
-	if err := w.Scheduler().RunUntil(2_000_000, 0); err != nil {
+	if err := w.RunUntil(2_000_000, 0); err != nil {
 		t.Fatal(err)
 	}
 	if w.Moving(0) {
@@ -474,9 +474,9 @@ func TestCrashedMoverStopsNotifying(t *testing.T) {
 			moves = append(moves, moving)
 		}
 	}))
-	w.Scheduler().At(0, func() { w.MoveTo(0, graph.Point{X: 1}, 0.1) })
+	w.At(0, func() { w.MoveTo(0, graph.Point{X: 1}, 0.1) })
 	w.CrashAt(0, 100_000)
-	if err := w.Scheduler().Run(0); err != nil {
+	if err := w.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	// Start event plus the crash-induced stop; nothing after.
@@ -491,8 +491,8 @@ func (f moveListenerFunc) OnMove(id core.NodeID, moving bool, at sim.Time) { f(i
 
 func TestBroadcastWithNoNeighbors(t *testing.T) {
 	w, stubs := buildWorld(t, lineConfig(), []graph.Point{{X: 0}})
-	w.Scheduler().At(0, func() { stubs[0].env.Broadcast("void") })
-	if err := w.Scheduler().Run(0); err != nil {
+	w.At(0, func() { stubs[0].env.Broadcast("void") })
+	if err := w.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if w.MessagesSent() != 0 {

@@ -1,13 +1,14 @@
-// Package sim provides a deterministic discrete-event scheduler: the
-// substrate on which the MANET model of internal/manet executes. Virtual
-// time is a monotone int64 microsecond counter; events are ordered by a
-// canonical key (time, owner, class, a, b) whose comparison is a total
-// order independent of how the event population is partitioned — the
-// property the region-sharded parallel engine relies on to execute the
-// exact same sequence as the single-heap engine. Events scheduled through
-// the legacy At/After/AtRunner entry points carry the reserved NoOwner
-// owner and the scheduler's monotone sequence number, which preserves the
-// old FIFO tie-breaking for ownerless callers.
+// Package sim provides the discrete-event substrate on which the MANET
+// model of internal/manet executes. Virtual time is a monotone int64
+// microsecond counter; events are ordered by a canonical key (time, owner,
+// class, a, b) whose comparison is a total order independent of how the
+// event population is partitioned — the property the tile engine of
+// internal/manet relies on to execute the same sequence for every tiling.
+// EventHeap is the queue every tile runs on. Scheduler is a standalone
+// single-heap loop over one EventHeap for code that needs a bare event
+// queue: its At/After/AtRunner events carry the reserved NoOwner owner
+// and the scheduler's monotone sequence number, so same-instant events
+// fire in schedule order.
 package sim
 
 import (
@@ -55,21 +56,22 @@ type Runner interface {
 // execution order.
 const (
 	// ClassLocal covers node-local callbacks: workload follow-ups,
-	// crashes, mobility trip bookkeeping, and every ownerless legacy
-	// event.
+	// crashes, mobility trip bookkeeping, and the Scheduler's ownerless
+	// events.
 	ClassLocal uint8 = iota
 	// ClassDeliver covers message deliveries; A is the sender and B the
 	// sender's monotone send sequence, so per-link FIFO ties break
 	// identically in every engine.
 	ClassDeliver
-	// ClassTopo covers topology mutations (movement ticks, jumps): the
-	// events the sharded engine serialises on its coordinator because
-	// they touch two nodes' protocols and the spatial index at once.
+	// ClassTopo covers the events the tile engine serialises on its
+	// coordinator: topology mutations (movement ticks, jumps), which
+	// touch two nodes' protocols and the spatial index at once, and
+	// ownerless script closures.
 	ClassTopo
 )
 
-// NoOwner is the reserved owner of legacy ownerless events; it orders
-// before every real node ID.
+// NoOwner is the reserved owner of ownerless events; it orders before
+// every real node ID.
 const NoOwner int32 = -1
 
 // Key is the canonical total order over events. Comparison is
@@ -101,7 +103,7 @@ func (k Key) Less(o Key) bool {
 }
 
 // KeyFloor is the smallest possible key at time t: the exclusive upper
-// bound "every event strictly before instant t" used by the sharded
+// bound "every event strictly before instant t" used by the tile
 // engine's window arithmetic.
 func KeyFloor(t Time) Key {
 	return Key{At: t, Owner: -1 << 31}
@@ -116,8 +118,8 @@ type Item struct {
 
 // EventHeap is a value-typed 4-ary min-heap of Items ordered by Key. The
 // zero value is an empty, usable heap. It is the shared queue
-// implementation of the single-heap Scheduler and of every tile of the
-// sharded engine: the shallower tree (log₄ vs log₂ depth) and the value
+// implementation of the Scheduler and of every tile of the tile engine:
+// the shallower tree (log₄ vs log₂ depth) and the value
 // layout (one contiguous slice, no indirection) keep the push/pop churn of
 // a simulation cache-resident and free of per-event allocations.
 type EventHeap struct {
@@ -200,7 +202,7 @@ func siftDown(s []Item, i int, it Item) {
 
 // ExtractOwner removes every event whose key names the given owner,
 // appends them to buf and returns it. It is the mover-migration primitive
-// of the sharded engine: when a node crosses a tile boundary its pending
+// of the tile engine: when a node crosses a tile boundary its pending
 // events follow it. The scan is O(len) with an O(len) re-heapify — cheap
 // because migrations only happen at mobility-tick granularity.
 func (h *EventHeap) ExtractOwner(owner int32, buf []Item) []Item {
@@ -235,10 +237,10 @@ func (h *EventHeap) heapify() {
 	}
 }
 
-// Scheduler is a discrete-event executor. The zero value is not usable; use
-// NewScheduler. Scheduler is not safe for concurrent use: it is the single
-// thread of control of a simulation (the sharded engine of internal/manet
-// runs one EventHeap per tile instead and never touches a Scheduler).
+// Scheduler is a single-heap discrete-event executor. The zero value is
+// not usable; use NewScheduler. Scheduler is not safe for concurrent use.
+// internal/manet does not run on it: its tile engine keeps one EventHeap
+// per tile.
 type Scheduler struct {
 	now  Time
 	seq  uint64
@@ -248,18 +250,19 @@ type Scheduler struct {
 	// processed counts events executed so far (for diagnostics and
 	// runaway detection in tests).
 	processed uint64
+}
 
-	// hook, if set, observes every executed event (the observability
-	// layer's scheduler tap, used for throughput accounting).
-	hook func(at Time)
+// NewRand returns the deterministic random stream derived from seed —
+// the stream a NewScheduler(seed) draws from, for callers that need only
+// the numbers.
+func NewRand(seed uint64) *rand.Rand {
+	return rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
 }
 
 // NewScheduler returns a scheduler at time zero whose random stream is
-// derived deterministically from seed.
+// NewRand(seed).
 func NewScheduler(seed uint64) *Scheduler {
-	return &Scheduler{
-		rng: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)),
-	}
+	return &Scheduler{rng: NewRand(seed)}
 }
 
 // Now returns the current virtual time.
@@ -270,11 +273,6 @@ func (s *Scheduler) Rand() *rand.Rand { return s.rng }
 
 // Processed reports how many events have been executed.
 func (s *Scheduler) Processed() uint64 { return s.processed }
-
-// SetEventHook installs f to run after every executed event, at the
-// event's virtual time. One hook at most; nil uninstalls. The hook must
-// not schedule or run events itself.
-func (s *Scheduler) SetEventHook(f func(at Time)) { s.hook = f }
 
 // Pending reports how many events are queued.
 func (s *Scheduler) Pending() int { return s.heap.Len() }
@@ -307,23 +305,6 @@ func (s *Scheduler) AtRunner(t Time, r Runner) {
 	s.heap.Push(Item{K: Key{At: t, Owner: NoOwner, Class: ClassLocal, A: s.seq}, R: r})
 }
 
-// AtKey schedules fn under an explicit canonical key (time clamped to the
-// present). The caller owns key uniqueness.
-func (s *Scheduler) AtKey(k Key, fn func()) {
-	if k.At < s.now {
-		k.At = s.now
-	}
-	s.heap.Push(Item{K: k, Fn: fn})
-}
-
-// AtRunnerKey schedules r.Run under an explicit canonical key.
-func (s *Scheduler) AtRunnerKey(k Key, r Runner) {
-	if k.At < s.now {
-		k.At = s.now
-	}
-	s.heap.Push(Item{K: k, R: r})
-}
-
 // run executes one popped event.
 func (s *Scheduler) run(it *Item) {
 	s.now = it.K.At
@@ -333,9 +314,6 @@ func (s *Scheduler) run(it *Item) {
 		it.R.Run()
 	}
 	s.processed++
-	if s.hook != nil {
-		s.hook(s.now)
-	}
 }
 
 // ErrEventLimit is returned by Run when the event budget is exhausted,

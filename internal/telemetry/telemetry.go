@@ -40,10 +40,10 @@ type TileLink struct {
 	Msgs uint64 `json:"msgs"`
 }
 
-// EngineStats is the sharded engine's execution telemetry: what the
-// window/barrier loop did, per tile and in aggregate. All counters are
-// cumulative since Start. A single-heap run reports the degenerate
-// 1×1 grid (Tiles=1, one PerTile entry, zero windows/steals).
+// EngineStats is the simulator's execution telemetry: what the tile
+// engine's window/barrier loop did, per tile and in aggregate. All
+// counters are cumulative since Start. A 1×1 grid reports one PerTile
+// entry and one worker; every window of it runs direct.
 type EngineStats struct {
 	Schema string `json:"schema"`
 	// Tiles is the grid side g (the run has g×g tiles); Workers the

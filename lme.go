@@ -289,14 +289,14 @@ type Config struct {
 	// accurate to ±1% relative error.
 	RetainSamples bool
 
-	// Tiles selects the region-sharded parallel engine: values > 1
-	// partition the deployment's bounding box into a Tiles×Tiles grid of
-	// spatial shards, each with its own event heap, executed by up to
-	// ShardWorkers goroutines with conservative lookahead ν. 0 or 1 run
-	// the single-heap engine — the exact legacy behaviour. The event
-	// trace (and hence every result) is bit-identical across engines,
-	// tilings and worker counts; only the wall-clock changes. Use
-	// AutoTiles(n) for a size-appropriate default.
+	// Tiles is the side of the simulator's tile grid: the deployment's
+	// bounding box is partitioned into a Tiles×Tiles grid of spatial
+	// shards, each with its own event heap, executed by up to
+	// ShardWorkers goroutines with conservative lookahead. 0 or 1 run one
+	// tile on the calling goroutine. The event trace (and hence every
+	// result) is bit-identical across tilings and worker counts; only
+	// the wall-clock changes. Use AutoTiles(n) for a size-appropriate
+	// default.
 	Tiles int
 
 	// ShardWorkers bounds the sharded engine's worker goroutines
@@ -348,7 +348,7 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 		return nil, err
 	}
 	if cfg.Tiles < 0 || cfg.Tiles > 128 {
-		return nil, fmt.Errorf("lme: invalid Tiles %d (want 0..128; 0 or 1 = single-heap engine, or AutoTiles(n))", cfg.Tiles)
+		return nil, fmt.Errorf("lme: invalid Tiles %d (want 0..128; 0 or 1 = one tile, or AutoTiles(n))", cfg.Tiles)
 	}
 	if cfg.ShardWorkers < 0 {
 		return nil, fmt.Errorf("lme: invalid ShardWorkers %d (want ≥ 0; 0 = GOMAXPROCS)", cfg.ShardWorkers)
