@@ -10,8 +10,8 @@ import (
 
 // TestBroadcastDoesNotAllocate: one broadcast from the centre of a
 // 64-node near-clique, drained to completion — neighbour iteration, 63
-// sends and 63 deliveries through the pooled delivery records — allocates
-// nothing.
+// sends and 63 deliveries, each message carried by its heap item —
+// allocates nothing.
 func TestBroadcastDoesNotAllocate(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 11

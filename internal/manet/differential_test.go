@@ -12,8 +12,9 @@ import (
 
 // chatter is a protocol that turns link churn into message traffic, so the
 // differential runs exercise the send/deliver/drop paths (FIFO floors,
-// link epochs, pooled deliveries) and not just link maintenance: every
-// link-up sends a greeting, every greeting is echoed once.
+// send-sequence floors, cross-tile deliveries) and not just link
+// maintenance: every link-up sends a greeting, every greeting is echoed
+// once.
 type chatter struct {
 	env core.Env
 }

@@ -59,7 +59,7 @@ func (w *World) Jump(id core.NodeID, dest graph.Point, settle sim.Time) {
 // JumpAt schedules a Jump at time t, as a topology event owned by id.
 func (w *World) JumpAt(id core.NodeID, dest graph.Point, settle, t sim.Time) {
 	n := w.nodes[id]
-	w.scheduleTopo(n, t, sim.Item{Fn: func() { w.Jump(id, dest, settle) }})
+	w.scheduleTopo(n, t, sim.Item{X: func() { w.Jump(id, dest, settle) }})
 }
 
 // moveTicker is one pooled movement-tick record: the sim.Runner the
@@ -96,7 +96,7 @@ func (w *World) scheduleTick(n *node, moveID uint64) {
 		t = new(moveTicker)
 	}
 	*t = moveTicker{w: w, n: n, moveID: moveID}
-	w.scheduleTopo(n, w.nowOf(n)+w.cfg.TickInterval, sim.Item{R: t})
+	w.scheduleTopo(n, w.nowOf(n)+w.cfg.TickInterval, sim.Item{X: t})
 }
 
 func (w *World) moveTick(n *node, moveID uint64) {
@@ -169,7 +169,7 @@ func (r *wpRunner) Run() {
 	now := w.nowOf(n)
 	if r.watching {
 		if n.moving {
-			w.scheduleLocalRunner(n, now+w.cfg.TickInterval, r)
+			w.scheduleLocalAt(n, now+w.cfg.TickInterval, r)
 			return
 		}
 		r.watching = false
@@ -183,7 +183,7 @@ func (r *wpRunner) Run() {
 	dest := graph.Point{X: n.rng.Float64(), Y: n.rng.Float64()}
 	w.MoveTo(n.id, dest, r.wp.Speed)
 	r.watching = true
-	w.scheduleLocalRunner(n, now+w.cfg.TickInterval, r)
+	w.scheduleLocalAt(n, now+w.cfg.TickInterval, r)
 }
 
 // scheduleNext draws the pause before the mover's next trip and
@@ -193,5 +193,5 @@ func (r *wpRunner) scheduleNext() {
 	if span := int64(r.wp.PauseMax - r.wp.PauseMin); span > 0 {
 		pause += sim.Time(r.n.rng.Int64N(span + 1))
 	}
-	r.w.scheduleLocalRunner(r.n, r.w.nowOf(r.n)+pause, r)
+	r.w.scheduleLocalAt(r.n, r.w.nowOf(r.n)+pause, r)
 }

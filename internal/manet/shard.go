@@ -112,7 +112,7 @@ type effect struct {
 // The struct is three cache lines exactly, and the allocator aligns that
 // size class to lines, so two workers never write one line from
 // neighbouring tiles. Eight bytes more lose that and cost sim_static_10k
-// about 5 % (TestTileFillsCacheLines).
+// about 5 % (TestTileFillsCacheLines); the trailing pad keeps it there.
 type tile struct {
 	idx  int32
 	heap sim.EventHeap
@@ -131,11 +131,12 @@ type tile struct {
 	// effs buffers a parallel window's observable effects; outMsgs its
 	// cross-tile deliveries (routed at the barrier); outTopo its
 	// topology-event requests (pushed to the coordinator's serial heap at
-	// the barrier). freeDel is the tile-local delivery-record pool.
+	// the barrier).
 	effs    []effect
 	outMsgs []sim.Item
 	outTopo []sim.Item
-	freeDel []*delivery
+
+	_ [24]byte
 }
 
 // buffer records one observable effect of the currently executing event.
@@ -145,7 +146,7 @@ func (t *tile) buffer(e effect) {
 }
 
 // run executes the tile's events strictly below bound, in worker context.
-func (t *tile) run(bound sim.Key) {
+func (t *tile) run(w *World, bound sim.Key) {
 	for {
 		k, ok := t.heap.MinKey()
 		if !ok || !k.Less(bound) {
@@ -154,11 +155,7 @@ func (t *tile) run(bound sim.Key) {
 		it := t.heap.Pop()
 		t.now = k.At
 		t.curKey = k
-		if it.Fn != nil {
-			it.Fn()
-		} else {
-			it.R.Run()
-		}
+		w.exec(&it)
 		t.processed++
 	}
 }
@@ -541,11 +538,7 @@ func (sx *shardExec) runUntil(deadline sim.Time, maxEvents uint64) error {
 		if k, ok := sx.serial.MinKey(); ok && k.Less(limit) && (maxEvents == 0 || done < maxEvents) {
 			it := sx.serial.Pop()
 			sx.now = it.K.At
-			if it.Fn != nil {
-				it.Fn()
-			} else {
-				it.R.Run()
-			}
+			sx.w.exec(&it)
 			sx.processed++
 			done++
 		}
@@ -714,11 +707,7 @@ func (sx *shardExec) runDirect(budget uint64) {
 		t := h[0].t
 		it := t.heap.Pop()
 		sx.now = it.K.At
-		if it.Fn != nil {
-			it.Fn()
-		} else {
-			it.R.Run()
-		}
+		sx.w.exec(&it)
 		t.processed++
 		if ran++; ran == budget {
 			break
@@ -768,7 +757,7 @@ func (sx *shardExec) runParallel(bound sim.Key) {
 					break
 				}
 				hits++
-				active[i].run(bound)
+				active[i].run(sx.w, bound)
 			}
 			if tel != nil {
 				tel.workerDone(wi, attempts, hits)

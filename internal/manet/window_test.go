@@ -12,6 +12,7 @@ import (
 	"unsafe"
 
 	"lme/internal/core"
+	"lme/internal/graph"
 	"lme/internal/sim"
 	"lme/internal/trace"
 )
@@ -395,6 +396,76 @@ func TestDirectWindowAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("a steady-state direct window allocates %.1f times", allocs)
+	}
+}
+
+// countSink is a stub that only counts what it receives, so receiving
+// allocates nothing.
+type countSink struct {
+	stub
+	got int
+}
+
+func (c *countSink) OnMessage(core.NodeID, core.Message) { c.got++ }
+
+// TestParallelWindowAllocsPerMessage is the parallel-window twin of
+// TestDirectWindowAllocs, over one-way cross-tile traffic: k senders on
+// the left tiles pulse once per lookahead, each sending one message to
+// its sink on the right tiles, which never answer. Every message crosses
+// a tile boundary through a sender's outbox and is delivered on another
+// worker. A steady-state window costs the same allocations at k = 2 and
+// k = 16 — a delivered message costs none. (Records pooled per tile would
+// be taken from the sender's tile and given back to the sink's, so
+// one-way traffic would allocate on every send.)
+func TestParallelWindowAllocsPerMessage(t *testing.T) {
+	const pulse = 1_000
+	perWindow := func(k int) (allocs float64, delivered int) {
+		cfg := DefaultConfig()
+		cfg.Radius = 0.12
+		cfg.MinDelay, cfg.MaxDelay = pulse, pulse
+		cfg.Tiles, cfg.ShardWorkers = 2, 2
+		w := NewWorld(cfg)
+		sinks := make([]*countSink, k)
+		for i := range k {
+			y := 0.05 + 0.9*float64(i)/float64(k-1)
+			from := w.AddNode(graph.Point{X: 0.45, Y: y})
+			to := w.AddNode(graph.Point{X: 0.55, Y: y})
+			w.SetProtocol(from, &stub{})
+			sinks[i] = &countSink{}
+			w.SetProtocol(to, sinks[i])
+			var fire func()
+			fire = func() {
+				w.send(from, to, msgPing{})
+				w.ScheduleLocal(from, pulse, fire)
+			}
+			w.ScheduleLocal(from, 0, fire)
+		}
+		startForced(t, w, func() bool { return false })
+		if err := w.RunUntil(50*pulse, 0); err != nil {
+			t.Fatal(err)
+		}
+		before := 0
+		for _, s := range sinks {
+			before += s.got
+		}
+		const runs = 200
+		allocs = testing.AllocsPerRun(runs, func() {
+			if err := w.RunUntil(w.Now()+pulse, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		for _, s := range sinks {
+			delivered += s.got
+		}
+		if want := k * (runs + 1); delivered-before != want {
+			t.Fatalf("k=%d: %d messages delivered in the measured windows, want %d", k, delivered-before, want)
+		}
+		return allocs, delivered
+	}
+	lo, _ := perWindow(2)
+	hi, _ := perWindow(16)
+	if perMsg := (hi - lo) / 14; perMsg != 0 {
+		t.Fatalf("a delivered cross-tile message allocates %.2f times (window: %.0f allocs at 2 senders, %.0f at 16)", perMsg, lo, hi)
 	}
 }
 

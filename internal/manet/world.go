@@ -20,11 +20,11 @@
 //
 // The transport and link-maintenance layer is allocation-lean and scales
 // to 100k+ nodes: adjacency is a per-node sorted ID slice with a parallel
-// slice of per-link records (FIFO floor and incarnation stamp; O(degree)
-// per node, not O(n)), in-flight messages are pooled sim.Runner records
-// instead of per-send closures, and link maintenance queries a uniform
-// spatial hash (internal grid, cell size = Radius) instead of scanning all
-// n nodes.
+// slice of per-link records (FIFO floor and send-sequence floor; O(degree)
+// per node, not O(n)), an in-flight message is nothing but its event-heap
+// item — the key names receiver, sender and send sequence, the payload is
+// the message — and link maintenance queries a uniform spatial hash
+// (internal grid, cell size = Radius) instead of scanning all n nodes.
 package manet
 
 import (
@@ -145,13 +145,10 @@ type node struct {
 	nbrs  []core.NodeID
 	links []link
 
-	// linkGen is the largest link-incarnation stamp this node has ever
-	// held; see link.epoch.
-	linkGen uint64
-
 	// sendSeq is the node's monotone message counter; every accepted
 	// send is stamped with the next value so traces carry a causal
-	// send→deliver identity even across equal-time deliveries.
+	// send→deliver identity even across equal-time deliveries. The peers'
+	// link records use it as their send-sequence floors (link.since).
 	sendSeq uint64
 
 	// oseq is the node's monotone schedule counter: the A component of
@@ -184,15 +181,15 @@ type link struct {
 	// exactly the legacy reset semantics).
 	lastOut sim.Time
 
-	// epoch is the link's incarnation stamp. A message carries the stamp
-	// its link had when it was sent and is destroyed with the link if, at
-	// delivery, the link is gone or carries another stamp. Both ends hold
-	// the same stamp, so the receiver-side check in delivery.Run equals
-	// the legacy sender-side one. Nothing outlives a link-down: a later
-	// incarnation cannot repeat an earlier stamp, because setLink draws
-	// every stamp above the linkGen of both endpoints (0 = a link of the
-	// initial topology).
-	epoch uint64
+	// since is the send-sequence floor of the other direction: the
+	// peer's sendSeq when this incarnation of the link came up (0 for a
+	// link of the initial topology). A message from the peer is delivered
+	// iff, at its instant, the link exists and its sequence number is
+	// above since — iff it was sent on this incarnation, because the
+	// peer's sendSeq only grows and only a send over an existing link
+	// takes a number. So nothing outlives a link-down, even when the link
+	// is back by the time the message falls due.
+	since uint64
 }
 
 // nbrIndex locates j in the sorted neighbour slice: the index of the first
@@ -225,18 +222,18 @@ func (n *node) hasNbr(j core.NodeID) bool {
 }
 
 // insertNeighbor adds j to the sorted neighbour slice with a fresh FIFO
-// floor and the given link-incarnation stamp.
-func (n *node) insertNeighbor(j core.NodeID, epoch uint64) {
+// floor and the given send-sequence floor.
+func (n *node) insertNeighbor(j core.NodeID, since uint64) {
 	i, found := n.nbrIndex(j)
 	if found {
 		return
 	}
 	n.nbrs = slices.Insert(n.nbrs, i, j)
-	n.links = slices.Insert(n.links, i, link{epoch: epoch})
+	n.links = slices.Insert(n.links, i, link{since: since})
 }
 
 // removeNeighbor deletes j from the sorted neighbour slice, dropping its
-// FIFO floor and link stamp with it.
+// link record with it.
 func (n *node) removeNeighbor(j core.NodeID) {
 	i, found := n.nbrIndex(j)
 	if !found {
@@ -273,8 +270,7 @@ type World struct {
 	grid    grid
 	scratch []core.NodeID
 
-	// freeTickers pools the reusable movement-tick records (every tile
-	// keeps its own pool of delivery records).
+	// freeTickers pools the reusable movement-tick records.
 	freeTickers []*moveTicker
 
 	// stateListeners are deferred observers: in parallel windows their
@@ -417,8 +413,8 @@ func (w *World) At(t sim.Time, fn func()) {
 	}
 	w.seq++
 	w.queueSerial(sim.Item{
-		K:  sim.Key{At: max(t, w.Now()), Owner: sim.NoOwner, Class: sim.ClassTopo, A: w.seq},
-		Fn: fn,
+		K: sim.Key{At: max(t, w.Now()), Owner: sim.NoOwner, Class: sim.ClassTopo, A: w.seq},
+		X: fn,
 	})
 }
 
@@ -538,8 +534,8 @@ func (w *World) relocate(n *node, p graph.Point) {
 	}
 }
 
-// addLink silently records the link a—b (Start's initial topology: stamp
-// 0, no notifications).
+// addLink silently records the link a—b (Start's initial topology:
+// send-sequence floors 0, no notifications).
 func (w *World) addLink(a, b core.NodeID) {
 	w.nodes[a].insertNeighbor(b, 0)
 	w.nodes[b].insertNeighbor(a, 0)
@@ -686,28 +682,17 @@ func (w *World) ScheduleLocal(id core.NodeID, after sim.Time, fn func()) {
 	w.scheduleLocalAt(n, w.nowOf(n)+after, fn)
 }
 
-// scheduleLocalAt schedules a ClassLocal event owned by n at time at.
-func (w *World) scheduleLocalAt(n *node, at sim.Time, fn func()) {
-	if now := w.nowOf(n); at < now {
-		at = now
-	}
-	n.oseq++
-	w.push(sim.Item{
-		K:  sim.Key{At: at, Owner: int32(n.id), Class: sim.ClassLocal, A: n.oseq},
-		Fn: fn,
-	}, n)
-}
-
-// scheduleLocalRunner is scheduleLocalAt for pooled runners (the waypoint
-// state machines).
-func (w *World) scheduleLocalRunner(n *node, at sim.Time, r sim.Runner) {
+// scheduleLocalAt schedules a ClassLocal event owned by n at time at;
+// x is its callback, a func() or a sim.Runner (the waypoint state
+// machines).
+func (w *World) scheduleLocalAt(n *node, at sim.Time, x any) {
 	if now := w.nowOf(n); at < now {
 		at = now
 	}
 	n.oseq++
 	w.push(sim.Item{
 		K: sim.Key{At: at, Owner: int32(n.id), Class: sim.ClassLocal, A: n.oseq},
-		R: r,
+		X: x,
 	}, n)
 }
 
@@ -750,69 +735,51 @@ func (w *World) push(it sim.Item, n *node) {
 	w.pending = append(w.pending, it)
 }
 
-// delivery is one pooled in-flight message: the sim.Runner the transport
-// schedules instead of capturing six variables in a fresh closure per
-// send. Records are recycled through per-tile free lists after firing.
-type delivery struct {
-	w        *World
-	from, to core.NodeID
-	msg      core.Message
-	sentAt   sim.Time
-	ep       uint64
-	seq      uint64
-	msgName  string
-	msgSize  int
-	msgID    trace.MsgType
-	observed bool
+// exec runs one popped event in its owner's context: a message delivery
+// through deliver, any other event through its callback.
+func (w *World) exec(it *sim.Item) {
+	if it.K.Class == sim.ClassDeliver {
+		w.deliver(it)
+		return
+	}
+	it.Exec()
 }
 
-// Run implements sim.Runner: deliver the message, or destroy it if its
-// link incarnation ended or the receiver crashed before the instant came.
-// It executes in the receiver's context and touches only receiver-local
-// state (the endpoints' link stamps always agree, so the receiver-side
-// check equals the legacy sender-side one).
-func (d *delivery) Run() {
-	w := d.w
-	dst := w.nodes[d.to]
-	if i, linked := dst.nbrIndex(d.from); dst.crashed || !linked || dst.links[i].epoch != d.ep {
+// deliver hands an in-flight message to its receiver, or destroys it if
+// the link it was sent on went down in the meantime or the receiver
+// crashed. The item is the whole message: receiver K.Owner, sender K.A,
+// send sequence K.B, payload X, and W the send instant of an observed
+// send (−1 for a send nobody observed). It executes in the receiver's
+// context and touches only receiver-local state.
+func (w *World) deliver(it *sim.Item) {
+	from, seq := core.NodeID(it.K.A), it.K.B
+	dst := w.nodes[it.K.Owner]
+	if i, linked := dst.nbrIndex(from); dst.crashed || !linked || seq <= dst.links[i].since {
 		// Destroyed with the link, or receiver dead.
-		if d.observed && w.bus.Wants(trace.KindDrop) {
+		if it.W >= 0 && w.bus.Wants(trace.KindDrop) {
 			reason := "link-changed"
 			if dst.crashed {
 				reason = "receiver-crashed"
 			}
+			name, size, id := w.namer.Info(it.X)
 			w.emit(dst, trace.Event{
-				Kind: trace.KindDrop, Node: d.to, Peer: d.from,
-				Msg: d.msgName, Size: d.msgSize, MsgSeq: d.seq, MsgID: d.msgID,
+				Kind: trace.KindDrop, Node: dst.id, Peer: from,
+				Msg: name, Size: size, MsgSeq: seq, MsgID: id,
 				Detail: reason,
 			})
 		}
-	} else {
-		w.shard.tiles[dst.tile].msgsDelivered++
-		if d.observed && w.bus.Wants(trace.KindDeliver) {
-			w.emit(dst, trace.Event{
-				Kind: trace.KindDeliver, Node: d.to, Peer: d.from,
-				Msg: d.msgName, Size: d.msgSize, MsgSeq: d.seq, MsgID: d.msgID,
-				Delay: w.nowOf(dst) - d.sentAt,
-			})
-		}
-		dst.proto.OnMessage(d.from, d.msg)
+		return
 	}
-	d.msg = nil // release the payload before pooling
-	t := w.shard.tiles[dst.tile]
-	t.freeDel = append(t.freeDel, d)
-}
-
-// allocDelivery takes a record from the sender's tile's pool — in either
-// window mode, so records keep circulating among the tiles however the
-// modes mix. The receiver's tile takes it back after firing.
-func (t *tile) allocDelivery() *delivery {
-	if k := len(t.freeDel); k > 0 {
-		d := t.freeDel[k-1]
-		t.freeDel = t.freeDel[:k-1]
-		return d
+	w.shard.tiles[dst.tile].msgsDelivered++
+	if it.W >= 0 && w.bus.Wants(trace.KindDeliver) {
+		name, size, id := w.namer.Info(it.X)
+		w.emit(dst, trace.Event{
+			Kind: trace.KindDeliver, Node: dst.id, Peer: from,
+			Msg: name, Size: size, MsgSeq: seq, MsgID: id,
+			Delay: w.nowOf(dst) - sim.Time(it.W),
+		})
 	}
-	return new(delivery)
+	dst.proto.OnMessage(from, it.X)
 }
 
 // send transmits a message over the link from→to, if it exists, with a
@@ -820,7 +787,8 @@ func (t *tile) allocDelivery() *delivery {
 // stream, clamped to keep the directed link FIFO. The message is destroyed
 // if the link fails (or the receiver crashes) before delivery. The
 // delivery event's canonical key is (arrival, receiver, deliver, sender,
-// sendSeq) — reproducible under any partitioning of the event population.
+// sendSeq) — reproducible under any partitioning of the event population —
+// and its payload is the message itself.
 func (w *World) send(from, to core.NodeID, msg core.Message) {
 	src := w.nodes[from]
 	if src.crashed {
@@ -834,21 +802,20 @@ func (w *World) send(from, to core.NodeID, msg core.Message) {
 	st := sx.tiles[src.tile]
 	st.msgsSent++
 	src.sendSeq++
-	observed := w.bus.Wants(trace.KindSend) ||
-		w.bus.Wants(trace.KindDeliver) || w.bus.Wants(trace.KindDrop)
-	var msgName string
-	var msgSize int
-	var msgID trace.MsgType
-	if observed {
-		msgName, msgSize, msgID = w.namer.Info(msg)
+	sentAt := w.nowOf(src)
+	// Whether the message is observed is decided here, at the send: its
+	// item carries the send instant if so and −1 if not.
+	stamp := int64(-1)
+	if w.bus.Wants(trace.KindSend) || w.bus.Wants(trace.KindDeliver) || w.bus.Wants(trace.KindDrop) {
+		stamp = int64(sentAt)
+		name, size, id := w.namer.Info(msg)
 		if w.bus.Wants(trace.KindSend) {
 			w.emit(src, trace.Event{
 				Kind: trace.KindSend, Node: from, Peer: to,
-				Msg: msgName, Size: msgSize, MsgSeq: src.sendSeq, MsgID: msgID,
+				Msg: name, Size: size, MsgSeq: src.sendSeq, MsgID: id,
 			})
 		}
 	}
-	sentAt := w.nowOf(src)
 	delay := w.cfg.MinDelay
 	if span := int64(w.cfg.MaxDelay - w.cfg.MinDelay); span > 0 {
 		delay += sim.Time(src.rng.Int64N(span + 1))
@@ -860,19 +827,17 @@ func (w *World) send(from, to core.NodeID, msg core.Message) {
 		}
 		src.links[oi].lastOut = at
 	}
-	d := st.allocDelivery()
-	*d = delivery{
-		w: w, from: from, to: to, msg: msg, sentAt: sentAt,
-		ep: src.links[oi].epoch, seq: src.sendSeq,
-		msgName: msgName, msgSize: msgSize, msgID: msgID, observed: observed,
+	it := sim.Item{
+		K: sim.Key{At: at, Owner: int32(to), Class: sim.ClassDeliver, A: uint64(from), B: src.sendSeq},
+		X: msg,
+		W: stamp,
 	}
-	key := sim.Key{At: at, Owner: int32(to), Class: sim.ClassDeliver, A: uint64(from), B: src.sendSeq}
 	dt := w.nodes[to].tile
 	if sx.inWindow && dt != src.tile {
 		// Cross-tile: arrival is ≥ window start + ν, so the coordinator
 		// can route it at the barrier before any tile could reach that
 		// instant.
-		st.outMsgs = append(st.outMsgs, sim.Item{K: key, R: d})
+		st.outMsgs = append(st.outMsgs, it)
 		return
 	}
 	// Same tile, or coordinator context (a direct window, a serial event,
@@ -880,7 +845,7 @@ func (w *World) send(from, to core.NodeID, msg core.Message) {
 	if sx.tel != nil && dt != src.tile {
 		sx.tel.crossTile(src.tile, dt)
 	}
-	sx.tiles[dt].heap.Push(sim.Item{K: key, R: d})
+	sx.tiles[dt].heap.Push(it)
 }
 
 // setLink creates or destroys the link between a and b, dispatching the
@@ -894,10 +859,10 @@ func (w *World) setLink(a, b core.NodeID, up bool) {
 		return
 	}
 	if up {
-		gen := max(na.linkGen, nb.linkGen) + 1
-		na.linkGen, nb.linkGen = gen, gen
-		na.insertNeighbor(b, gen)
-		nb.insertNeighbor(a, gen)
+		// Each end's floor is the other's send count so far: whatever
+		// the peer sent on an earlier incarnation is at or below it.
+		na.insertNeighbor(b, nb.sendSeq)
+		nb.insertNeighbor(a, na.sendSeq)
 		movingSide := w.pickMovingSide(na, nb)
 		if w.bus.Wants(trace.KindLinkUp) {
 			w.emit(na, trace.Event{

@@ -7,6 +7,7 @@ import (
 	"lme/internal/core"
 	"lme/internal/graph"
 	"lme/internal/sim"
+	"lme/internal/trace"
 )
 
 // stub is a minimal protocol that records everything it observes.
@@ -139,10 +140,10 @@ func TestInFlightDestroyedWithLink(t *testing.T) {
 
 	// A message in flight across link down → up is still destroyed: the
 	// link it was sent on is gone even though, at its delivery instant, a
-	// link between the same two nodes exists again. Every incarnation of
-	// the pair must therefore carry a stamp of its own — the initial one,
-	// and each of the two that follow — while a message sent and delivered
-	// within one incarnation gets through.
+	// link between the same two nodes exists again. The receiver must
+	// therefore tell every incarnation of the pair apart — the initial
+	// one, and each of the two that follow — while a message sent and
+	// delivered within one incarnation gets through.
 	w, stubs = buildWorld(t, cfg, []graph.Point{{X: 0}, {X: 0.1}})
 	away, back := graph.Point{X: 0.9}, graph.Point{X: 0.1}
 	w.At(0, func() { w.send(0, 1, "sent on incarnation 0") })
@@ -164,6 +165,71 @@ func TestInFlightDestroyedWithLink(t *testing.T) {
 	if len(stubs[0].msgs) != 1 || stubs[0].msgs[0].msg != "delivered" {
 		t.Fatalf("node 0 received %v, want the one message of the live incarnation", stubs[0].msgs)
 	}
+
+	// One down → up with no send in between, in both directions at once:
+	// each old message is at its receiver's send-sequence floor, not
+	// above it, so it is destroyed. What either side sends after the
+	// re-up gets through.
+	w, stubs, drops := dropWorld(t, cfg)
+	w.At(0, func() {
+		w.send(0, 1, "0→1 on incarnation 0")
+		w.send(1, 0, "1→0 on incarnation 0")
+	})
+	w.JumpAt(1, away, 100, 1_000)
+	w.JumpAt(1, back, 100, 2_000)
+	w.At(3_000, func() {
+		w.send(0, 1, "0→1 after the re-up")
+		w.send(1, 0, "1→0 after the re-up")
+	})
+	if err := w.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"1→0 after the re-up", "0→1 after the re-up"} {
+		if len(stubs[i].msgs) != 1 || stubs[i].msgs[0].msg != want {
+			t.Fatalf("node %d received %v, want only %q", i, stubs[i].msgs, want)
+		}
+	}
+	if len(*drops) != 2 {
+		t.Fatalf("drops %+v, want the two messages of incarnation 0", *drops)
+	}
+	for _, d := range *drops {
+		if d.Detail != "link-changed" || d.MsgSeq != 1 || d.At != 5_000 {
+			t.Fatalf("drop %+v, want link-changed of sequence 1 at 5ms", d)
+		}
+	}
+
+	// A receiver that crashes between the send and the delivery instant
+	// destroys the message, and the drop says why.
+	w, stubs, drops = dropWorld(t, cfg)
+	w.At(0, func() { w.send(0, 1, "to the dead") })
+	w.CrashAt(1, 2_000)
+	if err := w.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(stubs[1].msgs) != 0 {
+		t.Fatalf("crashed node received %v", stubs[1].msgs)
+	}
+	if len(*drops) != 1 || (*drops)[0].Detail != "receiver-crashed" ||
+		(*drops)[0].Node != 1 || (*drops)[0].Peer != 0 || (*drops)[0].MsgSeq != 1 {
+		t.Fatalf("drops %+v, want one receiver-crashed drop of 0→1 sequence 1", *drops)
+	}
+}
+
+// dropWorld is buildWorld over two linked stubs, with every drop event the
+// bus publishes collected.
+func dropWorld(t *testing.T, cfg Config) (*World, []*stub, *[]trace.Event) {
+	t.Helper()
+	w := NewWorld(cfg)
+	var drops []trace.Event
+	w.Bus().Subscribe(func(ev trace.Event) { drops = append(drops, ev) }, trace.KindDrop)
+	stubs := []*stub{{}, {}}
+	for i, p := range []graph.Point{{X: 0}, {X: 0.1}} {
+		w.SetProtocol(w.AddNode(p), stubs[i])
+	}
+	if err := w.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return w, stubs, &drops
 }
 
 func TestLinkUpBiasMoverVsStatic(t *testing.T) {

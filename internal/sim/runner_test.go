@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // recorder is a Runner that appends its tag to a shared log.
 type recorder struct {
@@ -40,7 +43,7 @@ func TestAtRunnerSharesFIFOOrder(t *testing.T) {
 
 // TestAtRunnerAllocFree pins the closure-free path: scheduling a
 // pointer-shaped Runner must not allocate (the property the world's
-// pooled delivery and movement records depend on).
+// movement-tick and waypoint records depend on).
 func TestAtRunnerAllocFree(t *testing.T) {
 	s := NewScheduler(2)
 	var log []int
@@ -78,5 +81,39 @@ func TestClosureChurnAllocFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(1_000, func() { s.Step() }); allocs != 0 {
 		t.Fatalf("a churning Step allocates %.2f times", allocs)
+	}
+}
+
+// TestItemIs56Bytes pins the event record's size: a key, one interface
+// word pair and the user word. A heap of them is one dense slice, and the
+// sift loops move whole items, so every byte more is paid per level.
+func TestItemIs56Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(Item{}); size != 56 {
+		t.Fatalf("sim.Item is %d bytes, want 56", size)
+	}
+}
+
+// TestExecDispatch: Exec runs a func() payload and a Runner payload, and
+// panics on anything else — a nil payload and a nil func included.
+func TestExecDispatch(t *testing.T) {
+	var log []int
+	fn := Item{X: func() { log = append(log, 1) }}
+	fn.Exec()
+	r := Item{X: &recorder{log: &log, tag: 2}}
+	r.Exec()
+	if len(log) != 2 || log[0] != 1 || log[1] != 2 {
+		t.Fatalf("ran %v, want [1 2]", log)
+	}
+	var nilFn func()
+	for _, x := range []any{nil, "a message", 7, nilFn} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Exec of a %T payload did not panic", x)
+				}
+			}()
+			it := Item{K: Key{At: 3}, X: x}
+			it.Exec()
+		}()
 	}
 }

@@ -4,11 +4,14 @@
 // class, a, b) whose comparison is a total order independent of how the
 // event population is partitioned — the property the tile engine of
 // internal/manet relies on to execute the same sequence for every tiling.
-// EventHeap is the queue every tile runs on. Scheduler is a standalone
-// single-heap loop over one EventHeap for code that needs a bare event
-// queue: its At/After/AtRunner events carry the reserved NoOwner owner
-// and the scheduler's monotone sequence number, so same-instant events
-// fire in schedule order.
+// EventHeap is the queue every tile runs on. An Item is a key, a payload
+// and one word for the scheduler's user: a callback item's payload is a
+// func() or a Runner, which Item.Exec runs, and an engine may give its own
+// event classes other payloads (internal/manet's message deliveries carry
+// the message itself). Scheduler is a standalone single-heap loop over one
+// EventHeap for code that needs a bare event queue: its At/After/AtRunner
+// events carry the reserved NoOwner owner and the scheduler's monotone
+// sequence number, so same-instant events fire in schedule order.
 package sim
 
 import (
@@ -41,11 +44,11 @@ func (t Time) String() string {
 	return ToDuration(t).String()
 }
 
-// Runner is the allocation-free alternative to scheduling a closure: a
-// reusable record (typically pooled by the caller) whose Run method is
-// invoked when its instant arrives. Pointer-shaped implementations convert
-// to the interface without allocating, which is what makes the message
-// delivery path of internal/manet closure-free.
+// Runner is the alternative to scheduling a closure: a reusable record
+// whose Run method is invoked when its instant arrives. Pointer-shaped
+// implementations convert to an Item's payload without allocating, so a
+// record scheduled again and again (internal/manet's movement ticks and
+// waypoint machines) costs nothing per event.
 type Runner interface {
 	Run()
 }
@@ -59,9 +62,9 @@ const (
 	// crashes, mobility trip bookkeeping, and the Scheduler's ownerless
 	// events.
 	ClassLocal uint8 = iota
-	// ClassDeliver covers message deliveries; A is the sender and B the
-	// sender's monotone send sequence, so per-link FIFO ties break
-	// identically in every engine.
+	// ClassDeliver covers message deliveries; the owner is the receiver,
+	// A the sender and B the sender's monotone send sequence, so per-link
+	// FIFO ties break identically in every engine.
 	ClassDeliver
 	// ClassTopo covers the events the tile engine serialises on its
 	// coordinator: topology mutations (movement ticks, jumps), which
@@ -109,11 +112,28 @@ func KeyFloor(t Time) Key {
 	return Key{At: t, Owner: -1 << 31}
 }
 
-// Item is one queued event: a key plus exactly one of Fn and R.
+// Item is one queued event: its key K, its payload X, and a word W the
+// scheduler's user may use as it likes. For a callback X holds a func() or
+// a Runner, which Exec runs. A user may queue items of a class of its own
+// with another payload, as long as it dispatches them itself rather than
+// through Exec. 56 bytes, so a heap of them stays one dense slice.
 type Item struct {
-	K  Key
-	Fn func()
-	R  Runner
+	K Key
+	X any
+	W int64
+}
+
+// Exec runs a callback item: X's func() or its Runner. It panics on any
+// other payload, a nil one included.
+func (it *Item) Exec() {
+	switch x := it.X.(type) {
+	case func():
+		x()
+	case Runner:
+		x.Run()
+	default:
+		panic(fmt.Sprintf("sim: event %+v carries %T, neither a func() nor a Runner", it.K, it.X))
+	}
 }
 
 // EventHeap is a value-typed 4-ary min-heap of Items ordered by Key. The
@@ -162,7 +182,7 @@ func (h *EventHeap) Pop() Item {
 	root := s[0]
 	last := len(s) - 1
 	it := s[last]
-	s[last] = Item{} // release fn/r references
+	s[last] = Item{} // release the payload reference
 	s = s[:last]
 	h.items = s
 	if last > 0 {
@@ -286,7 +306,7 @@ func (s *Scheduler) At(t Time, fn func()) {
 		t = s.now
 	}
 	s.seq++
-	s.heap.Push(Item{K: Key{At: t, Owner: NoOwner, Class: ClassLocal, A: s.seq}, Fn: fn})
+	s.heap.Push(Item{K: Key{At: t, Owner: NoOwner, Class: ClassLocal, A: s.seq}, X: fn})
 }
 
 // After schedules fn to run d time units from now.
@@ -295,24 +315,21 @@ func (s *Scheduler) After(d Time, fn func()) {
 }
 
 // AtRunner schedules r.Run at the given virtual time, sharing the FIFO
-// sequence space with At. Unlike At it captures nothing, so a pooled
-// Runner makes the schedule-execute cycle allocation-free.
+// sequence space with At. Unlike At it needs no closure, so a Runner
+// scheduled again each time it fires makes the schedule-execute cycle
+// allocation-free.
 func (s *Scheduler) AtRunner(t Time, r Runner) {
 	if t < s.now {
 		t = s.now
 	}
 	s.seq++
-	s.heap.Push(Item{K: Key{At: t, Owner: NoOwner, Class: ClassLocal, A: s.seq}, R: r})
+	s.heap.Push(Item{K: Key{At: t, Owner: NoOwner, Class: ClassLocal, A: s.seq}, X: r})
 }
 
 // run executes one popped event.
 func (s *Scheduler) run(it *Item) {
 	s.now = it.K.At
-	if it.Fn != nil {
-		it.Fn()
-	} else {
-		it.R.Run()
-	}
+	it.Exec()
 	s.processed++
 }
 

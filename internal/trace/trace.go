@@ -453,12 +453,16 @@ func (b *Bus) Recent(n int) []Event {
 type MsgType uint32
 
 // TypeNamer caches the normalised name, shallow byte size and dense ID
-// of message payload types, so per-message classification costs one map
-// lookup instead of reflection. The cache is copy-on-write: the warm
-// path (every type already seen — reached within the first events of a
-// run) is one atomic load plus a read of an immutable snapshot, so
-// concurrent readers — the sharded engine classifies messages from tile
-// workers — pay no lock; a miss copies the snapshot under a mutex.
+// of message payload types, so per-message classification costs a short
+// scan instead of reflection. A protocol has a handful of message types,
+// so the cache is two parallel slices, not a map: comparing a few type
+// words beats hashing one, and the simulator classifies every observed
+// message twice, at its send and at its delivery. The cache is
+// copy-on-write: the warm path (every type already seen — reached within
+// the first events of a run) is one atomic load plus a scan of an
+// immutable snapshot, so concurrent readers — the sharded engine
+// classifies messages from tile workers — pay no lock; a miss copies the
+// snapshot under a mutex.
 type TypeNamer struct {
 	snap atomic.Pointer[namerSnap]
 	mu   sync.Mutex // serialises snapshot replacement on cache misses
@@ -467,8 +471,19 @@ type TypeNamer struct {
 // namerSnap is one immutable cache generation; misses replace it
 // wholesale, never mutate it.
 type namerSnap struct {
-	names map[reflect.Type]typeInfo
-	byID  []string // byID[id-1] is the normalised name behind MsgType id
+	types []reflect.Type // in first-seen order
+	infos []typeInfo     // infos[i] describes types[i]
+	byID  []string       // byID[id-1] is the normalised name behind MsgType id
+}
+
+// find returns the cached description of t, if any.
+func (s *namerSnap) find(t reflect.Type) (typeInfo, bool) {
+	for i, u := range s.types {
+		if u == t {
+			return s.infos[i], true
+		}
+	}
+	return typeInfo{}, false
 }
 
 type typeInfo struct {
@@ -480,7 +495,7 @@ type typeInfo struct {
 // NewTypeNamer returns an empty cache.
 func NewTypeNamer() *TypeNamer {
 	tn := &TypeNamer{}
-	tn.snap.Store(&namerSnap{names: make(map[reflect.Type]typeInfo)})
+	tn.snap.Store(&namerSnap{})
 	return tn
 }
 
@@ -500,7 +515,7 @@ func (tn *TypeNamer) Info(msg any) (name string, size int, id MsgType) {
 
 func (tn *TypeNamer) info(msg any) typeInfo {
 	t := reflect.TypeOf(msg)
-	if info, ok := tn.snap.Load().names[t]; ok {
+	if info, ok := tn.snap.Load().find(t); ok {
 		return info
 	}
 	tn.mu.Lock()
@@ -508,7 +523,7 @@ func (tn *TypeNamer) info(msg any) typeInfo {
 	// Re-check against the latest snapshot: another goroutine may have
 	// published this type while we waited for the lock.
 	cur := tn.snap.Load()
-	if info, ok := cur.names[t]; ok {
+	if info, ok := cur.find(t); ok {
 		return info
 	}
 	info := typeInfo{name: NormalizeTypeName(fmt.Sprintf("%T", msg)), size: int(t.Size())}
@@ -518,18 +533,13 @@ func (tn *TypeNamer) info(msg any) typeInfo {
 			break
 		}
 	}
-	next := &namerSnap{
-		names: make(map[reflect.Type]typeInfo, len(cur.names)+1),
-		byID:  cur.byID,
-	}
-	for k, v := range cur.names {
-		next.names[k] = v
-	}
+	next := &namerSnap{byID: cur.byID}
 	if info.id == 0 {
 		next.byID = append(slices.Clip(cur.byID), info.name)
 		info.id = MsgType(len(next.byID))
 	}
-	next.names[t] = info
+	next.types = append(slices.Clip(cur.types), t)
+	next.infos = append(slices.Clip(cur.infos), info)
 	tn.snap.Store(next)
 	return info
 }
