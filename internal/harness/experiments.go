@@ -1087,13 +1087,16 @@ func MessageComplexity(q Quality, replicas int) (*Plan, error) {
 			if err != nil {
 				return nil, err
 			}
+			// Only the static breakdown column reads per-type traffic.
+			reg := metrics.NewRegistry()
+			metrics.Instrument(r.World.Bus(), reg, r.World.TypeNamer())
 			if err := r.RunContext(ctx, horizon); err != nil {
 				return nil, fmt.Errorf("%s: %w", a, err)
 			}
 			return msgResult{
 				msgs:   r.World.MessagesSent(),
 				meals:  r.TotalMeals(),
-				byType: r.Registry.CountersWithPrefix(metrics.PrefixSent),
+				byType: reg.CountersWithPrefix(metrics.PrefixSent),
 			}, nil
 		})
 		if a != algCS {

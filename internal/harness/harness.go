@@ -56,8 +56,6 @@ type Spec struct {
 	// discarded, bounding span memory by O(nodes) instead of O(run).
 	// Summary, open spans, the wait-for graph and the crash attribution
 	// are unaffected; Spans()/WriteJSONL are unavailable. Implies Spans.
-	// The eating timeline (Run.Timeline, the Gantt source) is also
-	// skipped: it is O(meals) retained history.
 	SpanFold bool
 
 	// RetainSamples keeps the response recorder's exact per-sample
@@ -79,11 +77,7 @@ type Spec struct {
 	Tiles        int
 	ShardWorkers int
 
-	// Lean skips the per-message-type Registry instrumentation and the
-	// eating Timeline — the observers that make the bus do work for
-	// every traffic event. For very large worlds (lmebench -scale) this
-	// keeps per-event cost at the dark-run floor; the safety checker,
-	// response recorder and prober still observe state transitions.
+	// Deprecated: no effect; kept so the pinned bench module compiles.
 	Lean bool
 
 	// Telemetry enables the engine's execution-telemetry counters
@@ -93,19 +87,16 @@ type Spec struct {
 	Telemetry bool
 }
 
-// Run is an assembled simulation.
+// Run is an assembled simulation. It carries only the observers the
+// harness reads itself: a caller that wants more (a metrics.Registry, a
+// metrics.Timeline) attaches it to World before Start, so a run nobody
+// asks about traffic builds no traffic event.
 type Run struct {
 	World    *manet.World
 	Driver   *workload.Driver
 	Checker  *metrics.SafetyChecker
 	Recorder *metrics.ResponseRecorder
 	Prober   *metrics.Prober
-	Timeline *metrics.Timeline
-
-	// Registry accumulates the run's telemetry: per-message-type
-	// counters and the link-delay histogram, fed from the world's
-	// event bus.
-	Registry *metrics.Registry
 
 	// Spans folds the event stream into CS-attempt spans when
 	// Spec.Spans was set (nil otherwise). Call FinalizeSpans once the
@@ -172,15 +163,6 @@ func Build(spec Spec) (*Run, error) {
 		Checker:  metrics.NewSafetyChecker(w),
 		Recorder: metrics.NewResponseRecorder(recOpts...),
 		Prober:   metrics.NewProber(),
-		Registry: metrics.NewRegistry(),
-	}
-	if !spec.SpanFold && !spec.Lean {
-		// The eating timeline (Gantt source) keeps one interval per meal
-		// — O(run) retained history, so streaming fold mode skips it.
-		r.Timeline = metrics.NewTimeline()
-	}
-	if !spec.Lean {
-		metrics.Instrument(w.Bus(), r.Registry, w.TypeNamer())
 	}
 	if spec.Spans || spec.SpanFold {
 		if spec.SpanFold {
@@ -220,9 +202,6 @@ func Build(spec Spec) (*Run, error) {
 	w.AddStateListener(r.Checker)
 	w.AddStateListener(r.Recorder)
 	w.AddStateListener(r.Prober)
-	if r.Timeline != nil {
-		w.AddStateListener(r.Timeline)
-	}
 	// The driver runs inline in the transitioning node's execution
 	// context (it schedules the node's follow-up events); outside
 	// parallel windows this preserves its legacy last-listener slot.

@@ -7,6 +7,7 @@ import (
 	"lme/internal/core"
 	"lme/internal/graph"
 	"lme/internal/lme2"
+	"lme/internal/trace"
 )
 
 func TestBuildValidation(t *testing.T) {
@@ -39,6 +40,46 @@ func TestRunLifecycle(t *testing.T) {
 	}
 	if ok, missing := r.EveryoneAte(); !ok {
 		t.Fatalf("starved: %v", missing)
+	}
+}
+
+// TestBuildPublishesNoTraffic pins the harness's pay-per-reader rule:
+// Build attaches only what the harness reads itself, so a run with no
+// ring, sink or span collector builds no traffic event and classifies no
+// message — and asking for spans is what turns the send stream on.
+func TestBuildPublishesNoTraffic(t *testing.T) {
+	for _, spans := range []bool{false, true} {
+		r, err := Build(Spec{
+			Seed:        1,
+			Points:      LinePoints(6, 0.1),
+			Radius:      0.11,
+			Spans:       spans,
+			NewProtocol: func(core.NodeID) core.Protocol { return lme2.New() },
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.RunFor(500_000); err != nil {
+			t.Fatal(err)
+		}
+		if r.World.MessagesSent() == 0 {
+			t.Fatal("no traffic: the check below would hold vacuously")
+		}
+		bus := r.World.Bus()
+		if spans {
+			if !bus.Wants(trace.KindSend) {
+				t.Fatal("Spans run: bus does not want sends")
+			}
+			continue
+		}
+		for _, k := range []trace.Kind{trace.KindSend, trace.KindDeliver, trace.KindDrop} {
+			if bus.Wants(k) {
+				t.Errorf("default Spec: bus wants %v events", k)
+			}
+		}
+		if n := r.World.TypeNamer().NumTypes(); n != 0 {
+			t.Errorf("default Spec: %d message types classified, want 0", n)
+		}
 	}
 }
 

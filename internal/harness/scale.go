@@ -104,8 +104,8 @@ func scalePoints(n int) ([]graph.Point, float64) {
 }
 
 // RunScale executes one large-n run and returns its measurement. The
-// build uses the Lean harness (checker, recorder and prober attached;
-// per-message telemetry and the meal timeline skipped) with Algorithm 1
+// build attaches no trace ring and no spans (checker, recorder and
+// prober only, so no traffic event is built) and runs Algorithm 1
 // greedy — the variant whose per-node state is O(δ), the only kind that
 // survives n=100k.
 func RunScale(spec ScaleSpec) (ScaleResult, error) {
@@ -124,7 +124,6 @@ func RunScale(spec ScaleSpec) (ScaleResult, error) {
 		Workload:     workload.DefaultConfig(),
 		Tiles:        tiles,
 		ShardWorkers: spec.Workers,
-		Lean:         true,
 		Telemetry:    spec.Telemetry,
 	})
 	if err != nil {

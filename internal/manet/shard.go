@@ -576,12 +576,13 @@ func (sx *shardExec) earliest() (sim.Key, bool) {
 // size, and that size depends on how much each event leaves to replay:
 // forcing both modes over static worlds of 40 to 6 000 events per window
 // (BenchmarkWindowModes; the PR 16 entry of BENCH_e2e.json has the table)
-// puts the crossover near 320 events under the Lean harness and near
-// 1 200 under the full one. 600 is their geometric middle: between the
-// two crossovers either choice costs at most a sixth, outside them the
-// choice is right. Of the benchmark's worlds sim_mobile_2k (full harness,
-// 177 events per window) sits far below it and sim_static_10k (Lean,
-// 2 915) far above.
+// puts the crossover near 320 events in a world with no ring or spans and
+// near 1 200 in one with a ring, a span fold and (when that was measured)
+// a per-message registry, which the harness no longer attaches. 600 is
+// their geometric middle: between the two crossovers either choice costs
+// at most a sixth, outside them the choice is right. Of the benchmark's
+// worlds sim_mobile_2k (ring and span fold, 177 events per window) sits
+// far below it and sim_static_10k (neither, 2 915) far above.
 const directBelow = 600
 
 // runTiles executes one window and reports how many events it ran: every

@@ -18,10 +18,10 @@ import (
 // the same world run with every window forced direct and forced parallel,
 // over world sizes that put 37 to 6 000 events in a window, for the two
 // kinds of world the benchmark has — "lean" (greedy Algorithm 1 on a
-// lattice under the Lean harness: almost nothing to replay at a barrier,
-// sim_static_10k's shape) and "observed" (Algorithm 2 under the full
-// harness with trace ring and span fold: every event leaves effects to
-// buffer and replay, sim_mobile_2k's shape). It reports events/window and
+// lattice with no ring or spans: almost nothing to replay at a barrier,
+// sim_static_10k's shape) and "observed" (Algorithm 2 with a trace ring
+// and span fold: every event leaves effects to buffer and replay,
+// sim_mobile_2k's shape). It reports events/window and
 // events/s; where the two modes' events/s cross is the threshold. Static
 // worlds, so only ν cuts windows and events/window follows n.
 //
@@ -64,8 +64,6 @@ func BenchmarkWindowModes(b *testing.B) {
 						}
 						if observed {
 							spec.TraceRing, spec.SpanFold = 1024, true
-						} else {
-							spec.Lean = true
 						}
 						r, err := harness.Build(spec)
 						if err != nil {

@@ -336,6 +336,12 @@ type Simulation struct {
 	run  *harness.Run
 	alg  Algorithm
 	prog *progress.Reporter
+
+	// reg and tl are the facade's own observers (the harness attaches
+	// none): the traffic counts behind Report and MetricsSnapshot, and
+	// the meals behind Gantt (nil under FoldSpans, which retains none).
+	reg *metrics.Registry
+	tl  *metrics.Timeline
 }
 
 // NewSimulation builds a simulation from the configuration.
@@ -396,7 +402,14 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Simulation{run: run, alg: cfg.Algorithm}, nil
+	s := &Simulation{run: run, alg: cfg.Algorithm, reg: metrics.NewRegistry()}
+	metrics.Instrument(run.World.Bus(), s.reg, run.World.TypeNamer())
+	if !cfg.FoldSpans {
+		// Added after Build, it still runs after checker, recorder, prober.
+		s.tl = metrics.NewTimeline()
+		run.World.AddStateListener(s.tl)
+	}
+	return s, nil
 }
 
 // protocolFactory resolves an Algorithm through the registry; an unknown
@@ -596,7 +609,7 @@ func (s *Simulation) ResponseStats() metrics.Stats { return s.run.Recorder.Stats
 // one row per node, width columns wide. Unavailable (empty string) in
 // FoldSpans mode, which retains no interval history.
 func (s *Simulation) Gantt(window time.Duration, width int) string {
-	if s.run.Timeline == nil {
+	if s.tl == nil {
 		return ""
 	}
 	now := s.run.World.Now()
@@ -604,7 +617,7 @@ func (s *Simulation) Gantt(window time.Duration, width int) string {
 	if from < 0 {
 		from = 0
 	}
-	return s.run.Timeline.Gantt(s.run.World.N(), from, now, width)
+	return s.tl.Gantt(s.run.World.N(), from, now, width)
 }
 
 // SetTracer installs a human-readable renderer over the typed event
@@ -727,7 +740,7 @@ type MessageTypeReport struct {
 // the span layer, so call it after the run is over.
 func (s *Simulation) Report(wall time.Duration) Report {
 	res := s.Results()
-	reg := s.run.Registry
+	reg := s.reg
 	st := s.run.Recorder.Stats()
 
 	byType := make(map[string]MessageTypeReport)
@@ -800,7 +813,7 @@ func (s *Simulation) Report(wall time.Duration) Report {
 // MetricsSnapshot freezes the run's counter/histogram registry (the
 // -stats output).
 func (s *Simulation) MetricsSnapshot() metrics.RegistrySnapshot {
-	return s.run.Registry.Snapshot()
+	return s.reg.Snapshot()
 }
 
 // WriteSpans finalises the span layer (closing attempts still open at

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"lme"
+	"lme/internal/metrics"
 )
 
 func TestSimulationEveryAlgorithmStatic(t *testing.T) {
@@ -213,5 +214,43 @@ func TestGanttRenders(t *testing.T) {
 	chart := sim.Gantt(200*time.Millisecond, 40)
 	if !strings.Contains(chart, "node  0") || !strings.Contains(chart, "█") {
 		t.Fatalf("chart:\n%s", chart)
+	}
+}
+
+// TestSimulationTrafficOutputs pins the public API's traffic outputs,
+// which the facade feeds from observers of its own (the harness attaches
+// none): the per-type breakdown adds up to the send total, the
+// link-delay histogram saw every delivery, the -stats snapshot carries
+// the counters, and the Gantt timeline exists exactly when spans are not
+// folded.
+func TestSimulationTrafficOutputs(t *testing.T) {
+	for _, fold := range []bool{false, true} {
+		sim, err := lme.NewSimulation(lme.Config{Algorithm: lme.Alg2, Topology: lme.Line(6), FoldSpans: fold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.RunFor(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		rep := sim.Report(0)
+		if rep.Messages.Sent == 0 || rep.Messages.Delivered == 0 {
+			t.Fatalf("fold=%v: no traffic: %+v", fold, rep.Messages)
+		}
+		var byType uint64
+		for _, v := range rep.Messages.ByType {
+			byType += v.Sent
+		}
+		if byType != rep.Messages.Sent {
+			t.Errorf("fold=%v: by_type sent sums to %d, messages.sent is %d", fold, byType, rep.Messages.Sent)
+		}
+		if rep.LinkDelay.Count != rep.Messages.Delivered {
+			t.Errorf("fold=%v: link_delay count %d, messages.delivered %d", fold, rep.LinkDelay.Count, rep.Messages.Delivered)
+		}
+		if got := sim.MetricsSnapshot().Counters[metrics.CtrSent]; got != rep.Messages.Sent {
+			t.Errorf("fold=%v: snapshot %s = %d, want %d", fold, metrics.CtrSent, got, rep.Messages.Sent)
+		}
+		if chart := sim.Gantt(200*time.Millisecond, 40); (chart == "") != fold {
+			t.Errorf("fold=%v: Gantt returned %q", fold, chart)
+		}
 	}
 }
