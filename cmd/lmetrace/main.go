@@ -231,7 +231,7 @@ func spanView(in io.Reader, listSpans, listPhases bool, waitAt time.Duration) er
 		if waitAt > 0 && e.At > cut {
 			break
 		}
-		col.Feed(e)
+		col.Feed(&e)
 	}
 
 	if waitAt > 0 {

@@ -101,7 +101,7 @@ func TestIsolatedComponentsIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	crossTraffic := 0
-	r.World.Bus().Subscribe(func(e trace.Event) {
+	r.World.Bus().Subscribe(func(e *trace.Event) {
 		if (e.Node < 4) != (e.Peer < 4) {
 			crossTraffic++
 		}

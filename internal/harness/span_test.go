@@ -108,7 +108,7 @@ func TestPostmortemOnViolation(t *testing.T) {
 	// Guarantee an open span in the dump: the collector folds the bus, so
 	// a synthetic hungry transition opens an attempt for node 2 without
 	// touching the protocols.
-	r.World.Bus().Publish(trace.Event{
+	r.World.Bus().Publish(&trace.Event{
 		Kind: trace.KindState, Node: 2, Peer: trace.NoNode,
 		Old: "thinking", New: "hungry", At: now,
 	})

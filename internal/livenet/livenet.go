@@ -375,7 +375,7 @@ func (c *Cluster) now() sim.Time {
 func (c *Cluster) emit(e trace.Event) {
 	c.busMu.Lock()
 	e.At = c.now()
-	c.bus.Publish(e)
+	c.bus.Publish(&e)
 	c.busMu.Unlock()
 }
 
@@ -449,7 +449,7 @@ func (c *Cluster) deliver(f Frame) {
 		if delay < 0 {
 			delay = 0
 		}
-		c.bus.Publish(trace.Event{
+		c.bus.Publish(&trace.Event{
 			At: now, Kind: trace.KindDeliver, Node: f.To, Peer: f.From,
 			Msg: name, MsgID: id, Size: size, MsgSeq: f.Mseq, Delay: delay,
 		})
@@ -468,7 +468,7 @@ func (n *liveNode) send(to core.NodeID, msg core.Message) {
 	if c.bus.Wants(trace.KindSend) {
 		c.busMu.Lock()
 		name, size, id := c.namer.Info(msg)
-		c.bus.Publish(trace.Event{
+		c.bus.Publish(&trace.Event{
 			At: c.now(), Kind: trace.KindSend, Node: n.id, Peer: to,
 			Msg: name, MsgID: id, Size: size, MsgSeq: n.mseq,
 		})

@@ -215,11 +215,11 @@ func TestLiveSubscriberSeesEveryFrame(t *testing.T) {
 			var sends, delivers uint64
 			var prev trace.Event
 			sentSeen := make(map[frameID]bool)
-			c.Bus().Subscribe(func(e trace.Event) {
+			c.Bus().Subscribe(func(e *trace.Event) {
 				if e.At < prev.At {
-					t.Errorf("event %v published after %v: the stream is not monotone", e, prev)
+					t.Errorf("event %v published after %v: the stream is not monotone", *e, prev)
 				}
-				prev = e
+				prev = *e
 				switch e.Kind {
 				case trace.KindSend:
 					sends++

@@ -36,7 +36,7 @@ func TestEmitPeerPassthrough(t *testing.T) {
 	var buf bytes.Buffer
 	w.Bus().SetSink(&buf)
 	var seen []trace.Event
-	w.Bus().Subscribe(func(ev trace.Event) { seen = append(seen, ev) }, trace.KindNote)
+	w.Bus().Subscribe(func(ev *trace.Event) { seen = append(seen, *ev) }, trace.KindNote)
 
 	w.AddNode(graph.Point{X: 0})
 	id := w.AddNode(graph.Point{X: 0.05})

@@ -57,42 +57,114 @@ func shardedLayouts(n int) []shardedLayout {
 // bound.
 func shardedTrace(t *testing.T, lay shardedLayout, seed uint64, tiles, workers int) []byte {
 	t.Helper()
-	return shardedTraceMode(t, lay, seed, tiles, workers, nil)
+	return shardedTraceMode(t, lay, shardedConfig(lay, seed, tiles, workers), nil)
 }
 
-// shardedTraceMode is shardedTrace with the engine's window mode forced
-// by hook (nil: the engine's own choice; a 1×1 grid ignores it).
-func shardedTraceMode(t *testing.T, lay shardedLayout, seed uint64, tiles, workers int, hook func() bool) []byte {
-	t.Helper()
+// shardedConfig is the configuration of a sharded-differential run.
+func shardedConfig(lay shardedLayout, seed uint64, tiles, workers int) Config {
 	cfg := DefaultConfig()
 	cfg.Seed = seed
 	cfg.Radius = lay.radius
 	cfg.Tiles = tiles
 	cfg.ShardWorkers = workers
+	return cfg
+}
+
+// shardedTraceMode is shardedTrace over an explicit configuration, with
+// the engine's window mode forced by hook (nil: the engine's own choice;
+// a 1×1 grid ignores it).
+func shardedTraceMode(t *testing.T, lay shardedLayout, cfg Config, hook func() bool) []byte {
+	t.Helper()
+	trace, _, err := shardedScenario(lay).run(cfg, hook)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return trace
+}
+
+// scenario is one scripted world of the tile-equivalence oracles: a
+// layout, a protocol, waypoint movers, jump and crash scripts and a
+// horizon, all scheduled before Start.
+type scenario struct {
+	lay shardedLayout
+	// pulse selects pulsers driven by their pulseDriver (dining state
+	// changes, local listeners); chatters otherwise.
+	pulse   bool
+	speed   float64 // of the waypoint movers
+	movers  []core.NodeID
+	jumps   []scriptJump
+	crashes []scriptCrash
+	horizon sim.Time
+	budget  uint64 // event budget of the run
+}
+
+type scriptJump struct {
+	id         core.NodeID
+	to         graph.Point
+	settle, at sim.Time
+}
+
+type scriptCrash struct {
+	id core.NodeID
+	at sim.Time
+}
+
+// shardedScenario is the world of TestShardedMatchesSingleHeap: chatters,
+// six movers, two jumps and two crashes over 500 ms.
+func shardedScenario(lay shardedLayout) scenario {
+	n := core.NodeID(len(lay.points))
+	return scenario{
+		lay:     lay,
+		speed:   0.7,
+		movers:  []core.NodeID{2, 9, 17, 25, 33, n - 3},
+		jumps:   []scriptJump{{11, graph.Point{X: 0.05, Y: 0.05}, 30_000, 120_000}, {n - 1, graph.Point{X: 0.9, Y: 0.9}, 25_000, 210_000}},
+		crashes: []scriptCrash{{9, 150_000}, {11, 260_000}},
+		horizon: 500_000,
+		budget:  2_000_000,
+	}
+}
+
+// run builds the scenario's world under cfg, runs it to the horizon with
+// the window mode forced by hook, and returns its JSONL event stream and
+// its executed-event count.
+func (sc scenario) run(cfg Config, hook func() bool) ([]byte, uint64, error) {
+	return sc.runWith(cfg, hook, nil)
+}
+
+// runWith is run with observe, if not nil, called on the world before
+// Start.
+func (sc scenario) runWith(cfg Config, hook func() bool, observe func(*World)) ([]byte, uint64, error) {
 	w := NewWorld(cfg)
 	var buf bytes.Buffer
 	w.Bus().SetSink(&buf)
-
-	for _, p := range lay.points {
-		id := w.AddNode(p)
-		w.SetProtocol(id, &chatter{})
+	if sc.pulse {
+		addPulsers(w, sc.lay)
+	} else {
+		for _, p := range sc.lay.points {
+			w.SetProtocol(w.AddNode(p), &chatter{})
+		}
 	}
-	n := core.NodeID(len(lay.points))
-	movers := []core.NodeID{2, 9, 17, 25, 33, n - 3}
-	Waypoint{Speed: 0.7, PauseMin: 2_000, PauseMax: 25_000}.Attach(w, movers)
-	w.JumpAt(11, graph.Point{X: 0.05, Y: 0.05}, 30_000, 120_000)
-	w.JumpAt(n-1, graph.Point{X: 0.9, Y: 0.9}, 25_000, 210_000)
-	w.CrashAt(9, 150_000)
-	w.CrashAt(11, 260_000)
-
-	startForced(t, w, hook)
-	if err := w.RunUntil(500_000, 2_000_000); err != nil {
-		t.Fatal(err)
+	Waypoint{Speed: sc.speed, PauseMin: 2_000, PauseMax: 25_000}.Attach(w, sc.movers)
+	for _, j := range sc.jumps {
+		w.JumpAt(j.id, j.to, j.settle, j.at)
+	}
+	for _, c := range sc.crashes {
+		w.CrashAt(c.id, c.at)
+	}
+	if observe != nil {
+		observe(w)
+	}
+	if err := w.Start(); err != nil {
+		return nil, 0, err
+	}
+	w.shard.forceDirect = hook
+	if err := w.RunUntil(sc.horizon, sc.budget); err != nil {
+		return nil, 0, err
 	}
 	if err := w.Bus().Flush(); err != nil {
-		t.Fatal(err)
+		return nil, 0, err
 	}
-	return buf.Bytes()
+	return buf.Bytes(), w.Processed(), nil
 }
 
 // diffTraces fails with the first line of divergence between two streams.
@@ -131,7 +203,7 @@ func diffTraces(t *testing.T, ref, got []byte, what string) {
 // TestShardedMatchesSingleHeap is the engine's differential oracle: for
 // every layout × seed × tile-grid combination, the full event stream must
 // be byte-identical to the 1×1 grid's, the reference (which runs the
-// single-heap loop over one tile heap) — same link transitions, message
+// single-queue loop over one tile queue) — same link transitions, message
 // fates, mobility and crash handling, in the same canonical order.
 func TestShardedMatchesSingleHeap(t *testing.T) {
 	for _, lay := range shardedLayouts(48) {

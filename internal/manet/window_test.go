@@ -109,6 +109,19 @@ func pulserWorld(lay shardedLayout, seed uint64, tiles, workers int, mobile bool
 // pulserWorldCfg is pulserWorld over an explicit configuration.
 func pulserWorldCfg(lay shardedLayout, cfg Config, mobile bool) *World {
 	w := NewWorld(cfg)
+	addPulsers(w, lay)
+	if mobile {
+		n := core.NodeID(len(lay.points))
+		Waypoint{Speed: 0.7, PauseMin: 2_000, PauseMax: 25_000}.Attach(w, []core.NodeID{2, 17, n - 3})
+		w.CrashAt(9, 30_000)
+	}
+	return w
+}
+
+// addPulsers adds a pulser at each point of lay to w, with the
+// pulseDriver as a local state listener and every node's first hunger
+// scheduled.
+func addPulsers(w *World, lay shardedLayout) {
 	d := &pulseDriver{w: w}
 	for _, pt := range lay.points {
 		p := &pulser{}
@@ -121,12 +134,6 @@ func pulserWorldCfg(lay shardedLayout, cfg Config, mobile bool) *World {
 	for id := range lay.points {
 		w.ScheduleLocal(core.NodeID(id), sim.Time(100+37*id%500), d.hungry[id])
 	}
-	if mobile {
-		n := core.NodeID(len(lay.points))
-		Waypoint{Speed: 0.7, PauseMin: 2_000, PauseMax: 25_000}.Attach(w, []core.NodeID{2, 17, n - 3})
-		w.CrashAt(9, 30_000)
-	}
-	return w
 }
 
 // startForced starts w and installs the mode hook (a no-op on the single
@@ -179,7 +186,7 @@ func TestWindowModeDifferential(t *testing.T) {
 				for _, mode := range windowModes {
 					name := fmt.Sprintf("%s/tiles=%d/workers=%d/%s", lay.name, tiles, workers, mode.name)
 					t.Run(name, func(t *testing.T) {
-						got := shardedTraceMode(t, lay, seed, tiles, workers, mode.hook())
+						got := shardedTraceMode(t, lay, shardedConfig(lay, seed, tiles, workers), mode.hook())
 						diffTraces(t, chatRef, got, "chatter "+name)
 						if pulse {
 							got = pulserTrace(t, lay, seed, tiles, workers, mode.hook())
@@ -296,7 +303,7 @@ func TestDirectWindowListenerOrder(t *testing.T) {
 	run := func(tiles int) []string {
 		w := pulserWorld(lay, 7, tiles, 2, true)
 		log := &orderLog{}
-		w.Bus().Subscribe(func(ev trace.Event) {
+		w.Bus().Subscribe(func(ev *trace.Event) {
 			log.lines = append(log.lines, fmt.Sprintf("bus %d %s->%s @%d", ev.Node, ev.Old, ev.New, ev.At))
 		}, trace.KindState)
 		w.AddStateListener(orderListener{log, "state"})

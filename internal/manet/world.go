@@ -8,8 +8,9 @@
 //
 // The world runs on one execution engine, the tile engine of shard.go. It
 // partitions the plane into a g×g grid of tiles (Config.Tiles; g = 1 is
-// a single tile), each with its own value-typed event heap, synchronised
-// by conservative lookahead; a window of events runs on worker
+// a single tile), each with its own event queue — a sim.Wheel, a calendar
+// queue that pops in canonical key order — synchronised by conservative
+// lookahead; a window of events runs on worker
 // goroutines, or — when it is too small to repay them — in place on the
 // coordinator. Topology changes and scripted closures (World.At) are
 // serial events that run on the coordinator between windows. Events
@@ -21,7 +22,7 @@
 // The transport and link-maintenance layer is allocation-lean and scales
 // to 100k+ nodes: adjacency is a per-node sorted ID slice with a parallel
 // slice of per-link records (FIFO floor and send-sequence floor; O(degree)
-// per node, not O(n)), an in-flight message is nothing but its event-heap
+// per node, not O(n)), an in-flight message is nothing but its queued
 // item — the key names receiver, sender and send sequence, the payload is
 // the message — and link maintenance queries a uniform spatial hash
 // (internal grid, cell size = Radius) instead of scanning all n nodes.
@@ -293,7 +294,7 @@ type World struct {
 	started bool
 
 	// shard is the tile engine; nil before Start. pending holds events
-	// scheduled before Start (routed into tile heaps and the serial heap
+	// scheduled before Start (routed into tile queues and the serial heap
 	// once tiles exist).
 	shard   *shardExec
 	pending []sim.Item
@@ -490,7 +491,7 @@ func (w *World) setMoving(n *node, moving bool) {
 		kind = trace.KindMoveStart
 	}
 	if w.bus.Wants(kind) {
-		w.emit(n, trace.Event{
+		w.emit(n, &trace.Event{
 			Kind: kind, Node: n.id, Peer: trace.NoNode,
 			Detail: fmt.Sprintf("(%.3f,%.3f)", n.pos.X, n.pos.Y),
 		})
@@ -512,11 +513,11 @@ func (w *World) setMoving(n *node, moving bool) {
 // publishes it — directly in coordinator context, or into the tile's
 // effect buffer inside a parallel window (replayed at the barrier in
 // canonical order, so the bus sees one monotone stream either way).
-func (w *World) emit(n *node, e trace.Event) {
+func (w *World) emit(n *node, e *trace.Event) {
 	if sx := w.shard; sx != nil && sx.inWindow {
 		t := sx.tiles[n.tile]
 		e.At = t.now
-		t.buffer(effect{kind: effBus, ev: e})
+		t.buffer(effect{kind: effBus, ev: *e})
 		return
 	}
 	e.At = w.Now()
@@ -662,7 +663,7 @@ func (w *World) Crash(id core.NodeID) {
 	w.setMoving(n, false)
 	n.moveID++ // cancel pending movement ticks
 	if w.bus.Wants(trace.KindCrash) {
-		w.emit(n, trace.Event{Kind: trace.KindCrash, Node: id, Peer: trace.NoNode})
+		w.emit(n, &trace.Event{Kind: trace.KindCrash, Node: id, Peer: trace.NoNode})
 	}
 }
 
@@ -724,12 +725,12 @@ func (w *World) queueSerial(it sim.Item) {
 	w.pending = append(w.pending, it)
 }
 
-// push routes an owned node-local event to the owner's tile heap or the
+// push routes an owned node-local event to the owner's tile queue or the
 // pre-Start pending list. In tile context the owner is necessarily the
-// executing node, so pushing into its own heap is race-free.
+// executing node, so pushing into its own queue is race-free.
 func (w *World) push(it sim.Item, n *node) {
 	if sx := w.shard; sx != nil {
-		sx.tiles[n.tile].heap.Push(it)
+		sx.tiles[n.tile].queue.Push(it)
 		return
 	}
 	w.pending = append(w.pending, it)
@@ -762,7 +763,7 @@ func (w *World) deliver(it *sim.Item) {
 				reason = "receiver-crashed"
 			}
 			name, size, id := w.namer.Info(it.X)
-			w.emit(dst, trace.Event{
+			w.emit(dst, &trace.Event{
 				Kind: trace.KindDrop, Node: dst.id, Peer: from,
 				Msg: name, Size: size, MsgSeq: seq, MsgID: id,
 				Detail: reason,
@@ -773,7 +774,7 @@ func (w *World) deliver(it *sim.Item) {
 	w.shard.tiles[dst.tile].msgsDelivered++
 	if it.W >= 0 && w.bus.Wants(trace.KindDeliver) {
 		name, size, id := w.namer.Info(it.X)
-		w.emit(dst, trace.Event{
+		w.emit(dst, &trace.Event{
 			Kind: trace.KindDeliver, Node: dst.id, Peer: from,
 			Msg: name, Size: size, MsgSeq: seq, MsgID: id,
 			Delay: w.nowOf(dst) - sim.Time(it.W),
@@ -810,7 +811,7 @@ func (w *World) send(from, to core.NodeID, msg core.Message) {
 		stamp = int64(sentAt)
 		name, size, id := w.namer.Info(msg)
 		if w.bus.Wants(trace.KindSend) {
-			w.emit(src, trace.Event{
+			w.emit(src, &trace.Event{
 				Kind: trace.KindSend, Node: from, Peer: to,
 				Msg: name, Size: size, MsgSeq: src.sendSeq, MsgID: id,
 			})
@@ -845,7 +846,7 @@ func (w *World) send(from, to core.NodeID, msg core.Message) {
 	if sx.tel != nil && dt != src.tile {
 		sx.tel.crossTile(src.tile, dt)
 	}
-	sx.tiles[dt].heap.Push(it)
+	sx.tiles[dt].queue.Push(it)
 }
 
 // setLink creates or destroys the link between a and b, dispatching the
@@ -865,7 +866,7 @@ func (w *World) setLink(a, b core.NodeID, up bool) {
 		nb.insertNeighbor(a, na.sendSeq)
 		movingSide := w.pickMovingSide(na, nb)
 		if w.bus.Wants(trace.KindLinkUp) {
-			w.emit(na, trace.Event{
+			w.emit(na, &trace.Event{
 				Kind: trace.KindLinkUp, Node: a, Peer: b,
 				Detail: fmt.Sprint(movingSide),
 			})
@@ -887,7 +888,7 @@ func (w *World) setLink(a, b core.NodeID, up bool) {
 		na.removeNeighbor(b)
 		nb.removeNeighbor(a)
 		if w.bus.Wants(trace.KindLinkDown) {
-			w.emit(na, trace.Event{Kind: trace.KindLinkDown, Node: a, Peer: b})
+			w.emit(na, &trace.Event{Kind: trace.KindLinkDown, Node: a, Peer: b})
 		}
 		if !na.crashed {
 			na.proto.OnLinkDown(b)
@@ -956,7 +957,7 @@ func (w *World) setState(n *node, s core.State) {
 	old := n.state
 	n.state = s
 	if w.bus.Wants(trace.KindState) {
-		w.emit(n, trace.Event{
+		w.emit(n, &trace.Event{
 			Kind: trace.KindState, Node: n.id, Peer: trace.NoNode,
 			Old: old.String(), New: s.String(),
 		})
@@ -999,7 +1000,7 @@ func (e *env) ID() core.NodeID { return e.n.id }
 // Peer == 0 into NoNode).
 func (e *env) Emit(ev trace.Event) {
 	ev.Node = e.n.id
-	e.w.emit(e.n, ev)
+	e.w.emit(e.n, &ev)
 }
 
 // Wants implements trace.Interest: protocols ask before assembling an

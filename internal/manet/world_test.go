@@ -221,7 +221,7 @@ func dropWorld(t *testing.T, cfg Config) (*World, []*stub, *[]trace.Event) {
 	t.Helper()
 	w := NewWorld(cfg)
 	var drops []trace.Event
-	w.Bus().Subscribe(func(ev trace.Event) { drops = append(drops, ev) }, trace.KindDrop)
+	w.Bus().Subscribe(func(ev *trace.Event) { drops = append(drops, *ev) }, trace.KindDrop)
 	stubs := []*stub{{}, {}}
 	for i, p := range []graph.Point{{X: 0}, {X: 0.1}} {
 		w.SetProtocol(w.AddNode(p), stubs[i])

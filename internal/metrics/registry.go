@@ -86,7 +86,7 @@ func (r *Registry) Counter(name string) uint64 {
 // slice-indexed when the event carries a minted MsgID and a namer is
 // attached, string-keyed otherwise (events from emitters that never
 // touch the TypeNamer).
-func (r *Registry) incMsg(class msgClass, e trace.Event) {
+func (r *Registry) incMsg(class msgClass, e *trace.Event) {
 	if e.MsgID == 0 || r.namer == nil {
 		r.counters[classPrefix[class]+e.Msg]++
 		return
@@ -343,7 +343,7 @@ func Instrument(bus *trace.Bus, r *Registry, namer *trace.TypeNamer) {
 	delays := r.Histogram(HistLinkDelay, DefaultDelayBounds())
 	delaySketch := r.Sketch(HistLinkDelay)
 	eating := core.Eating.String()
-	bus.Subscribe(func(e trace.Event) {
+	bus.Subscribe(func(e *trace.Event) {
 		switch e.Kind {
 		case trace.KindSend:
 			r.fast.sent++

@@ -73,18 +73,18 @@ func TestInstrument(t *testing.T) {
 	r := NewRegistry()
 	Instrument(bus, r, nil)
 
-	bus.Publish(trace.Event{Kind: trace.KindSend, Node: 0, Peer: 1, Msg: "req", Size: 8})
-	bus.Publish(trace.Event{Kind: trace.KindSend, Node: 1, Peer: 0, Msg: "fork", Size: 16})
-	bus.Publish(trace.Event{Kind: trace.KindSend, Node: 0, Peer: 1, Msg: "req", Size: 8})
-	bus.Publish(trace.Event{Kind: trace.KindDeliver, Node: 1, Peer: 0, Msg: "req", Size: 8, Delay: 1500})
-	bus.Publish(trace.Event{Kind: trace.KindDrop, Node: 0, Peer: 1, Msg: "fork", Size: 16, Detail: "link-changed"})
-	bus.Publish(trace.Event{Kind: trace.KindState, Node: 1, Old: "hungry", New: "eating"})
-	bus.Publish(trace.Event{Kind: trace.KindState, Node: 1, Old: "eating", New: "thinking"})
-	bus.Publish(trace.Event{Kind: trace.KindLinkUp, Node: 0, Peer: 1})
-	bus.Publish(trace.Event{Kind: trace.KindLinkDown, Node: 0, Peer: 1})
-	bus.Publish(trace.Event{Kind: trace.KindMoveStart, Node: 2})
-	bus.Publish(trace.Event{Kind: trace.KindCrash, Node: 3})
-	bus.Publish(trace.Event{Kind: trace.KindRecolor, Node: 4, Detail: "2"})
+	bus.Publish(&trace.Event{Kind: trace.KindSend, Node: 0, Peer: 1, Msg: "req", Size: 8})
+	bus.Publish(&trace.Event{Kind: trace.KindSend, Node: 1, Peer: 0, Msg: "fork", Size: 16})
+	bus.Publish(&trace.Event{Kind: trace.KindSend, Node: 0, Peer: 1, Msg: "req", Size: 8})
+	bus.Publish(&trace.Event{Kind: trace.KindDeliver, Node: 1, Peer: 0, Msg: "req", Size: 8, Delay: 1500})
+	bus.Publish(&trace.Event{Kind: trace.KindDrop, Node: 0, Peer: 1, Msg: "fork", Size: 16, Detail: "link-changed"})
+	bus.Publish(&trace.Event{Kind: trace.KindState, Node: 1, Old: "hungry", New: "eating"})
+	bus.Publish(&trace.Event{Kind: trace.KindState, Node: 1, Old: "eating", New: "thinking"})
+	bus.Publish(&trace.Event{Kind: trace.KindLinkUp, Node: 0, Peer: 1})
+	bus.Publish(&trace.Event{Kind: trace.KindLinkDown, Node: 0, Peer: 1})
+	bus.Publish(&trace.Event{Kind: trace.KindMoveStart, Node: 2})
+	bus.Publish(&trace.Event{Kind: trace.KindCrash, Node: 3})
+	bus.Publish(&trace.Event{Kind: trace.KindRecolor, Node: 4, Detail: "2"})
 
 	checks := map[string]uint64{
 		CtrSent:         3,
@@ -145,13 +145,13 @@ func TestInstrumentDenseIDs(t *testing.T) {
 		t.Fatalf("normalised names = %q, %q", reqName, forkName)
 	}
 
-	bus.Publish(trace.Event{Kind: trace.KindSend, Node: 0, Peer: 1, Msg: reqName, Size: reqSize, MsgID: reqID})
-	bus.Publish(trace.Event{Kind: trace.KindSend, Node: 1, Peer: 0, Msg: forkName, Size: forkSize, MsgID: forkID})
-	bus.Publish(trace.Event{Kind: trace.KindSend, Node: 0, Peer: 1, Msg: reqName, Size: reqSize, MsgID: reqID})
-	bus.Publish(trace.Event{Kind: trace.KindDeliver, Node: 1, Peer: 0, Msg: reqName, Size: reqSize, MsgID: reqID, Delay: 400})
-	bus.Publish(trace.Event{Kind: trace.KindDrop, Node: 0, Peer: 1, Msg: forkName, Size: forkSize, MsgID: forkID})
+	bus.Publish(&trace.Event{Kind: trace.KindSend, Node: 0, Peer: 1, Msg: reqName, Size: reqSize, MsgID: reqID})
+	bus.Publish(&trace.Event{Kind: trace.KindSend, Node: 1, Peer: 0, Msg: forkName, Size: forkSize, MsgID: forkID})
+	bus.Publish(&trace.Event{Kind: trace.KindSend, Node: 0, Peer: 1, Msg: reqName, Size: reqSize, MsgID: reqID})
+	bus.Publish(&trace.Event{Kind: trace.KindDeliver, Node: 1, Peer: 0, Msg: reqName, Size: reqSize, MsgID: reqID, Delay: 400})
+	bus.Publish(&trace.Event{Kind: trace.KindDrop, Node: 0, Peer: 1, Msg: forkName, Size: forkSize, MsgID: forkID})
 	// An emitter that never touched the namer: MsgID 0 takes the string path.
-	bus.Publish(trace.Event{Kind: trace.KindSend, Node: 2, Peer: 3, Msg: "probe", Size: 4})
+	bus.Publish(&trace.Event{Kind: trace.KindSend, Node: 2, Peer: 3, Msg: "probe", Size: 4})
 
 	checks := map[string]uint64{
 		CtrSent:         4,

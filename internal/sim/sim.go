@@ -4,14 +4,22 @@
 // class, a, b) whose comparison is a total order independent of how the
 // event population is partitioned — the property the tile engine of
 // internal/manet relies on to execute the same sequence for every tiling.
-// EventHeap is the queue every tile runs on. An Item is a key, a payload
-// and one word for the scheduler's user: a callback item's payload is a
-// func() or a Runner, which Item.Exec runs, and an engine may give its own
-// event classes other payloads (internal/manet's message deliveries carry
-// the message itself). Scheduler is a standalone single-heap loop over one
-// EventHeap for code that needs a bare event queue: its At/After/AtRunner
-// events carry the reserved NoOwner owner and the scheduler's monotone
-// sequence number, so same-instant events fire in schedule order.
+// An Item is a key, a payload and one word for the scheduler's user: a
+// callback item's payload is a func() or a Runner, which Item.Exec runs,
+// and an engine may give its own event classes other payloads
+// (internal/manet's message deliveries carry the message itself).
+//
+// Two queues hold Items and pop them in Key order. Wheel, a calendar
+// queue over 64 µs buckets, is the queue every tile runs on: message
+// delays are bounded, so almost every event falls due within its
+// 16.4 ms horizon and is queued and popped without a comparison sift.
+// EventHeap, a 4-ary min-heap, takes what is farther off: it is the
+// wheel's overflow, the tile engine's queue of serial events (movement
+// ticks are due a tick ahead, past the horizon), and the queue of
+// Scheduler, a standalone single-heap loop for code that needs a bare
+// event queue: its At/After/AtRunner events carry the reserved NoOwner
+// owner and the scheduler's monotone sequence number, so same-instant
+// events fire in schedule order.
 package sim
 
 import (
@@ -137,11 +145,11 @@ func (it *Item) Exec() {
 }
 
 // EventHeap is a value-typed 4-ary min-heap of Items ordered by Key. The
-// zero value is an empty, usable heap. It is the shared queue
-// implementation of the Scheduler and of every tile of the tile engine:
-// the shallower tree (log₄ vs log₂ depth) and the value
-// layout (one contiguous slice, no indirection) keep the push/pop churn of
-// a simulation cache-resident and free of per-event allocations.
+// zero value is an empty, usable heap. It is the queue of the Scheduler,
+// of the tile engine's serial events and of a Wheel's far items: the
+// shallower tree (log₄ vs log₂ depth) and the value layout (one
+// contiguous slice, no indirection) keep its push/pop churn
+// cache-resident and free of per-event allocations.
 type EventHeap struct {
 	items []Item
 }
@@ -221,10 +229,11 @@ func siftDown(s []Item, i int, it Item) {
 }
 
 // ExtractOwner removes every event whose key names the given owner,
-// appends them to buf and returns it. It is the mover-migration primitive
-// of the tile engine: when a node crosses a tile boundary its pending
-// events follow it. The scan is O(len) with an O(len) re-heapify — cheap
-// because migrations only happen at mobility-tick granularity.
+// appends them to buf and returns it. Through Wheel.ExtractOwner it is
+// the mover-migration primitive of the tile engine: when a node crosses a
+// tile boundary its pending events follow it. The scan is O(len) with an
+// O(len) re-heapify — cheap because migrations only happen at
+// mobility-tick granularity.
 func (h *EventHeap) ExtractOwner(owner int32, buf []Item) []Item {
 	s := h.items
 	kept := s[:0]
@@ -259,8 +268,8 @@ func (h *EventHeap) heapify() {
 
 // Scheduler is a single-heap discrete-event executor. The zero value is
 // not usable; use NewScheduler. Scheduler is not safe for concurrent use.
-// internal/manet does not run on it: its tile engine keeps one EventHeap
-// per tile.
+// internal/manet does not run on it: its tile engine keeps one Wheel per
+// tile.
 type Scheduler struct {
 	now  Time
 	seq  uint64

@@ -207,8 +207,18 @@ func TestHeapProperty(t *testing.T) {
 // random operations against a slice kept sorted by key, through heaps of
 // every small size (an extraction may leave zero or one item to re-heapify).
 func TestEventHeapMatchesSortedOracle(t *testing.T) {
+	matchSortedOracle(t, &EventHeap{})
+}
+
+// TestWheelMatchesSortedOracle is the same random run over a Wheel: its
+// keys all fall within 50 µs, so every item shares the first bucket or
+// two and the run stresses the sorted chains.
+func TestWheelMatchesSortedOracle(t *testing.T) {
+	matchSortedOracle(t, &Wheel{})
+}
+
+func matchSortedOracle(t *testing.T, h queue) {
 	rng := rand.New(rand.NewPCG(3, 4))
-	var h EventHeap
 	var want []Key
 	var seq uint64
 	for step := 0; step < 20_000; step++ {

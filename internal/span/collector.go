@@ -162,7 +162,7 @@ func (c *Collector) state(id core.NodeID) *nodeState {
 }
 
 // Feed folds one event. Events must arrive in publication order.
-func (c *Collector) Feed(e trace.Event) {
+func (c *Collector) Feed(e *trace.Event) {
 	if e.At > c.now {
 		c.now = e.At
 	}
@@ -207,7 +207,7 @@ func (c *Collector) Feed(e trace.Event) {
 }
 
 // onState drives the attempt lifecycle off dining transitions.
-func (c *Collector) onState(n *nodeState, e trace.Event) {
+func (c *Collector) onState(n *nodeState, e *trace.Event) {
 	switch e.New {
 	case "hungry":
 		if e.Old == "eating" {
@@ -257,7 +257,7 @@ func (n *nodeState) dropForkWait(p core.NodeID) {
 
 // onDoorway drives both the doorway-wait phases and the doorway-position
 // half of the wait-for graph.
-func (c *Collector) onDoorway(n *nodeState, e trace.Event) {
+func (c *Collector) onDoorway(n *nodeState, e *trace.Event) {
 	d := n.doorway(e.Detail)
 	switch e.New {
 	case "enter":
@@ -287,7 +287,7 @@ func (c *Collector) onDoorway(n *nodeState, e trace.Event) {
 	}
 }
 
-func (c *Collector) onCrash(n *nodeState, e trace.Event) {
+func (c *Collector) onCrash(n *nodeState, e *trace.Event) {
 	if n.crashed {
 		return
 	}

@@ -35,7 +35,7 @@ func evCrash(node core.NodeID, at sim.Time) trace.Event {
 
 func feed(c *Collector, events ...trace.Event) {
 	for _, e := range events {
-		c.Feed(e)
+		c.Feed(&e)
 	}
 }
 
@@ -207,20 +207,20 @@ func TestWaitEdgesFork(t *testing.T) {
 		t.Fatalf("edges = %+v", e)
 	}
 	// The fork arrives: the wait is over.
-	c.Feed(evDeliver(0, 1, "fork", 3, 30))
+	feed(c, evDeliver(0, 1, "fork", 3, 30))
 	if e := c.WaitEdges(); len(e) != 0 {
 		t.Fatalf("edges after grant = %+v", e)
 	}
 	// Re-request, then the link drops: both directions forget the wait.
-	c.Feed(evSend(0, 1, "req", 2, 40))
-	c.Feed(trace.Event{Kind: trace.KindLinkDown, Node: 0, Peer: 1, At: 50})
+	feed(c, evSend(0, 1, "req", 2, 40))
+	feed(c, trace.Event{Kind: trace.KindLinkDown, Node: 0, Peer: 1, At: 50})
 	if e := c.WaitEdges(); len(e) != 0 {
 		t.Fatalf("edges after link down = %+v", e)
 	}
 	// Request again, then a demotion clears the node's own waits.
-	c.Feed(trace.Event{Kind: trace.KindLinkUp, Node: 0, Peer: 1, At: 60})
-	c.Feed(evSend(0, 1, "req", 3, 70))
-	c.Feed(evState(0, "eating", "hungry", 80))
+	feed(c, trace.Event{Kind: trace.KindLinkUp, Node: 0, Peer: 1, At: 60})
+	feed(c, evSend(0, 1, "req", 3, 70))
+	feed(c, evState(0, "eating", "hungry", 80))
 	if e := c.WaitEdges(); len(e) != 0 {
 		t.Fatalf("edges after demotion = %+v", e)
 	}
@@ -243,7 +243,7 @@ func TestWaitEdgesDoorway(t *testing.T) {
 		t.Fatalf("sync edges = %+v", e)
 	}
 	// The neighbour exits the doorway: no wait.
-	c.Feed(evDoorway(1, "exit", "SD^f", 120))
+	feed(c, evDoorway(1, "exit", "SD^f", 120))
 	if e := c.WaitEdges(); len(e) != 0 {
 		t.Fatalf("sync edges after exit = %+v", e)
 	}

@@ -127,7 +127,7 @@ func TestWritePostmortemMatchesEncoder(t *testing.T) {
 	}
 	for i, e := range feedAttempt {
 		e.Seq = uint64(i + 1)
-		c.Feed(e)
+		c.Feed(&e)
 	}
 	ring := []trace.Event{
 		{Seq: 9, At: 900, Kind: trace.KindSend, Node: 4, Peer: 0, Msg: "req", Size: 24, MsgSeq: 3},

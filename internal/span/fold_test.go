@@ -63,8 +63,8 @@ func TestStreamingFoldMatchesRetained(t *testing.T) {
 	streaming := NewStreaming()
 	streaming.SeedLink(2, 3)
 	for _, e := range evs {
-		retained.Feed(e)
-		streaming.Feed(e)
+		retained.Feed(&e)
+		streaming.Feed(&e)
 	}
 	end := retained.Now() + 10_000
 	retained.Finalize(end)
@@ -194,7 +194,7 @@ func TestStreamingFoldAllocs(t *testing.T) {
 	pass := func() {
 		for _, e := range evs {
 			e.At += base
-			c.Feed(e)
+			c.Feed(&e)
 		}
 		base += at
 	}

@@ -31,7 +31,7 @@ func publishAllocs(b *Bus) float64 {
 	mix := eventMix()
 	pass := func() {
 		for _, e := range mix {
-			b.Publish(e)
+			b.Publish(&e)
 		}
 	}
 	for range 1_000 {
@@ -46,12 +46,12 @@ func publishAllocs(b *Bus) float64 {
 func TestPublishFanoutDoesNotAllocate(t *testing.T) {
 	b := NewBus(1024)
 	var sink uint64
-	b.Subscribe(func(e Event) { sink += uint64(e.Size) },
+	b.Subscribe(func(e *Event) { sink += uint64(e.Size) },
 		KindSend, KindDeliver, KindDrop, KindState, KindLinkUp, KindLinkDown,
 		KindMoveStart, KindCrash, KindRecolor)
-	b.Subscribe(func(e Event) { sink += uint64(e.Node) })
-	b.Subscribe(func(Event) { sink++ }, KindState)
-	b.Subscribe(func(Event) { sink++ }, KindDoorway)
+	b.Subscribe(func(e *Event) { sink += uint64(e.Node) })
+	b.Subscribe(func(*Event) { sink++ }, KindState)
+	b.Subscribe(func(*Event) { sink++ }, KindDoorway)
 	if avg := publishAllocs(b); avg != 0 {
 		t.Fatalf("Publish with subscribers allocates %.2f times per pass", avg)
 	}

@@ -7,13 +7,13 @@ import "testing"
 func TestBusOverwrittenCounter(t *testing.T) {
 	b := NewBus(4)
 	for i := 0; i < 4; i++ {
-		b.Publish(Event{Kind: KindNote})
+		b.Publish(&Event{Kind: KindNote})
 	}
 	if got := b.Overwritten(); got != 0 {
 		t.Fatalf("Overwritten after filling the ring = %d", got)
 	}
 	for i := 0; i < 6; i++ {
-		b.Publish(Event{Kind: KindNote})
+		b.Publish(&Event{Kind: KindNote})
 	}
 	if got := b.Overwritten(); got != 6 {
 		t.Fatalf("Overwritten = %d, want 6", got)
@@ -22,7 +22,7 @@ func TestBusOverwrittenCounter(t *testing.T) {
 		t.Fatalf("Recent retains %d events, want the ring's 4", got)
 	}
 	ringless := NewBus(0)
-	ringless.Publish(Event{Kind: KindNote})
+	ringless.Publish(&Event{Kind: KindNote})
 	if got := ringless.Overwritten(); got != 0 {
 		t.Fatalf("ringless Overwritten = %d", got)
 	}
@@ -36,12 +36,12 @@ func TestBusSinkDroppedCounter(t *testing.T) {
 		t.Fatalf("fresh SinkDropped = %d", got)
 	}
 	b.SetSink(failWriter{})
-	b.Publish(Event{Kind: KindNote}) // batched, lost when the flush fails
+	b.Publish(&Event{Kind: KindNote}) // batched, lost when the flush fails
 	if err := b.Flush(); err == nil {
 		t.Fatal("Flush to a failing writer reported success")
 	}
-	b.Publish(Event{Kind: KindNote}) // skipped: sticky error
-	b.Publish(Event{Kind: KindNote}) // skipped
+	b.Publish(&Event{Kind: KindNote}) // skipped: sticky error
+	b.Publish(&Event{Kind: KindNote}) // skipped
 	if got := b.SinkDropped(); got != 3 {
 		t.Fatalf("SinkDropped = %d, want 3", got)
 	}

@@ -12,11 +12,11 @@ import (
 func TestBusPublishAndSubscribeFilter(t *testing.T) {
 	b := NewBus(0)
 	var sends, all int
-	b.Subscribe(func(e Event) { sends++ }, KindSend)
-	b.Subscribe(func(e Event) { all++ })
-	b.Publish(Event{Kind: KindSend, Node: 1, Peer: 2})
-	b.Publish(Event{Kind: KindDeliver, Node: 2, Peer: 1})
-	b.Publish(Event{Kind: KindState, Node: 1})
+	b.Subscribe(func(e *Event) { sends++ }, KindSend)
+	b.Subscribe(func(e *Event) { all++ })
+	b.Publish(&Event{Kind: KindSend, Node: 1, Peer: 2})
+	b.Publish(&Event{Kind: KindDeliver, Node: 2, Peer: 1})
+	b.Publish(&Event{Kind: KindState, Node: 1})
 	if sends != 1 {
 		t.Errorf("kind-filtered subscriber saw %d events, want 1", sends)
 	}
@@ -31,9 +31,9 @@ func TestBusPublishAndSubscribeFilter(t *testing.T) {
 func TestBusSequenceNumbers(t *testing.T) {
 	b := NewBus(4)
 	var seqs []uint64
-	b.Subscribe(func(e Event) { seqs = append(seqs, e.Seq) })
+	b.Subscribe(func(e *Event) { seqs = append(seqs, e.Seq) })
 	for i := 0; i < 3; i++ {
-		b.Publish(Event{Kind: KindNote})
+		b.Publish(&Event{Kind: KindNote})
 	}
 	for i, s := range seqs {
 		if s != uint64(i+1) {
@@ -45,7 +45,7 @@ func TestBusSequenceNumbers(t *testing.T) {
 func TestBusRingWraparound(t *testing.T) {
 	b := NewBus(3)
 	for i := 1; i <= 5; i++ {
-		b.Publish(Event{Kind: KindNote, At: 0, Node: 0, Detail: ""})
+		b.Publish(&Event{Kind: KindNote, At: 0, Node: 0, Detail: ""})
 	}
 	recent := b.Recent(10)
 	if len(recent) != 3 {
@@ -79,7 +79,7 @@ func TestBusActive(t *testing.T) {
 		t.Error("ring-buffered bus reported inactive")
 	}
 	b := NewBus(0)
-	b.Subscribe(func(Event) {})
+	b.Subscribe(func(*Event) {})
 	if !b.Active() {
 		t.Error("subscribed bus reported inactive")
 	}
@@ -105,7 +105,7 @@ func TestJSONLSinkRoundTrip(t *testing.T) {
 		{At: 4000, Kind: KindNote, Node: 1, Peer: NoNode, Detail: "free-form"},
 	}
 	for _, e := range published {
-		b.Publish(e)
+		b.Publish(&e)
 	}
 	if err := b.Flush(); err != nil {
 		t.Fatal(err)
@@ -145,8 +145,8 @@ func (failWriter) Write([]byte) (int, error) { return 0, errors.New("disk full")
 func TestSinkErrSticky(t *testing.T) {
 	b := NewBus(0)
 	b.SetSink(failWriter{})
-	b.Publish(Event{Kind: KindNote})
-	b.Publish(Event{Kind: KindNote})
+	b.Publish(&Event{Kind: KindNote})
+	b.Publish(&Event{Kind: KindNote})
 	// The sink batches: the write (and its failure) happens at flush.
 	if err := b.Flush(); err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Fatalf("Flush = %v, want the writer's error", err)

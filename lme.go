@@ -626,7 +626,7 @@ func (s *Simulation) Gantt(window time.Duration, width int) string {
 // deliberately excluded to keep the rendering readable; subscribe to
 // Bus() (or write a JSONL trace) for the full stream. Call before RunFor.
 func (s *Simulation) SetTracer(f func(at time.Duration, line string)) {
-	s.run.World.Bus().Subscribe(func(e trace.Event) {
+	s.run.World.Bus().Subscribe(func(e *trace.Event) {
 		f(sim.ToDuration(e.At), e.String())
 	}, trace.KindState, trace.KindLinkUp, trace.KindLinkDown,
 		trace.KindMoveStart, trace.KindMoveStop, trace.KindCrash,
