@@ -9,7 +9,8 @@ package lme
 // second test keeps encoding/gob, the codecs' differential oracle, in
 // test files: the codecs are the only payload encoding that ships. A
 // third keeps the simulator on one engine: outside internal/sim and the
-// benchmark module, no shipped file drives a sim.Scheduler.
+// benchmark module, no shipped file drives a sim.Scheduler. A fourth keeps
+// one algorithm registry: only it constructs the algorithms' protocols.
 
 import (
 	"go/ast"
@@ -130,6 +131,64 @@ func TestNoSchedulerOutsideSim(t *testing.T) {
 				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Scheduler" && len(n.Args) == 0 {
 					t.Errorf("%s: calls .Scheduler() outside internal/sim", fset.Position(n.Pos()))
 				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// registryFile is the one shipped file outside the algorithm packages that
+// may construct their protocols.
+var registryFile = filepath.Join("internal", "harness", "registry.go")
+
+// TestOneAlgorithmRegistry keeps the algorithm registry the only table of
+// constructors: outside it, the algorithm packages, tests and bench/, no
+// shipped file may call lme1.New, lme2.New or a baseline.New* constructor.
+// A second table of names beside it drifts from the first.
+func TestOneAlgorithmRegistry(t *testing.T) {
+	skip := map[string]bool{"bench": true}
+	for _, pkg := range algorithmCorePackages {
+		skip[filepath.FromSlash(pkg)] = true
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if skip[path] {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || path == registryFile {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			x, ok := sel.X.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			if ((x.Name == "lme1" || x.Name == "lme2") && sel.Sel.Name == "New") ||
+				(x.Name == "baseline" && strings.HasPrefix(sel.Sel.Name, "New")) {
+				t.Errorf("%s: calls %s.%s outside the algorithm registry (%s)",
+					fset.Position(call.Pos()), x.Name, sel.Sel.Name, registryFile)
 			}
 			return true
 		})

@@ -7,13 +7,10 @@ import (
 	"sort"
 	"strings"
 
-	"lme/internal/baseline"
 	"lme/internal/coloring"
 	"lme/internal/core"
 	"lme/internal/fleet"
 	"lme/internal/graph"
-	"lme/internal/lme1"
-	"lme/internal/lme2"
 	"lme/internal/manet"
 	"lme/internal/metrics"
 	"lme/internal/sim"
@@ -68,76 +65,6 @@ func Experiments() []Experiment {
 	}
 }
 
-// algName identifies an algorithm row in the tables.
-type algName string
-
-const (
-	algCM       algName = "chandy-misra"
-	algCS       algName = "choy-singh"
-	algA1Greedy algName = "alg1-greedy"
-	algA1Linial algName = "alg1-linial"
-	algA1Reduce algName = "alg1-linial-reduce"
-	algA2       algName = "alg2"
-	algA2NoNtf  algName = "alg2-nonotify"
-	algGlobal   algName = "global-token"
-)
-
-// paperFL and paperRT are the claimed bounds from Table 1 of the paper.
-var (
-	paperFL = map[algName]string{
-		algCM:       "n",
-		algCS:       "4",
-		algA1Greedy: "n",
-		algA1Linial: "max(log*n,4)+2",
-		algA1Reduce: "max(log*n,4)+2",
-		algA2:       "2",
-		algA2NoNtf:  "2",
-	}
-	paperRT = map[algName]string{
-		algCM:       "O(n)",
-		algCS:       "O(δ²)",
-		algA1Greedy: "O((n+δ³)δ)",
-		algA1Linial: "O((log*n+δ⁴)δ)",
-		algA1Reduce: "O((log*n+δ²+δ³)δ)",
-		algA2:       "O(n²);O(n) static",
-		algA2NoNtf:  "O(n²)",
-	}
-)
-
-// factoryFor builds the protocol factory of an algorithm for the given
-// layout (some algorithms need n, δ or the static graph).
-func factoryFor(a algName, pts []graph.Point, radius float64) func(core.NodeID) core.Protocol {
-	g := graph.UnitDisk(pts, radius)
-	n := len(pts)
-	delta := max(g.MaxDegree(), 1)
-	switch a {
-	case algCM:
-		return func(core.NodeID) core.Protocol { return baseline.NewChandyMisra() }
-	case algCS:
-		return baseline.NewChoySingh(g)
-	case algA1Greedy:
-		return func(core.NodeID) core.Protocol {
-			return lme1.New(lme1.Config{Variant: lme1.VariantGreedy})
-		}
-	case algA1Linial:
-		return func(core.NodeID) core.Protocol {
-			return lme1.New(lme1.Config{Variant: lme1.VariantLinial, N: n, Delta: delta})
-		}
-	case algA1Reduce:
-		return func(core.NodeID) core.Protocol {
-			return lme1.New(lme1.Config{Variant: lme1.VariantLinialReduce, N: n, Delta: delta})
-		}
-	case algA2:
-		return func(core.NodeID) core.Protocol { return lme2.New() }
-	case algA2NoNtf:
-		return func(core.NodeID) core.Protocol { return baseline.NewNoNotify() }
-	case algGlobal:
-		return baseline.NewGlobalToken(g)
-	default:
-		panic(fmt.Sprintf("harness: unknown algorithm %q", a))
-	}
-}
-
 // ms renders a sim.Time with sub-millisecond precision.
 func ms(t sim.Time) string {
 	return fmt.Sprintf("%.2fms", float64(t)/1000)
@@ -147,24 +74,6 @@ func ms(t sim.Time) string {
 // of key into a sample (the µs magnitudes MSStat renders).
 func timeSample(rs *ResultSet, key string, f func(v any) sim.Time) fleet.Sample {
 	return rs.Sample(key, func(v any) float64 { return float64(f(v)) })
-}
-
-// runStatic builds and runs a static workload and returns the run.
-func runStatic(ctx context.Context, a algName, pts []graph.Point, radius float64, seed uint64, horizon sim.Time, wl workload.Config) (*Run, error) {
-	r, err := Build(Spec{
-		Seed:        seed,
-		Points:      pts,
-		Radius:      radius,
-		NewProtocol: factoryFor(a, pts, radius),
-		Workload:    wl,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := r.RunContext(ctx, horizon); err != nil {
-		return nil, fmt.Errorf("%s: %w", a, err)
-	}
-	return r, nil
 }
 
 // table1Static is one static replica's measurement slice for E1.
@@ -202,22 +111,17 @@ func Table1(q Quality, replicas int) (*Plan, error) {
 		return nil, err
 	}
 	wl := workload.Config{EatTime: 5_000, ThinkMax: 10_000, InitialStagger: 5_000}
-	algs := []algName{algCM, algCS, algA1Greedy, algA1Linial, algA2}
+	algs := []string{"chandy-misra", "choy-singh", "alg1-greedy", "alg1-linial", "alg2"}
 	p := NewPlan()
 	for _, a := range algs {
-		a := a
-		p.Add("static/"+string(a), 21, replicas, func(ctx context.Context, seed uint64) (any, error) {
-			r, err := Build(Spec{
-				Seed: seed, Points: pts, Radius: radius,
-				NewProtocol: factoryFor(a, pts, radius),
-				Workload:    wl,
-				Spans:       true,
-			})
+		p.Add("static/"+a, 21, replicas, func(ctx context.Context, seed uint64) (any, error) {
+			r, err := Scenario{
+				Alg:     a,
+				Spec:    Spec{Seed: seed, Points: pts, Radius: radius, Workload: wl, Spans: true},
+				Horizon: horizon,
+			}.Run(ctx)
 			if err != nil {
 				return nil, err
-			}
-			if err := r.RunContext(ctx, horizon); err != nil {
-				return nil, fmt.Errorf("%s: %w", a, err)
 			}
 			r.FinalizeSpans()
 			st := r.Recorder.Stats()
@@ -233,24 +137,17 @@ func Table1(q Quality, replicas int) (*Plan, error) {
 				rt:         r.Recorder.Sketch().Snapshot(),
 			}, nil
 		})
-		if a != algCS { // Choy–Singh is a static-only baseline.
-			p.Add("mobile/"+string(a), 22, replicas, func(ctx context.Context, seed uint64) (any, error) {
-				r, err := Build(Spec{
-					Seed: seed, Points: pts, Radius: radius,
-					NewProtocol: factoryFor(a, pts, radius),
-					Workload:    wl,
-				})
+		if a != "choy-singh" { // Choy–Singh is a static-only baseline.
+			p.Add("mobile/"+a, 22, replicas, func(ctx context.Context, seed uint64) (any, error) {
+				r, err := Scenario{
+					Alg:      a,
+					Spec:     Spec{Seed: seed, Points: pts, Radius: radius, Workload: wl},
+					Movers:   []core.NodeID{1, 7, 13, 19},
+					Waypoint: manet.Waypoint{Speed: 0.3, PauseMin: 100_000, PauseMax: 400_000, Until: horizon * 3 / 4},
+					Horizon:  horizon,
+				}.Run(ctx)
 				if err != nil {
 					return nil, err
-				}
-				if err := r.Start(); err != nil {
-					return nil, err
-				}
-				movers := []core.NodeID{1, 7, 13, 19}
-				manet.Waypoint{Speed: 0.3, PauseMin: 100_000, PauseMax: 400_000, Until: horizon * 3 / 4}.
-					Attach(r.World, movers)
-				if err := r.RunContext(ctx, horizon); err != nil {
-					return nil, fmt.Errorf("%s mobile: %w", a, err)
 				}
 				return table1Mobile{
 					mean:       r.Recorder.Stats().Mean,
@@ -260,7 +157,7 @@ func Table1(q Quality, replicas int) (*Plan, error) {
 		}
 		// Crash run: fail the highest-degree node mid-run and measure
 		// the blocked radius.
-		p.Add("crash/"+string(a), 23, replicas, func(ctx context.Context, seed uint64) (any, error) {
+		p.Add("crash/"+a, 23, replicas, func(ctx context.Context, seed uint64) (any, error) {
 			return blockedRadius(ctx, a, pts, radius, seed, horizon)
 		})
 	}
@@ -272,7 +169,7 @@ func Table1(q Quality, replicas int) (*Plan, error) {
 				"RT static mean", "RT static p95", "RT mobile mean", "phase split", "msg/meal", "violations"},
 		}
 		for _, a := range algs {
-			static := "static/" + string(a)
+			static := "static/" + a
 			meanS := timeSample(rs, static, func(v any) sim.Time { return v.(table1Static).mean })
 			p95S := timeSample(rs, static, func(v any) sim.Time { return v.(table1Static).p95 })
 			msgS := rs.Sample(static, func(v any) float64 { return v.(table1Static).msgPerMeal })
@@ -292,14 +189,14 @@ func Table1(q Quality, replicas int) (*Plan, error) {
 				Sample: p95S,
 			}
 			mobileCell := any("n/a")
-			if a != algCS {
-				mobile := "mobile/" + string(a)
+			if a != "choy-singh" {
+				mobile := "mobile/" + a
 				mobileCell = MSStat(timeSample(rs, mobile, func(v any) sim.Time { return v.(table1Mobile).mean }))
 				violations += rs.SumInt(mobile, func(v any) int { return v.(table1Mobile).violations })
 			}
-			radiusS := rs.Sample("crash/"+string(a), func(v any) float64 { return float64(v.(crashLocality).radius) })
-			spanS := rs.Sample("crash/"+string(a), func(v any) float64 { return float64(v.(crashLocality).spanDist) })
-			t.AddRow(string(a), paperFL[a], MaxStat(radiusS), MaxStat(spanS), paperRT[a],
+			radiusS := rs.Sample("crash/"+a, func(v any) float64 { return float64(v.(crashLocality).radius) })
+			spanS := rs.Sample("crash/"+a, func(v any) float64 { return float64(v.(crashLocality).spanDist) })
+			t.AddRow(a, row(a).FL, MaxStat(radiusS), MaxStat(spanS), row(a).RT,
 				MSStat(meanS), p95Cell, mobileCell, phaseSplit(merged), NumStat(msgS, 1), violations)
 		}
 		t.AddNote("FL (measured) = max graph distance from the crashed node to a node blocked for the rest of the run; saturated workload")
@@ -351,30 +248,19 @@ type crashLocality struct {
 // blockedRadius crashes the max-degree node of the layout under a
 // saturated workload and reports the empirical failure locality, both
 // starvation-based and span-attributed.
-func blockedRadius(ctx context.Context, a algName, pts []graph.Point, radius float64, seed uint64, horizon sim.Time) (crashLocality, error) {
-	g := graph.UnitDisk(pts, radius)
-	victim := 0
-	for v := 1; v < g.N(); v++ {
-		if g.Degree(v) > g.Degree(victim) {
-			victim = v
-		}
-	}
-	r, err := Build(Spec{
-		Seed: seed, Points: pts, Radius: radius,
-		NewProtocol: factoryFor(a, pts, radius),
-		Workload:    workload.Config{EatTime: 4_000}, // saturated
-		Spans:       true,
-	})
+func blockedRadius(ctx context.Context, a string, pts []graph.Point, radius float64, seed uint64, horizon sim.Time) (crashLocality, error) {
+	victim, crashAt := maxDegreeNode(graph.UnitDisk(pts, radius)), horizon/4
+	r, err := Scenario{
+		Alg:     a,
+		Spec:    Spec{Seed: seed, Points: pts, Radius: radius, Workload: workload.Config{EatTime: 4_000}, Spans: true}, // saturated
+		Crashes: []Crash{{victim, crashAt}},
+		Horizon: horizon,
+	}.RunSafe(ctx)
 	if err != nil {
 		return crashLocality{}, err
 	}
-	crashAt := horizon / 4
-	r.World.CrashAt(core.NodeID(victim), crashAt)
-	if err := r.RunContext(ctx, horizon); err != nil {
-		return crashLocality{}, fmt.Errorf("%s crash run: %w", a, err)
-	}
-	blocked := r.Prober.StarvedSince(crashAt + (horizon-crashAt)/3)
-	out := crashLocality{radius: metrics.BlockedRadius(r.World.CommGraph(), core.NodeID(victim), blocked)}
+	var out crashLocality
+	_, out.radius = crashCensus(r, victim, crashAt, horizon)
 	r.FinalizeSpans()
 	for _, imp := range r.Spans.Impacts() {
 		if imp.MaxDist > out.spanDist {
@@ -400,10 +286,9 @@ func FailureLocality(q Quality, replicas int) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	algs := []algName{algCM, algA1Greedy, algA1Linial, algA2}
+	algs := []string{"chandy-misra", "alg1-greedy", "alg1-linial", "alg2"}
 	p := NewPlan()
 	for _, a := range algs {
-		a := a
 		for si, seed := range seeds {
 			p.Add(fmt.Sprintf("line/%s/%d", a, si), seed, replicas, func(ctx context.Context, seed uint64) (any, error) {
 				return blockedRadius(ctx, a, LinePoints(lineN, 0.1), 0.11, seed, horizon)
@@ -434,7 +319,7 @@ func FailureLocality(q Quality, replicas int) (*Plan, error) {
 				}
 			}
 			runs = lineS.N()
-			t.AddRow(string(a), paperFL[a], MaxStat(lineS), MaxStat(lineSpanS),
+			t.AddRow(a, row(a).FL, MaxStat(lineS), MaxStat(lineSpanS),
 				MaxStat(geoS), MaxStat(geoSpanS))
 		}
 		t.AddNote("radius is the worst case over %d seeded runs; n=%d; the paper predicts alg2 ≤ 2 and large radii for chandy-misra/alg1-greedy", runs, lineN)
@@ -459,15 +344,17 @@ func StaticChain(q Quality, replicas int) (*Plan, error) {
 		ns = []int{8, 16}
 		horizon = 6_000_000
 	}
-	satAlgs := []algName{algA2, algA2NoNtf, algCM}
-	stealAlgs := []algName{algA2, algA2NoNtf}
+	satAlgs := []string{"alg2", "alg2-nonotify", "chandy-misra"}
+	stealAlgs := []string{"alg2", "alg2-nonotify"}
 	p := NewPlan()
 	for _, n := range ns {
-		n := n
 		for _, a := range satAlgs {
-			a := a
 			p.Add(fmt.Sprintf("sat/%d/%s", n, a), 41, replicas, func(ctx context.Context, seed uint64) (any, error) {
-				r, err := runStatic(ctx, a, LinePoints(n, 0.1), 0.11, seed, horizon, workload.Config{EatTime: 4_000})
+				r, err := Scenario{
+					Alg:     a,
+					Spec:    Spec{Seed: seed, Points: LinePoints(n, 0.1), Radius: 0.11, Workload: workload.Config{EatTime: 4_000}},
+					Horizon: horizon,
+				}.RunSafe(ctx)
 				if err != nil {
 					return nil, err
 				}
@@ -475,7 +362,6 @@ func StaticChain(q Quality, replicas int) (*Plan, error) {
 			})
 		}
 		for _, a := range stealAlgs {
-			a := a
 			// The steal scenario is fully scripted (fixed delays, no
 			// random workload), so one run is the measurement.
 			p.AddOne(fmt.Sprintf("steal/%d/%s", n, a), func(ctx context.Context) (any, error) {
@@ -517,50 +403,47 @@ func StaticChain(q Quality, replicas int) (*Plan, error) {
 
 // stealScenario runs the scripted interference chain and returns the
 // victim's (node 1) response time.
-func stealScenario(ctx context.Context, a algName, n int) (sim.Time, error) {
-	pts := LinePoints(n, 0.1)
-	r, err := Build(Spec{
-		Seed: 1, Points: pts, Radius: 0.11,
-		NewProtocol: factoryFor(a, pts, 0.11),
-		Workload:    workload.Config{Participants: []core.NodeID{}}, // scripted
-		MinDelay:    1_000, MaxDelay: 1_000,
-	})
-	if err != nil {
-		return 0, err
-	}
-	if err := r.Start(); err != nil {
-		return 0, err
-	}
-	w := r.World
+func stealScenario(ctx context.Context, a string, n int) (sim.Time, error) {
 	const (
 		eat      = sim.Time(10_000)
 		hungryAt = sim.Time(1_000)
 	)
-	// One-shot dining: every eater leaves the CS after eat time and
-	// never becomes hungry again.
-	w.AddStateListener(core.ListenerFunc(func(id core.NodeID, old, new core.State, at sim.Time) {
-		if new == core.Eating {
-			p := w.Protocol(id)
-			w.At(w.Now()+eat, func() {
-				if p.State() == core.Eating {
-					p.ExitCS()
-				}
-			})
-		}
-	}))
 	resp := sim.Time(-1)
-	w.AddStateListener(core.ListenerFunc(func(id core.NodeID, old, new core.State, at sim.Time) {
-		if id == 1 && new == core.Eating && resp < 0 {
-			resp = at - hungryAt
-		}
-	}))
-	w.At(0, func() { w.Protocol(0).BecomeHungry() })
-	w.At(hungryAt, func() { w.Protocol(1).BecomeHungry() })
-	for i := 2; i < n; i++ {
-		i := i
-		w.At(hungryAt+sim.Time(i-1)*5_000, func() { w.Protocol(core.NodeID(i)).BecomeHungry() })
-	}
-	if err := r.RunContext(ctx, sim.Time(n)*60_000+2_000_000); err != nil {
+	_, err := Scenario{
+		Alg: a,
+		Spec: Spec{
+			Seed: 1, Points: LinePoints(n, 0.1), Radius: 0.11,
+			Workload: workload.Config{Participants: []core.NodeID{}}, // scripted
+			MinDelay: 1_000, MaxDelay: 1_000,
+		},
+		Setup: func(r *Run) {
+			w := r.World
+			// One-shot dining: every eater leaves the CS after eat time
+			// and never becomes hungry again.
+			w.AddStateListener(core.ListenerFunc(func(id core.NodeID, old, new core.State, at sim.Time) {
+				if new == core.Eating {
+					p := w.Protocol(id)
+					w.At(w.Now()+eat, func() {
+						if p.State() == core.Eating {
+							p.ExitCS()
+						}
+					})
+				}
+			}))
+			w.AddStateListener(core.ListenerFunc(func(id core.NodeID, old, new core.State, at sim.Time) {
+				if id == 1 && new == core.Eating && resp < 0 {
+					resp = at - hungryAt
+				}
+			}))
+			w.At(0, func() { w.Protocol(0).BecomeHungry() })
+			w.At(hungryAt, func() { w.Protocol(1).BecomeHungry() })
+			for i := 2; i < n; i++ {
+				w.At(hungryAt+sim.Time(i-1)*5_000, func() { w.Protocol(core.NodeID(i)).BecomeHungry() })
+			}
+		},
+		Horizon: sim.Time(n)*60_000 + 2_000_000,
+	}.RunSafe(ctx)
+	if err != nil {
 		return 0, err
 	}
 	if resp < 0 {
@@ -594,27 +477,20 @@ func MobileAlg2(q Quality, replicas int) (*Plan, error) {
 	}
 	p := NewPlan()
 	for _, n := range ns {
-		n := n
 		p.Add(fmt.Sprintf("n/%d", n), 52, replicas, func(ctx context.Context, seed uint64) (any, error) {
-			radius := ConnectedRadius(n)
-			r, err := Build(Spec{
-				Seed: seed, Points: layouts[n], Radius: radius,
-				NewProtocol: factoryFor(algA2, layouts[n], radius),
-				Workload:    workload.Config{EatTime: 5_000, ThinkMax: 10_000, InitialStagger: 5_000},
-			})
-			if err != nil {
-				return nil, err
-			}
-			if err := r.Start(); err != nil {
-				return nil, err
-			}
 			var movers []core.NodeID
 			for m := 0; m < n; m += 4 {
 				movers = append(movers, core.NodeID(m))
 			}
-			manet.Waypoint{Speed: 0.3, PauseMin: 100_000, PauseMax: 400_000, Until: horizon * 3 / 4}.
-				Attach(r.World, movers)
-			if err := r.RunContext(ctx, horizon); err != nil {
+			r, err := Scenario{
+				Alg: "alg2",
+				Spec: Spec{Seed: seed, Points: layouts[n], Radius: ConnectedRadius(n),
+					Workload: workload.Config{EatTime: 5_000, ThinkMax: 10_000, InitialStagger: 5_000}},
+				Movers:   movers,
+				Waypoint: manet.Waypoint{Speed: 0.3, PauseMin: 100_000, PauseMax: 400_000, Until: horizon * 3 / 4},
+				Horizon:  horizon,
+			}.Run(ctx)
+			if err != nil {
 				return nil, err
 			}
 			st := r.Recorder.Stats()
@@ -667,7 +543,7 @@ func Alg1Scaling(q Quality, replicas int) (*Plan, error) {
 		ns = ns[:2]
 	}
 	wl := workload.Config{EatTime: 5_000, ThinkMax: 10_000, InitialStagger: 5_000}
-	algs := []algName{algA1Greedy, algA1Linial}
+	algs := []string{"alg1-greedy", "alg1-linial"}
 	deltaLayouts := make(map[float64][]graph.Point, len(radii))
 	for _, radius := range radii {
 		pts, err := GeometricPoints(36, radius, 61)
@@ -689,8 +565,12 @@ func Alg1Scaling(q Quality, replicas int) (*Plan, error) {
 		}
 		nLayouts[n] = pts
 	}
-	run := func(ctx context.Context, a algName, pts []graph.Point, radius float64, seed uint64) (any, error) {
-		r, err := runStatic(ctx, a, pts, radius, seed, horizon, wl)
+	run := func(ctx context.Context, a string, pts []graph.Point, radius float64, seed uint64) (any, error) {
+		r, err := Scenario{
+			Alg:     a,
+			Spec:    Spec{Seed: seed, Points: pts, Radius: radius, Workload: wl},
+			Horizon: horizon,
+		}.RunSafe(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -699,18 +579,14 @@ func Alg1Scaling(q Quality, replicas int) (*Plan, error) {
 	}
 	p := NewPlan()
 	for _, radius := range radii {
-		radius := radius
 		for _, a := range algs {
-			a := a
 			p.Add(fmt.Sprintf("delta/%v/%s", radius, a), 62, replicas, func(ctx context.Context, seed uint64) (any, error) {
 				return run(ctx, a, deltaLayouts[radius], radius, seed)
 			})
 		}
 	}
 	for _, n := range ns {
-		n := n
 		for _, a := range algs {
-			a := a
 			p.Add(fmt.Sprintf("n/%d/%s", n, a), 64, replicas, func(ctx context.Context, seed uint64) (any, error) {
 				return run(ctx, a, nLayouts[n], nRadius(n), seed)
 			})
@@ -722,7 +598,7 @@ func Alg1Scaling(q Quality, replicas int) (*Plan, error) {
 			Title:  "Algorithm 1 static response time vs δ (n=36) and vs n (δ≈5)",
 			Header: []string{"sweep", "n", "δ", "greedy mean", "greedy p95", "linial mean", "linial p95"},
 		}
-		addSweep := func(label string, n int, delta int, keyOf func(a algName) string) {
+		addSweep := func(label string, n int, delta int, keyOf func(a string) string) {
 			row := []any{label, n, delta}
 			for _, a := range algs {
 				key := keyOf(a)
@@ -733,14 +609,12 @@ func Alg1Scaling(q Quality, replicas int) (*Plan, error) {
 			t.AddRow(row...)
 		}
 		for _, radius := range radii {
-			radius := radius
 			addSweep("δ", 36, graph.UnitDisk(deltaLayouts[radius], radius).MaxDegree(),
-				func(a algName) string { return fmt.Sprintf("delta/%v/%s", radius, a) })
+				func(a string) string { return fmt.Sprintf("delta/%v/%s", radius, a) })
 		}
 		for _, n := range ns {
-			n := n
 			addSweep("n", n, graph.UnitDisk(nLayouts[n], nRadius(n)).MaxDegree(),
-				func(a algName) string { return fmt.Sprintf("n/%d/%s", n, a) })
+				func(a string) string { return fmt.Sprintf("n/%d/%s", n, a) })
 		}
 		t.AddNote("Theorems 17/23: static response is polynomial in δ with only weak n dependence (colours collapse to [0,δ] after first meals)")
 		return t, nil
@@ -764,7 +638,6 @@ func ColoringScaling(q Quality, replicas int) (*Plan, error) {
 	deltas := []int{2, 4}
 	p := NewPlan()
 	for _, n := range ns {
-		n := n
 		p.AddOne(fmt.Sprintf("ring/%d", n), func(context.Context) (any, error) {
 			return coloringRow("ring", graph.Ring(n))
 		})
@@ -788,9 +661,7 @@ func ColoringScaling(q Quality, replicas int) (*Plan, error) {
 		})
 	}
 	for _, n := range bigNs {
-		n := n
 		for _, delta := range deltas {
-			delta := delta
 			p.AddOne(fmt.Sprintf("bounded/%d/%d", n, delta), func(context.Context) (any, error) {
 				sched, err := coloring.Schedule(n, delta)
 				if err != nil {
@@ -879,29 +750,22 @@ type figure6Result struct {
 func Figure6(q Quality, replicas int) (*Plan, error) {
 	p := NewPlan()
 	p.Add("scenario", 71, replicas, func(ctx context.Context, seed uint64) (any, error) {
-		colors := map[core.NodeID]int{0: 3, 1: 2, 3: 1, 2: 4}
-		pts := []graph.Point{{X: 0}, {X: 0.1}, {X: 0.3}, {X: 0.2}}
-		r, err := Build(Spec{
-			Seed:   seed,
-			Points: pts,
-			Radius: 0.11,
-			NewProtocol: func(id core.NodeID) core.Protocol {
-				return lme1.New(lme1.Config{
-					Variant:      lme1.VariantGreedy,
-					InitialColor: func(id core.NodeID) int { return colors[id] },
-				})
-			},
-			Workload: workload.Config{
-				EatTime: 5_000, ThinkMin: 5_000, ThinkMax: 5_000,
-				Participants: []core.NodeID{0, 1, 3},
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		r.World.CrashAt(2, 0) // p4 dies holding the p3–p4 fork
 		const phase1 = sim.Time(3_000_000)
-		if err := r.RunContext(ctx, phase1); err != nil {
+		r, err := Scenario{
+			Spec: Spec{
+				Seed:        seed,
+				Points:      []graph.Point{{X: 0}, {X: 0.1}, {X: 0.3}, {X: 0.2}},
+				Radius:      0.11,
+				NewProtocol: greedyColoured(map[core.NodeID]int{0: 3, 1: 2, 3: 1, 2: 4}),
+				Workload: workload.Config{
+					EatTime: 5_000, ThinkMin: 5_000, ThinkMax: 5_000,
+					Participants: []core.NodeID{0, 1, 3},
+				},
+			},
+			Crashes: []Crash{{2, 0}}, // p4 dies holding the p3–p4 fork
+			Horizon: phase1,
+		}.Run(ctx)
+		if err != nil {
 			return nil, err
 		}
 		out := figure6Result{
@@ -961,73 +825,38 @@ func SafetySweep(q Quality, replicas int) (*Plan, error) {
 	}
 	radius := ConnectedRadius(n)
 	wl := workload.Config{EatTime: 4_000, ThinkMax: 6_000}
-	algs := []algName{algCM, algCS, algA1Greedy, algA1Linial, algA1Reduce, algA2, algA2NoNtf}
+	algs := []string{"chandy-misra", "choy-singh", "alg1-greedy", "alg1-linial", "alg1-linial-reduce", "alg2", "alg2-nonotify"}
+	wp := manet.Waypoint{Speed: 0.4, PauseMin: 50_000, PauseMax: 200_000, Until: horizon * 2 / 3}
+	// violations counts the safety violations of one cell's run on the
+	// layout its replica seed draws.
+	violations := func(a string, seedOffset uint64, crashes []Crash, movers ...core.NodeID) func(context.Context, uint64) (any, error) {
+		return func(ctx context.Context, seed uint64) (any, error) {
+			pts, err := GeometricPoints(n, radius, seed)
+			if err != nil {
+				return nil, err
+			}
+			r, err := Scenario{
+				Alg:     a,
+				Spec:    Spec{Seed: seed + seedOffset, Points: pts, Radius: radius, Workload: wl},
+				Crashes: crashes, Movers: movers, Waypoint: wp,
+				Horizon: horizon,
+			}.Run(ctx)
+			if err != nil {
+				return nil, err
+			}
+			return len(r.Checker.Violations()), nil
+		}
+	}
 	p := NewPlan()
 	for _, a := range algs {
-		a := a
 		for si, seed := range seeds {
-			p.Add(fmt.Sprintf("static/%s/%d", a, si), seed, replicas, func(ctx context.Context, seed uint64) (any, error) {
-				pts, err := GeometricPoints(n, radius, seed)
-				if err != nil {
-					return nil, err
-				}
-				r, err := runStatic(ctx, a, pts, radius, seed, horizon, wl)
-				if err != nil {
-					return nil, err
-				}
-				return len(r.Checker.Violations()), nil
-			})
-			if a == algCS {
+			p.Add(fmt.Sprintf("static/%s/%d", a, si), seed, replicas, violations(a, 0, nil))
+			if a == "choy-singh" {
 				continue // static-only baseline
 			}
-			p.Add(fmt.Sprintf("mobile/%s/%d", a, si), seed, replicas, func(ctx context.Context, seed uint64) (any, error) {
-				pts, err := GeometricPoints(n, radius, seed)
-				if err != nil {
-					return nil, err
-				}
-				r, err := Build(Spec{
-					Seed: seed, Points: pts, Radius: radius,
-					NewProtocol: factoryFor(a, pts, radius),
-					Workload:    wl,
-				})
-				if err != nil {
-					return nil, err
-				}
-				if err := r.Start(); err != nil {
-					return nil, err
-				}
-				manet.Waypoint{Speed: 0.4, PauseMin: 50_000, PauseMax: 200_000, Until: horizon * 2 / 3}.
-					Attach(r.World, []core.NodeID{1, 6, 11, 16})
-				if err := r.RunContext(ctx, horizon); err != nil {
-					return nil, err
-				}
-				return len(r.Checker.Violations()), nil
-			})
-			p.Add(fmt.Sprintf("crash/%s/%d", a, si), seed, replicas, func(ctx context.Context, seed uint64) (any, error) {
-				pts, err := GeometricPoints(n, radius, seed)
-				if err != nil {
-					return nil, err
-				}
-				r, err := Build(Spec{
-					Seed: seed + 100, Points: pts, Radius: radius,
-					NewProtocol: factoryFor(a, pts, radius),
-					Workload:    wl,
-				})
-				if err != nil {
-					return nil, err
-				}
-				if err := r.Start(); err != nil {
-					return nil, err
-				}
-				r.World.CrashAt(3, horizon/3)
-				r.World.CrashAt(12, horizon/2)
-				manet.Waypoint{Speed: 0.4, PauseMin: 50_000, PauseMax: 200_000, Until: horizon * 2 / 3}.
-					Attach(r.World, []core.NodeID{1, 6})
-				if err := r.RunContext(ctx, horizon); err != nil {
-					return nil, err
-				}
-				return len(r.Checker.Violations()), nil
-			})
+			p.Add(fmt.Sprintf("mobile/%s/%d", a, si), seed, replicas, violations(a, 0, nil, 1, 6, 11, 16))
+			p.Add(fmt.Sprintf("crash/%s/%d", a, si), seed, replicas,
+				violations(a, 100, []Crash{{3, horizon / 3}, {12, horizon / 2}}, 1, 6))
 		}
 	}
 	p.Reduce = func(rs *ResultSet) (*Table, error) {
@@ -1045,7 +874,7 @@ func SafetySweep(q Quality, replicas int) (*Plan, error) {
 					runs += len(rs.Values(key))
 				}
 			}
-			t.AddRow(string(a), staticV, mobileV, crashV, runs)
+			t.AddRow(a, staticV, mobileV, crashV, runs)
 		}
 		return t, nil
 	}
@@ -1074,24 +903,20 @@ func MessageComplexity(q Quality, replicas int) (*Plan, error) {
 		return nil, err
 	}
 	wl := workload.Config{EatTime: 5_000, ThinkMax: 10_000, InitialStagger: 5_000}
-	algs := []algName{algCM, algCS, algA1Greedy, algA1Linial, algA2}
+	algs := []string{"chandy-misra", "choy-singh", "alg1-greedy", "alg1-linial", "alg2"}
 	p := NewPlan()
 	for _, a := range algs {
-		a := a
-		p.Add("static/"+string(a), 92, replicas, func(ctx context.Context, seed uint64) (any, error) {
-			r, err := Build(Spec{
-				Seed: seed, Points: pts, Radius: radius,
-				NewProtocol: factoryFor(a, pts, radius),
-				Workload:    wl,
-			})
-			if err != nil {
-				return nil, err
-			}
+		p.Add("static/"+a, 92, replicas, func(ctx context.Context, seed uint64) (any, error) {
 			// Only the static breakdown column reads per-type traffic.
 			reg := metrics.NewRegistry()
-			metrics.Instrument(r.World.Bus(), reg, r.World.TypeNamer())
-			if err := r.RunContext(ctx, horizon); err != nil {
-				return nil, fmt.Errorf("%s: %w", a, err)
+			r, err := Scenario{
+				Alg:     a,
+				Spec:    Spec{Seed: seed, Points: pts, Radius: radius, Workload: wl},
+				Setup:   func(r *Run) { metrics.Instrument(r.World.Bus(), reg, r.World.TypeNamer()) },
+				Horizon: horizon,
+			}.RunSafe(ctx)
+			if err != nil {
+				return nil, err
 			}
 			return msgResult{
 				msgs:   r.World.MessagesSent(),
@@ -1099,26 +924,20 @@ func MessageComplexity(q Quality, replicas int) (*Plan, error) {
 				byType: reg.CountersWithPrefix(metrics.PrefixSent),
 			}, nil
 		})
-		if a != algCS {
-			p.Add("mobile/"+string(a), 93, replicas, func(ctx context.Context, seed uint64) (any, error) {
-				r, err := Build(Spec{
-					Seed: seed, Points: pts, Radius: radius,
-					NewProtocol: factoryFor(a, pts, radius),
-					Workload:    wl,
-				})
-				if err != nil {
-					return nil, err
-				}
-				if err := r.Start(); err != nil {
-					return nil, err
-				}
+		if a != "choy-singh" {
+			p.Add("mobile/"+a, 93, replicas, func(ctx context.Context, seed uint64) (any, error) {
 				var movers []core.NodeID
 				for m := 1; m < n; m += max(n/4, 1) {
 					movers = append(movers, core.NodeID(m))
 				}
-				manet.Waypoint{Speed: 0.3, PauseMin: 100_000, PauseMax: 400_000, Until: horizon * 3 / 4}.
-					Attach(r.World, movers)
-				if err := r.RunContext(ctx, horizon); err != nil {
+				r, err := Scenario{
+					Alg:      a,
+					Spec:     Spec{Seed: seed, Points: pts, Radius: radius, Workload: wl},
+					Movers:   movers,
+					Waypoint: manet.Waypoint{Speed: 0.3, PauseMin: 100_000, PauseMax: 400_000, Until: horizon * 3 / 4},
+					Horizon:  horizon,
+				}.RunSafe(ctx)
+				if err != nil {
 					return nil, err
 				}
 				return msgResult{msgs: r.World.MessagesSent(), meals: r.TotalMeals()}, nil
@@ -1148,11 +967,11 @@ func MessageComplexity(q Quality, replicas int) (*Plan, error) {
 			return NumStat(ratioS, 1), NumStat(mealsS, 0)
 		}
 		for _, a := range algs {
-			perMealCell, mealsCell := cellsFor("static/" + string(a))
+			perMealCell, mealsCell := cellsFor("static/" + a)
 			// Breakdown percentages merge every replica's traffic.
 			merged := map[string]uint64{}
 			total := uint64(0)
-			for _, v := range rs.Values("static/" + string(a)) {
+			for _, v := range rs.Values("static/" + a) {
 				m := v.(msgResult)
 				total += m.msgs
 				for k, c := range m.byType {
@@ -1160,10 +979,10 @@ func MessageComplexity(q Quality, replicas int) (*Plan, error) {
 				}
 			}
 			mobilePerMeal, mobileMeals := any("n/a"), any("n/a")
-			if a != algCS {
-				mobilePerMeal, mobileMeals = cellsFor("mobile/" + string(a))
+			if a != "choy-singh" {
+				mobilePerMeal, mobileMeals = cellsFor("mobile/" + a)
 			}
-			t.AddRow(string(a), perMealCell, mealsCell, mobilePerMeal, mobileMeals, breakdown(merged, total))
+			t.AddRow(a, perMealCell, mealsCell, mobilePerMeal, mobileMeals, breakdown(merged, total))
 		}
 		t.AddNote("msg/meal = protocol messages handed to the transport divided by completed critical sections")
 		t.AddNote("Algorithm 1 pays for doorway cross/exit broadcasts and (under mobility) recolouring rounds; Algorithm 2's notification adds O(δ) per hunger but needs no doorways")
@@ -1215,14 +1034,12 @@ func FIFOAblation(q Quality, replicas int) (*Plan, error) {
 		horizon = 2_000_000
 	}
 	radius := ConnectedRadius(n)
-	algs := []algName{algCM, algA1Greedy, algA1Linial, algA2}
+	algs := []string{"chandy-misra", "alg1-greedy", "alg1-linial", "alg2"}
 	type ablationResult struct{ viol, starved int }
 	p := NewPlan()
 	for _, a := range algs {
-		a := a
 		for si, seed := range seeds {
 			for _, nonFIFO := range []bool{false, true} {
-				nonFIFO := nonFIFO
 				kind := "fifo"
 				if nonFIFO {
 					kind = "loose"
@@ -1232,21 +1049,13 @@ func FIFOAblation(q Quality, replicas int) (*Plan, error) {
 					if err != nil {
 						return nil, err
 					}
-					r, err := Build(Spec{
-						Seed: seed, Points: pts, Radius: radius,
-						NewProtocol: factoryFor(a, pts, radius),
-						Workload:    workload.Config{EatTime: 4_000, ThinkMax: 6_000},
-						NonFIFO:     nonFIFO,
-					})
+					r, err := Scenario{
+						Alg: a,
+						Spec: Spec{Seed: seed, Points: pts, Radius: radius,
+							Workload: workload.Config{EatTime: 4_000, ThinkMax: 6_000}, NonFIFO: nonFIFO},
+						Horizon: horizon,
+					}.Run(ctx)
 					if err != nil {
-						return nil, err
-					}
-					// Deliberately not using RunContext's safety check:
-					// violations are the measurement here, not an error.
-					if err := r.Start(); err != nil {
-						return nil, err
-					}
-					if _, err := r.runUntil(horizon, uint64(n)*uint64(horizon/50+1_000_000)); err != nil {
 						return nil, err
 					}
 					return ablationResult{
@@ -1271,7 +1080,7 @@ func FIFOAblation(q Quality, replicas int) (*Plan, error) {
 				looseV += rs.SumInt(fmt.Sprintf("loose/%s/%d", a, si), func(v any) int { return v.(ablationResult).viol })
 				looseS += rs.SumInt(fmt.Sprintf("loose/%s/%d", a, si), func(v any) int { return v.(ablationResult).starved })
 			}
-			t.AddRow(string(a), fifoV, fifoS, looseV, looseS)
+			t.AddRow(a, fifoV, fifoS, looseV, looseS)
 		}
 		t.AddNote("starved = nodes continuously hungry for the final third of the run; the FIFO columns are the control and must be 0/0")
 		t.AddNote("Ch. 7 leaves relaxing the FIFO assumption to self-stabilising variants; nonzero non-FIFO cells measure how much the published algorithms rely on it")
@@ -1295,16 +1104,17 @@ func LocalityDividend(q Quality, replicas int) (*Plan, error) {
 	const eat = sim.Time(4_000)
 	p := NewPlan()
 	for _, side := range sides {
-		side := side
-		for _, a := range []algName{algA2, algGlobal} {
-			a := a
+		for _, a := range []string{"alg2", "global-token"} {
 			kind := "local"
-			if a == algGlobal {
+			if a == "global-token" {
 				kind = "global"
 			}
 			p.Add(fmt.Sprintf("%s/%d", kind, side), 71, replicas, func(ctx context.Context, seed uint64) (any, error) {
-				pts := GridPoints(side, side, 0.1)
-				r, err := runStatic(ctx, a, pts, 0.11, seed, horizon, workload.Config{EatTime: eat})
+				r, err := Scenario{
+					Alg:     a,
+					Spec:    Spec{Seed: seed, Points: GridPoints(side, side, 0.1), Radius: 0.11, Workload: workload.Config{EatTime: eat}},
+					Horizon: horizon,
+				}.RunSafe(ctx)
 				if err != nil {
 					return nil, err
 				}
@@ -1360,7 +1170,6 @@ func DoorwayLatency(q Quality, replicas int) (*Plan, error) {
 	}
 	p := NewPlan()
 	for _, n := range sizes {
-		n := n
 		p.Add(fmt.Sprintf("n/%d", n), uint64(n), replicas, func(ctx context.Context, seed uint64) (any, error) {
 			return doorwayProbe(n, sim.Time(20_000) /* hold */, sim.Time(4_000_000), seed)
 		})

@@ -200,3 +200,8 @@ func TestDoorwayProbeLatencyGrowsWithContention(t *testing.T) {
 		t.Fatalf("doorway latency did not grow with contention: %v → %v", small.Mean, large.Mean)
 	}
 }
+
+// factory resolves a registry row over the unit-disk graph of pts.
+func factory(name string, pts []graph.Point, radius float64) func(core.NodeID) core.Protocol {
+	return row(name).New(func() *graph.Graph { return graph.UnitDisk(pts, radius) }, false)
+}

@@ -17,7 +17,7 @@ func liveHeapAfterStreamingRun(t *testing.T, horizon sim.Time) uint64 {
 	pts := LinePoints(16, 0.05)
 	r, err := Build(Spec{
 		Seed: 7, Points: pts, Radius: 0.06,
-		NewProtocol: factoryFor(algA2, pts, 0.06),
+		NewProtocol: factory("alg2", pts, 0.06),
 		Workload:    workload.Config{EatTime: 5_000, ThinkMax: 10_000},
 		SpanFold:    true,
 	})

@@ -16,16 +16,16 @@ import (
 // mutual exclusion needs no connectivity); the bridge then returns (heal)
 // and the whole line keeps going with safety intact throughout.
 func TestPartitionAndHeal(t *testing.T) {
-	algs := []algName{algCM, algA1Greedy, algA1Linial, algA2}
+	algs := []string{"chandy-misra", "alg1-greedy", "alg1-linial", "alg2"}
 	for _, a := range algs {
 		a := a
-		t.Run(string(a), func(t *testing.T) {
+		t.Run(a, func(t *testing.T) {
 			const n = 9
 			bridge := core.NodeID(4)
 			pts := LinePoints(n, 0.1)
 			r, err := Build(Spec{
 				Seed: 13, Points: pts, Radius: 0.11,
-				NewProtocol: factoryFor(a, pts, 0.11),
+				NewProtocol: factory(a, pts, 0.11),
 				Workload:    workload.Config{EatTime: 3_000, ThinkMax: 5_000},
 			})
 			if err != nil {
@@ -94,7 +94,7 @@ func TestIsolatedComponentsIndependent(t *testing.T) {
 		graph.Point{X: 0.9, Y: 0.901}, graph.Point{X: 0.901, Y: 0.901})
 	r, err := Build(Spec{
 		Seed: 14, Points: pts, Radius: 0.05,
-		NewProtocol: factoryFor(algA2, pts, 0.05),
+		NewProtocol: factory("alg2", pts, 0.05),
 		Workload:    workload.Config{EatTime: 3_000, ThinkMax: 5_000},
 	})
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 )
 
 // allAlgorithms are the names the fuzz properties draw from.
-var allAlgorithms = []algName{algCM, algCS, algA1Greedy, algA1Linial, algA1Reduce, algA2, algA2NoNtf}
+var allAlgorithms = []string{"chandy-misra", "choy-singh", "alg1-greedy", "alg1-linial", "alg1-linial-reduce", "alg2", "alg2-nonotify"}
 
 // propertyStaticSafe: for arbitrary seeds, topologies and algorithms, a
 // static run never violates local mutual exclusion and (absent crashes)
@@ -45,7 +45,7 @@ func propertyStaticSafe(t *testing.T) func(seed uint64, algPick, topoPick, sizeP
 		}
 		r, err := Build(Spec{
 			Seed: seed, Points: pts, Radius: radius,
-			NewProtocol: factoryFor(a, pts, radius),
+			NewProtocol: factory(a, pts, radius),
 			Workload:    workload.Config{EatTime: 3_000, ThinkMax: 5_000},
 		})
 		if err != nil {
@@ -68,7 +68,7 @@ func propertyStaticSafe(t *testing.T) func(seed uint64, algPick, topoPick, sizeP
 // safety must hold unconditionally (liveness is only owed away from
 // crashes, so it is not asserted here).
 func propertyChaosSafe(t *testing.T) func(seed uint64, algPick, crashPick, jumpPick uint8) bool {
-	mobileAlgorithms := []algName{algCM, algA1Greedy, algA1Linial, algA1Reduce, algA2, algA2NoNtf}
+	mobileAlgorithms := []string{"chandy-misra", "alg1-greedy", "alg1-linial", "alg1-linial-reduce", "alg2", "alg2-nonotify"}
 	return func(seed uint64, algPick, crashPick, jumpPick uint8) bool {
 		a := mobileAlgorithms[int(algPick)%len(mobileAlgorithms)]
 		n := 14
@@ -78,7 +78,7 @@ func propertyChaosSafe(t *testing.T) func(seed uint64, algPick, crashPick, jumpP
 		}
 		r, err := Build(Spec{
 			Seed: seed, Points: pts, Radius: 0.33,
-			NewProtocol: factoryFor(a, pts, 0.33),
+			NewProtocol: factory(a, pts, 0.33),
 			Workload:    workload.Config{EatTime: 3_000, ThinkMax: 5_000},
 		})
 		if err != nil {
@@ -107,7 +107,7 @@ func propertyChaosSafe(t *testing.T) func(seed uint64, algPick, crashPick, jumpP
 // propertyMobilitySafe: repeated waypoint churn with every algorithm that
 // supports movement; safety only.
 func propertyMobilitySafe(t *testing.T) func(seed uint64, algPick uint8) bool {
-	mobileAlgorithms := []algName{algCM, algA1Greedy, algA1Linial, algA1Reduce, algA2}
+	mobileAlgorithms := []string{"chandy-misra", "alg1-greedy", "alg1-linial", "alg1-linial-reduce", "alg2"}
 	return func(seed uint64, algPick uint8) bool {
 		a := mobileAlgorithms[int(algPick)%len(mobileAlgorithms)]
 		pts, err := GeometricPoints(12, 0.35, seed%30+1)
@@ -116,7 +116,7 @@ func propertyMobilitySafe(t *testing.T) func(seed uint64, algPick uint8) bool {
 		}
 		r, err := Build(Spec{
 			Seed: seed, Points: pts, Radius: 0.35,
-			NewProtocol: factoryFor(a, pts, 0.35),
+			NewProtocol: factory(a, pts, 0.35),
 			Workload:    workload.Config{EatTime: 3_000, ThinkMax: 5_000},
 		})
 		if err != nil {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -11,9 +12,7 @@ import (
 
 	"lme/internal/core"
 	"lme/internal/graph"
-	"lme/internal/lme1"
 	"lme/internal/manet"
-	"lme/internal/metrics"
 	"lme/internal/sim"
 	"lme/internal/telemetry"
 	"lme/internal/workload"
@@ -104,7 +103,7 @@ func scalePoints(n int) ([]graph.Point, float64) {
 }
 
 // RunScale executes one large-n run and returns its measurement. The
-// build attaches no trace ring and no spans (checker, recorder and
+// scenario attaches no trace ring and no spans (checker, recorder and
 // prober only, so no traffic event is built) and runs Algorithm 1
 // greedy — the variant whose per-node state is O(δ), the only kind that
 // survives n=100k.
@@ -113,21 +112,6 @@ func RunScale(spec ScaleSpec) (ScaleResult, error) {
 	tiles := spec.Tiles
 	if tiles == 0 {
 		tiles = manet.AutoTiles(spec.N)
-	}
-	r, err := Build(Spec{
-		Seed:   spec.Seed,
-		Points: pts,
-		Radius: radius,
-		NewProtocol: func(core.NodeID) core.Protocol {
-			return lme1.New(lme1.Config{Variant: lme1.VariantGreedy})
-		},
-		Workload:     workload.DefaultConfig(),
-		Tiles:        tiles,
-		ShardWorkers: spec.Workers,
-		Telemetry:    spec.Telemetry,
-	})
-	if err != nil {
-		return ScaleResult{}, err
 	}
 	// Crash the lattice centre at Horizon/3: the failure-locality census
 	// then measures how far its blast radius reaches in hops.
@@ -140,19 +124,32 @@ func RunScale(spec ScaleSpec) (ScaleResult, error) {
 		victim = core.NodeID(spec.N / 2)
 	}
 	crashAt := spec.Horizon / 3
-	r.World.CrashAt(victim, crashAt)
 
 	start := time.Now()
-	if err := r.RunFor(spec.Horizon); err != nil {
+	r, err := Scenario{
+		Alg: "alg1-greedy",
+		Spec: Spec{
+			Seed:         spec.Seed,
+			Points:       pts,
+			Radius:       radius,
+			Workload:     workload.DefaultConfig(),
+			Tiles:        tiles,
+			ShardWorkers: spec.Workers,
+			Telemetry:    spec.Telemetry,
+		},
+		Crashes: []Crash{{victim, crashAt}},
+		Horizon: spec.Horizon,
+	}.RunSafe(context.Background())
+	if err != nil {
 		return ScaleResult{}, err
 	}
 	wall := time.Since(start)
 
 	events := r.World.Processed()
 	stats := r.Recorder.Stats()
-	// A node is starved by the crash if it has eaten nothing in the last
-	// two thirds of the post-crash window (the E2 census rule).
-	starved := r.Prober.StarvedSince(crashAt + (spec.Horizon-crashAt)/3)
+	// The E1/E2 census: starved = nothing eaten in the last two thirds
+	// of the post-crash window.
+	starved, fl := crashCensus(r, victim, crashAt, spec.Horizon)
 	res := ScaleResult{
 		N: spec.N, Tiles: tiles, Workers: spec.Workers,
 		Seed: spec.Seed, Horizon: spec.Horizon,
@@ -165,7 +162,7 @@ func RunScale(spec ScaleSpec) (ScaleResult, error) {
 		RTMaxUS:      float64(stats.Max),
 		CrashVictim:  int(victim),
 		Starved:      len(starved),
-		FLRadius:     metrics.BlockedRadius(r.World.CommGraph(), victim, starved),
+		FLRadius:     fl,
 		Violations:   len(r.Checker.Violations()),
 		WallMS:       float64(wall.Microseconds()) / 1000,
 	}

@@ -67,10 +67,10 @@ func TestSketchMatchesExactOnExperimentCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range []algName{algCM, algCS, algA1Greedy, algA1Linial, algA2} {
-		diffCell(t, "E1/static/"+string(a), Spec{
+	for _, a := range []string{"chandy-misra", "choy-singh", "alg1-greedy", "alg1-linial", "alg2"} {
+		diffCell(t, "E1/static/"+a, Spec{
 			Seed: 21, Points: pts, Radius: radius,
-			NewProtocol: factoryFor(a, pts, radius),
+			NewProtocol: factory(a, pts, radius),
 			Workload:    wl,
 		}, -1, horizon)
 	}
@@ -78,15 +78,15 @@ func TestSketchMatchesExactOnExperimentCells(t *testing.T) {
 	// E2 cells: crash runs under a saturated workload on a line and on
 	// the geometric layout, for the contrasting-locality algorithms.
 	linePts := LinePoints(16, 0.05)
-	for _, a := range []algName{algCM, algA2} {
-		diffCell(t, "E2/line/"+string(a), Spec{
+	for _, a := range []string{"chandy-misra", "alg2"} {
+		diffCell(t, "E2/line/"+a, Spec{
 			Seed: 31, Points: linePts, Radius: 0.06,
-			NewProtocol: factoryFor(a, linePts, 0.06),
+			NewProtocol: factory(a, linePts, 0.06),
 			Workload:    workload.Config{EatTime: 4_000},
 		}, 8, horizon)
-		diffCell(t, "E2/geo/"+string(a), Spec{
+		diffCell(t, "E2/geo/"+a, Spec{
 			Seed: 32, Points: pts, Radius: radius,
-			NewProtocol: factoryFor(a, pts, radius),
+			NewProtocol: factory(a, pts, radius),
 			Workload:    workload.Config{EatTime: 4_000},
 		}, 0, horizon)
 	}

@@ -23,7 +23,7 @@ func spanRun(t *testing.T, seed uint64) []byte {
 	pts := LinePoints(8, 0.1)
 	r, err := Build(Spec{
 		Seed: seed, Points: pts, Radius: 0.11,
-		NewProtocol: factoryFor(algA1Greedy, pts, 0.11),
+		NewProtocol: factory("alg1-greedy", pts, 0.11),
 		Workload:    workload.Config{EatTime: 4_000}, // saturated
 		Spans:       true,
 	})
@@ -93,7 +93,7 @@ func TestPostmortemOnViolation(t *testing.T) {
 	pts := LinePoints(4, 0.1)
 	r, err := Build(Spec{
 		Seed: 1, Points: pts, Radius: 0.11,
-		NewProtocol:    factoryFor(algA2, pts, 0.11),
+		NewProtocol:    factory("alg2", pts, 0.11),
 		TraceRing:      256,
 		Spans:          true,
 		PostmortemPath: path,
@@ -173,11 +173,11 @@ func TestMeasuredFailureLocalityContrast(t *testing.T) {
 	// 31; re-picked when the streams changed, same scenario shape).
 	horizon := sim.Time(3_000_000)
 	ctx := context.Background()
-	a1, err := blockedRadius(ctx, algA1Greedy, pts, radius, 32, horizon)
+	a1, err := blockedRadius(ctx, "alg1-greedy", pts, radius, 32, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := blockedRadius(ctx, algA2, pts, radius, 32, horizon)
+	a2, err := blockedRadius(ctx, "alg2", pts, radius, 32, horizon)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,12 +30,9 @@ import (
 	"sort"
 	"time"
 
-	"lme/internal/baseline"
 	"lme/internal/core"
 	"lme/internal/graph"
 	"lme/internal/harness"
-	"lme/internal/lme1"
-	"lme/internal/lme2"
 	"lme/internal/manet"
 	"lme/internal/metrics"
 	"lme/internal/progress"
@@ -80,67 +77,15 @@ const (
 	GlobalToken Algorithm = "global-token"
 )
 
-// algorithmEntry is one row of the algorithm registry: the single source
-// of truth tying a selectable name to its documentation line and node
-// constructor. Algorithms(), AlgorithmDoc, protocolFactory and the
-// lmesim -alg usage text all derive from this table.
-type algorithmEntry struct {
-	Name Algorithm
-	Doc  string
-	// New builds the per-node protocol factory for a concrete topology.
-	New func(topo Topology, recolorFirst bool) func(core.NodeID) core.Protocol
-}
-
-// algorithmRegistry lists the entries in presentation order (paper
-// algorithms first, then baselines).
-var algorithmRegistry = []algorithmEntry{
-	{Alg1Greedy, "paper Alg 1, greedy recolouring: FL n, RT O((n+δ³)δ)",
-		func(_ Topology, recolorFirst bool) func(core.NodeID) core.Protocol {
-			return func(core.NodeID) core.Protocol {
-				return lme1.New(lme1.Config{Variant: lme1.VariantGreedy, RecolorFirst: recolorFirst})
-			}
-		}},
-	{Alg1Linial, "paper Alg 1, Linial recolouring: FL max(log*n,4)+2, RT O((log*n+δ⁴)δ)",
-		func(topo Topology, recolorFirst bool) func(core.NodeID) core.Protocol {
-			n, delta := topo.size()
-			return func(core.NodeID) core.Protocol {
-				return lme1.New(lme1.Config{Variant: lme1.VariantLinial, N: n, Delta: delta, RecolorFirst: recolorFirst})
-			}
-		}},
-	{Alg1LinialReduce, "Alg 1, Linial recolouring plus colour reduction to δ+1",
-		func(topo Topology, recolorFirst bool) func(core.NodeID) core.Protocol {
-			n, delta := topo.size()
-			return func(core.NodeID) core.Protocol {
-				return lme1.New(lme1.Config{Variant: lme1.VariantLinialReduce, N: n, Delta: delta, RecolorFirst: recolorFirst})
-			}
-		}},
-	{Alg2, "paper Alg 2: FL 2 (optimal), RT O(n²) mobile / O(n) static",
-		func(Topology, bool) func(core.NodeID) core.Protocol {
-			return func(core.NodeID) core.Protocol { return lme2.New() }
-		}},
-	{ChandyMisra, "hygienic dining philosophers baseline: FL n",
-		func(Topology, bool) func(core.NodeID) core.Protocol {
-			return func(core.NodeID) core.Protocol { return baseline.NewChandyMisra() }
-		}},
-	{ChoySingh, "static doubly-doored baseline, pre-computed colouring: FL 4",
-		func(topo Topology, _ bool) func(core.NodeID) core.Protocol {
-			return baseline.NewChoySingh(topo.graph())
-		}},
-	{Alg2NoNotify, "Alg 2 without notifications (ablation): loses O(n) static RT",
-		func(Topology, bool) func(core.NodeID) core.Protocol {
-			return func(core.NodeID) core.Protocol { return baseline.NewNoNotify() }
-		}},
-	{GlobalToken, "Raymond tree-token GLOBAL mutual exclusion contrast; static only",
-		func(topo Topology, _ bool) func(core.NodeID) core.Protocol {
-			return baseline.NewGlobalToken(topo.graph())
-		}},
-}
-
-// Algorithms lists every selectable algorithm, in registry order.
+// Algorithms lists every selectable algorithm, in the order of the
+// harness's algorithm registry — the single source of truth behind
+// AlgorithmDoc, NewProtocols, NewSimulation and the lmesim -alg usage
+// text.
 func Algorithms() []Algorithm {
-	names := make([]Algorithm, len(algorithmRegistry))
-	for i, e := range algorithmRegistry {
-		names[i] = e.Name
+	rows := harness.Algorithms()
+	names := make([]Algorithm, len(rows))
+	for i, e := range rows {
+		names[i] = Algorithm(e.Name)
 	}
 	return names
 }
@@ -148,12 +93,8 @@ func Algorithms() []Algorithm {
 // AlgorithmDoc returns the one-line description of an algorithm ("" when
 // unknown).
 func AlgorithmDoc(a Algorithm) string {
-	for _, e := range algorithmRegistry {
-		if e.Name == a {
-			return e.Doc
-		}
-	}
-	return ""
+	e, _ := harness.LookupAlgorithm(string(a))
+	return e.Doc
 }
 
 // Point is a position on the plane (unit square by convention).
@@ -186,12 +127,6 @@ func (t Topology) graph() *graph.Graph {
 		return t.prebuilt
 	}
 	return graph.UnitDisk(t.Points, t.Radius)
-}
-
-// size returns (n, δ) of the induced graph, with δ floored at 1.
-func (t Topology) size() (n, delta int) {
-	g := t.graph()
-	return g.N(), max(g.MaxDegree(), 1)
 }
 
 // Graph exposes the topology's communication graph — what the live
@@ -415,10 +350,8 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 // protocolFactory resolves an Algorithm through the registry; an unknown
 // name errors with the closest registered name as a suggestion.
 func protocolFactory(a Algorithm, topo Topology, recolorFirst bool) (func(core.NodeID) core.Protocol, error) {
-	for _, e := range algorithmRegistry {
-		if e.Name == a {
-			return e.New(topo, recolorFirst), nil
-		}
+	if e, ok := harness.LookupAlgorithm(string(a)); ok {
+		return e.New(topo.graph, recolorFirst), nil
 	}
 	if near := nearestAlgorithm(a); near != "" {
 		return nil, fmt.Errorf("lme: unknown algorithm %q (did you mean %q?)", a, near)
