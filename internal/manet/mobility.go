@@ -107,9 +107,12 @@ func (w *World) moveTick(n *node, moveID uint64) {
 	dx, dy := n.target.X-n.pos.X, n.target.Y-n.pos.Y
 	dist := math.Hypot(dx, dy)
 	if dist <= step {
+		// Refresh while still flagged moving, as Jump does: a link that
+		// forms on arrival has a moving end, the arriving node, so the
+		// moving role never falls to a static (or crashed) peer.
 		w.relocate(n, n.target)
-		w.setMoving(n, false)
 		w.refreshLinks(n.id)
+		w.setMoving(n, false)
 		return
 	}
 	w.relocate(n, graph.Point{
