@@ -29,7 +29,7 @@ func TestChandyMisraStaticLineLiveness(t *testing.T) {
 		t.Fatalf("starved nodes: %v", missing)
 	}
 	for i := 0; i < 10; i++ {
-		if c := r.Recorder.EatCount(core.NodeID(i)); c < 10 {
+		if c := r.Ledger.EatCount(core.NodeID(i)); c < 10 {
 			t.Fatalf("node %d ate only %d times", i, c)
 		}
 	}
@@ -131,7 +131,7 @@ func TestChandyMisraCrashPropagates(t *testing.T) {
 	if err := r.RunFor(15_000_000); err != nil {
 		t.Fatal(err)
 	}
-	starved := r.Prober.StarvedSince(10_000_000)
+	starved := r.Ledger.StarvedSince(10_000_000)
 	if len(starved) == 0 {
 		t.Skip("no starvation observed at this seed (timing-dependent)")
 	}

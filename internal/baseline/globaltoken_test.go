@@ -107,7 +107,7 @@ func TestGlobalTokenThroughputCeiling(t *testing.T) {
 	}
 	total := 0
 	for i := 0; i < r.World.N(); i++ {
-		total += r.Recorder.EatCount(core.NodeID(i))
+		total += r.Ledger.EatCount(core.NodeID(i))
 	}
 	if ceiling := int(horizon / eat); total > ceiling {
 		t.Fatalf("global token produced %d meals > serial ceiling %d", total, ceiling)

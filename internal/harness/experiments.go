@@ -124,7 +124,7 @@ func Table1(q Quality, replicas int) (*Plan, error) {
 				return nil, err
 			}
 			r.FinalizeSpans()
-			st := r.Recorder.Stats()
+			st := r.Ledger.Stats()
 			phases := make(map[string]sim.Time)
 			for _, ps := range r.Spans.Summary().Phases {
 				phases[ps.Name] = ps.TotalUS
@@ -134,7 +134,7 @@ func Table1(q Quality, replicas int) (*Plan, error) {
 				msgPerMeal: r.MessagesPerMeal(),
 				violations: len(r.Checker.Violations()),
 				phases:     phases,
-				rt:         r.Recorder.Sketch().Snapshot(),
+				rt:         r.Ledger.Sketch().Snapshot(),
 			}, nil
 		})
 		if a != "choy-singh" { // Choy–Singh is a static-only baseline.
@@ -150,7 +150,7 @@ func Table1(q Quality, replicas int) (*Plan, error) {
 					return nil, err
 				}
 				return table1Mobile{
-					mean:       r.Recorder.Stats().Mean,
+					mean:       r.Ledger.Stats().Mean,
 					violations: len(r.Checker.Violations()),
 				}, nil
 			})
@@ -358,7 +358,7 @@ func StaticChain(q Quality, replicas int) (*Plan, error) {
 				if err != nil {
 					return nil, err
 				}
-				return r.Recorder.Stats().Max, nil
+				return r.Ledger.Stats().Max, nil
 			})
 		}
 		for _, a := range stealAlgs {
@@ -493,7 +493,7 @@ func MobileAlg2(q Quality, replicas int) (*Plan, error) {
 			if err != nil {
 				return nil, err
 			}
-			st := r.Recorder.Stats()
+			st := r.Ledger.Stats()
 			return mobileAlg2Result{
 				mean: st.Mean, p95: st.P95, maxRT: st.Max,
 				meals:      r.TotalMeals(),
@@ -574,7 +574,7 @@ func Alg1Scaling(q Quality, replicas int) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		st := r.Recorder.Stats()
+		st := r.Ledger.Stats()
 		return rtStats{mean: st.Mean, p95: st.P95}, nil
 	}
 	p := NewPlan()
@@ -769,14 +769,14 @@ func Figure6(q Quality, replicas int) (*Plan, error) {
 			return nil, err
 		}
 		out := figure6Result{
-			m1: r.Recorder.EatCount(0), m2: r.Recorder.EatCount(1), m3: r.Recorder.EatCount(3),
+			m1: r.Ledger.EatCount(0), m2: r.Ledger.EatCount(1), m3: r.Ledger.EatCount(3),
 		}
 		// p3 moves away; p2 recovers through the return path.
 		r.World.JumpAt(3, graph.Point{X: 0.9, Y: 0.9}, 20_000, phase1+100_000)
 		if err := r.RunContext(ctx, 3_000_000); err != nil {
 			return nil, err
 		}
-		out.n1, out.n2, out.n3 = r.Recorder.EatCount(0), r.Recorder.EatCount(1), r.Recorder.EatCount(3)
+		out.n1, out.n2, out.n3 = r.Ledger.EatCount(0), r.Ledger.EatCount(1), r.Ledger.EatCount(3)
 		return out, nil
 	})
 	p.Reduce = func(rs *ResultSet) (*Table, error) {
@@ -1060,7 +1060,7 @@ func FIFOAblation(q Quality, replicas int) (*Plan, error) {
 					}
 					return ablationResult{
 						viol:    len(r.Checker.Violations()),
-						starved: len(r.Prober.Blocked(horizon, horizon/3)),
+						starved: len(r.Ledger.Blocked(horizon, horizon/3)),
 					}, nil
 				})
 			}

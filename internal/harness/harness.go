@@ -60,9 +60,9 @@ type Spec struct {
 	// are unaffected; Spans()/WriteJSONL are unavailable. Implies Spans.
 	SpanFold bool
 
-	// RetainSamples keeps the response recorder's exact per-sample
-	// slices (Recorder.Samples/NodeSamples) alongside its streaming
-	// sketch — the full-fidelity O(run) path, off by default.
+	// RetainSamples keeps the ledger's exact response-time samples
+	// (Ledger.Samples) alongside its streaming sketch — the
+	// full-fidelity O(run) path, off by default.
 	RetainSamples bool
 
 	// PostmortemPath arms the flight recorder: on the first safety
@@ -94,11 +94,17 @@ type Spec struct {
 // metrics.Timeline) attaches it to World before Start, so a run nobody
 // asks about traffic builds no traffic event.
 type Run struct {
-	World    *manet.World
-	Driver   *workload.Driver
-	Checker  *metrics.SafetyChecker
-	Recorder *metrics.ResponseRecorder
-	Prober   *metrics.Prober
+	World   *manet.World
+	Driver  *workload.Driver
+	Checker *metrics.SafetyChecker
+
+	// Ledger records every node's critical-section attempts: response
+	// times, meal counts and the starvation census.
+	Ledger *metrics.Ledger
+
+	// Deprecated: Recorder and Prober are Ledger; kept so the pinned
+	// bench module compiles.
+	Recorder, Prober *metrics.Ledger
 
 	// Spans folds the event stream into CS-attempt spans when
 	// Spec.Spans was set (nil otherwise). Call FinalizeSpans once the
@@ -155,33 +161,20 @@ func Build(spec Spec) (*Run, error) {
 		defaults.Participants = wcfg.Participants
 		wcfg = defaults
 	}
-	var recOpts []metrics.RecorderOption
-	if spec.RetainSamples {
-		recOpts = append(recOpts, metrics.Retain())
-	}
+	ledger := metrics.NewLedger(len(spec.Points), spec.RetainSamples)
 	r := &Run{
 		World:    w,
 		Driver:   workload.New(w, wcfg),
 		Checker:  metrics.NewSafetyChecker(w),
-		Recorder: metrics.NewResponseRecorder(recOpts...),
-		Prober:   metrics.NewProber(),
+		Ledger:   ledger,
+		Recorder: ledger,
+		Prober:   ledger,
 	}
 	if spec.Spans || spec.SpanFold {
 		if spec.SpanFold {
 			r.Spans = span.NewStreaming()
 		} else {
 			r.Spans = span.New()
-		}
-		// Seed the initial adjacency: links that exist from t=0 emit no
-		// KindLink events, so the collector cannot learn them from the
-		// stream the way an offline trace reader would guess from Sends.
-		g := graph.UnitDisk(spec.Points, cfg.Radius)
-		for u := 0; u < g.N(); u++ {
-			for _, v := range g.Neighbors(u) {
-				if u < v {
-					r.Spans.SeedLink(core.NodeID(u), core.NodeID(v))
-				}
-			}
 		}
 		r.Spans.Attach(w.Bus())
 		if spec.PostmortemPath != "" {
@@ -202,14 +195,13 @@ func Build(spec Spec) (*Run, error) {
 		}
 	}
 	w.AddStateListener(r.Checker)
-	w.AddStateListener(r.Recorder)
-	w.AddStateListener(r.Prober)
+	w.AddStateListener(r.Ledger)
 	// The driver runs inline in the transitioning node's execution
 	// context (it schedules the node's follow-up events); outside
 	// parallel windows this preserves its legacy last-listener slot.
 	w.AddLocalStateListener(r.Driver)
 	w.AddLinkListener(r.Checker)
-	w.AddMoveListener(r.Recorder)
+	w.AddMoveListener(r.Ledger)
 	return r, nil
 }
 
@@ -222,6 +214,19 @@ func (r *Run) Start() error {
 	r.started = true
 	if err := r.World.Start(); err != nil {
 		return err
+	}
+	if r.Spans != nil {
+		// Seed the initial adjacency before any event runs: links that
+		// exist from t=0 emit no KindLink events, so the collector cannot
+		// learn them from the stream the way an offline trace reader
+		// would guess from Sends.
+		for u := range core.NodeID(r.World.N()) {
+			for _, v := range r.World.Neighbors(u) {
+				if u < v {
+					r.Spans.SeedLink(u, v)
+				}
+			}
+		}
 	}
 	r.Driver.Start()
 	return nil
@@ -345,13 +350,7 @@ func (r *Run) FinalizeSpans() {
 }
 
 // TotalMeals counts critical-section entries across all nodes.
-func (r *Run) TotalMeals() int {
-	total := 0
-	for i := 0; i < r.World.N(); i++ {
-		total += r.Recorder.EatCount(core.NodeID(i))
-	}
-	return total
-}
+func (r *Run) TotalMeals() int { return r.Ledger.Meals() }
 
 // MessagesPerMeal reports protocol messages sent per completed critical
 // section — the paper's natural message-complexity measure (0 when no
@@ -390,7 +389,7 @@ func (r *Run) EveryoneAte() (bool, []core.NodeID) {
 		if !r.Driver.Participates(id) || r.World.Crashed(id) {
 			continue
 		}
-		if r.Recorder.EatCount(id) == 0 {
+		if r.Ledger.EatCount(id) == 0 {
 			hungry = append(hungry, id)
 		}
 	}

@@ -81,7 +81,7 @@ func TestPartitionAndHeal(t *testing.T) {
 func snapshotMeals(r *Run, n int) map[core.NodeID]int {
 	out := make(map[core.NodeID]int, n)
 	for i := 0; i < n; i++ {
-		out[core.NodeID(i)] = r.Recorder.EatCount(core.NodeID(i))
+		out[core.NodeID(i)] = r.Ledger.EatCount(core.NodeID(i))
 	}
 	return out
 }

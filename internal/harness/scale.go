@@ -146,7 +146,7 @@ func RunScale(spec ScaleSpec) (ScaleResult, error) {
 	wall := time.Since(start)
 
 	events := r.World.Processed()
-	stats := r.Recorder.Stats()
+	stats := r.Ledger.Stats()
 	// The E1/E2 census: starved = nothing eaten in the last two thirds
 	// of the post-crash window.
 	starved, fl := crashCensus(r, victim, crashAt, spec.Horizon)

@@ -103,6 +103,6 @@ func maxDegreeNode(g *graph.Graph) core.NodeID {
 // critical section in the last two thirds of the post-crash window, and
 // the largest hop distance from the victim to one of them.
 func crashCensus(r *Run, victim core.NodeID, crashAt, horizon sim.Time) (starved []core.NodeID, radius int) {
-	starved = r.Prober.StarvedSince(crashAt + (horizon-crashAt)/3)
+	starved = r.Ledger.StarvedSince(crashAt + (horizon-crashAt)/3)
 	return starved, metrics.BlockedRadius(r.World.CommGraph(), victim, starved)
 }

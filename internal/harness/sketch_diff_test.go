@@ -30,15 +30,15 @@ func diffCell(t *testing.T, name string, spec Spec, crash int, horizon sim.Time)
 	if err := r.RunContext(context.Background(), horizon); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	exact := metrics.Summarize(r.Recorder.Samples())
-	got := r.Recorder.Stats()
+	exact := metrics.Summarize(r.Ledger.Samples())
+	got := r.Ledger.Stats()
 	if got.Count == 0 {
 		t.Fatalf("%s: no response samples", name)
 	}
 	if got.Count != exact.Count || got.Mean != exact.Mean || got.Max != exact.Max {
 		t.Errorf("%s: exact fields diverge: sketch %+v exact %+v", name, got, exact)
 	}
-	alpha := r.Recorder.Sketch().RelativeAccuracy()
+	alpha := r.Ledger.Sketch().RelativeAccuracy()
 	for _, q := range []struct {
 		name         string
 		sketch, want sim.Time

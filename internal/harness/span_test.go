@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"lme/internal/core"
+	"lme/internal/graph"
 	"lme/internal/sim"
 	"lme/internal/span"
 	"lme/internal/trace"
@@ -192,5 +194,51 @@ func TestMeasuredFailureLocalityContrast(t *testing.T) {
 	if a1.spanDist != a1.radius || a2.spanDist != a2.radius {
 		t.Fatalf("span/starvation divergence: alg1 %d/%d, alg2 %d/%d",
 			a1.spanDist, a1.radius, a2.spanDist, a2.radius)
+	}
+}
+
+// TestSpanAdjacencySeededAtStart holds the collector's initial adjacency,
+// seeded from the world's links at Start, to a second collector on the
+// same bus seeded from the unit-disk graph of the layout: the crash
+// attribution must agree. A node crashed before it ever speaks leaves
+// links that no message crosses, so a collector left to learn its
+// adjacency from traffic measures other distances.
+func TestSpanAdjacencySeededAtStart(t *testing.T) {
+	const n = 16
+	radius := ConnectedRadius(n)
+	pts, err := GeometricPoints(n, radius, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.UnitDisk(pts, radius)
+	r, err := Build(Spec{
+		Seed: 32, Points: pts, Radius: radius,
+		NewProtocol: factory("alg1-greedy", pts, radius),
+		Spans:       true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := span.New()
+	for u := 0; u < n; u++ {
+		for _, v := range g.Neighbors(u) {
+			if u < v {
+				oracle.SeedLink(core.NodeID(u), core.NodeID(v))
+			}
+		}
+	}
+	oracle.Attach(r.World.Bus())
+	r.World.CrashAt(maxDegreeNode(g), 1)
+	if err := r.RunFor(3_000_000); err != nil {
+		t.Fatal(err)
+	}
+	r.FinalizeSpans()
+	oracle.Finalize(r.World.Now())
+	got, want := r.Spans.Impacts(), oracle.Impacts()
+	if len(want) != 1 || len(want[0].Blocked) == 0 {
+		t.Fatalf("crash blocked nobody: %+v", want)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("impacts %+v, unit-disk-seeded collector %+v", got, want)
 	}
 }

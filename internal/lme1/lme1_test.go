@@ -45,7 +45,7 @@ func TestStaticLineLiveness(t *testing.T) {
 			t.Fatalf("starved nodes: %v", missing)
 		}
 		for i := 0; i < 8; i++ {
-			if c := r.Recorder.EatCount(core.NodeID(i)); c < 10 {
+			if c := r.Ledger.EatCount(core.NodeID(i)); c < 10 {
 				t.Fatalf("node %d ate only %d times", i, c)
 			}
 		}
@@ -119,7 +119,7 @@ func TestSingleNodeEatsAlone(t *testing.T) {
 	if err := r.RunFor(500_000); err != nil {
 		t.Fatal(err)
 	}
-	if c := r.Recorder.EatCount(0); c < 5 {
+	if c := r.Ledger.EatCount(0); c < 5 {
 		t.Fatalf("lone node ate %d times", c)
 	}
 }
@@ -160,7 +160,7 @@ func TestMobilityRecolorPath(t *testing.T) {
 		if ok, missing := r.EveryoneAte(); !ok {
 			t.Fatalf("starved nodes: %v", missing)
 		}
-		if c := r.Recorder.EatCount(commuter); c < 3 {
+		if c := r.Ledger.EatCount(commuter); c < 3 {
 			t.Fatalf("commuter ate only %d times", c)
 		}
 	})
@@ -203,7 +203,7 @@ func TestConcurrentRecoloring(t *testing.T) {
 		}
 		// Everyone must have eaten again after the move.
 		for i := 0; i < n; i++ {
-			samples := r.Recorder.EatCount(core.NodeID(i))
+			samples := r.Ledger.EatCount(core.NodeID(i))
 			if samples < 2 {
 				t.Fatalf("node %d ate %d times across the relocation", i, samples)
 			}
@@ -320,13 +320,13 @@ func TestFigure6Scenario(t *testing.T) {
 	// then parks at the fork-doorway entry (it is within the algorithm's
 	// failure locality radius, so blocking is permitted there — the Fig 6
 	// "protection" claim concerns the fork-collection module alone).
-	if c := r.Recorder.EatCount(p3); c != 0 {
+	if c := r.Ledger.EatCount(p3); c != 0 {
 		t.Fatalf("p3 ate %d times despite the crashed fork holder", c)
 	}
-	if c := r.Recorder.EatCount(p2); c != 0 {
+	if c := r.Ledger.EatCount(p2); c != 0 {
 		t.Fatalf("p2 ate %d times, expected blocked by p3's suspension", c)
 	}
-	p1Phase1 := r.Recorder.EatCount(p1)
+	p1Phase1 := r.Ledger.EatCount(p1)
 	if p1Phase1 < 1 {
 		t.Fatal("p1 never ate")
 	}
@@ -338,13 +338,13 @@ func TestFigure6Scenario(t *testing.T) {
 	if err := r.RunFor(3_000_000); err != nil {
 		t.Fatal(err)
 	}
-	if c := r.Recorder.EatCount(p2); c < 1 {
+	if c := r.Ledger.EatCount(p2); c < 1 {
 		t.Fatal("p2 did not recover after p3 moved away (return path broken)")
 	}
-	if c := r.Recorder.EatCount(p3); c < 1 {
+	if c := r.Ledger.EatCount(p3); c < 1 {
 		t.Fatal("p3 did not eat alone after moving")
 	}
-	if c := r.Recorder.EatCount(p1); c < p1Phase1+5 {
+	if c := r.Ledger.EatCount(p1); c < p1Phase1+5 {
 		t.Fatalf("p1 did not resume after recovery: %d → %d", p1Phase1, c)
 	}
 }
@@ -376,7 +376,7 @@ func TestCrashFailureLocalityLine(t *testing.T) {
 	// algorithm's failure locality) must still be eating long after the
 	// crash.
 	for _, id := range []core.NodeID{0, n - 1} {
-		if last, ok := r.Prober.LastEat(id); !ok || last < 6_000_000 {
+		if last, ok := r.Ledger.LastEat(id); !ok || last < 6_000_000 {
 			t.Fatalf("node %d stopped eating after the crash (last=%v ok=%v)", id, last, ok)
 		}
 	}
@@ -396,7 +396,7 @@ func TestResponseTimeRecorded(t *testing.T) {
 	if err := r.RunFor(2_000_000); err != nil {
 		t.Fatal(err)
 	}
-	st := r.Recorder.Stats()
+	st := r.Ledger.Stats()
 	if st.Count < 20 {
 		t.Fatalf("only %d response samples", st.Count)
 	}

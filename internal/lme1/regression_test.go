@@ -43,7 +43,7 @@ func TestWantBackFlushAtDoorwayEntry(t *testing.T) {
 	}
 	// The run must keep making progress, not freeze after first meals.
 	for i := 0; i < 12; i++ {
-		if c := r.Recorder.EatCount(core.NodeID(i)); c < 5 {
+		if c := r.Ledger.EatCount(core.NodeID(i)); c < 5 {
 			t.Fatalf("node %d ate only %d times", i, c)
 		}
 	}

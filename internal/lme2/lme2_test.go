@@ -32,7 +32,7 @@ func TestStaticLineLiveness(t *testing.T) {
 		t.Fatalf("starved nodes: %v", missing)
 	}
 	for i := 0; i < 10; i++ {
-		if c := r.Recorder.EatCount(core.NodeID(i)); c < 10 {
+		if c := r.Ledger.EatCount(core.NodeID(i)); c < 10 {
 			t.Fatalf("node %d ate only %d times", i, c)
 		}
 	}
@@ -116,7 +116,7 @@ func TestOptimalFailureLocality(t *testing.T) {
 		if id == crash || dist[i] <= 2 {
 			continue
 		}
-		if last, ok := r.Prober.LastEat(id); !ok || last < 8_000_000 {
+		if last, ok := r.Ledger.LastEat(id); !ok || last < 8_000_000 {
 			t.Errorf("node %d at distance %d stopped eating (last=%v, ok=%v) — failure locality > 2",
 				id, dist[i], last, ok)
 		}
@@ -155,7 +155,7 @@ func TestOptimalFailureLocalityGeometric(t *testing.T) {
 			if dist[i] <= 2 {
 				continue
 			}
-			if last, ok := r.Prober.LastEat(core.NodeID(i)); !ok || last < 10_000_000 {
+			if last, ok := r.Ledger.LastEat(core.NodeID(i)); !ok || last < 10_000_000 {
 				t.Errorf("seed %d: node %d at distance %d stopped eating (last=%v)",
 					seed, i, dist[i], last)
 			}
@@ -228,8 +228,8 @@ func TestEatingMoverDemotesItself(t *testing.T) {
 		t.Fatal("eating mover was not demoted to hungry on the new link")
 	}
 	// Both must eventually eat (one of them after the conflict resolves).
-	if r.Recorder.EatCount(0) < 1 || r.Recorder.EatCount(1) < 1 {
-		t.Fatalf("eat counts: %d, %d", r.Recorder.EatCount(0), r.Recorder.EatCount(1))
+	if r.Ledger.EatCount(0) < 1 || r.Ledger.EatCount(1) < 1 {
+		t.Fatalf("eat counts: %d, %d", r.Ledger.EatCount(0), r.Ledger.EatCount(1))
 	}
 }
 
@@ -262,7 +262,7 @@ func TestNotificationLowersThinkingNeighbor(t *testing.T) {
 	if !n0.Higher(1) {
 		t.Fatal("thinking node 0 did not lower itself on notification")
 	}
-	if c := r.Recorder.EatCount(1); c < 1 {
+	if c := r.Ledger.EatCount(1); c < 1 {
 		t.Fatalf("hungry node 1 never ate (eats=%d)", c)
 	}
 }

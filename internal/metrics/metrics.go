@@ -1,8 +1,8 @@
 // Package metrics instruments simulation runs: an online safety checker
 // for the local mutual exclusion property (no two neighbours eat
-// simultaneously — the invariant of Lemma 3 and Theorem 25), a
-// response-time recorder implementing Definition 1's static-node sampling,
-// and a starvation prober used to measure empirical failure locality.
+// simultaneously — the invariant of Lemma 3 and Theorem 25) and an
+// attempt ledger (ledger.go) that serves both Definition 1's static-node
+// response time and the starvation census of empirical failure locality.
 package metrics
 
 import (
@@ -149,191 +149,6 @@ func Summarize(samples []sim.Time) Stats {
 		P95:   idx(0.95),
 		Max:   sorted[len(sorted)-1],
 	}
-}
-
-// ResponseRecorder measures the hungry→eating latency. Per Definition 1 a
-// sample counts only if the node stayed static for the whole interval, so
-// movement during a hungry interval taints it. Demotions (eating → hungry)
-// open a fresh interval.
-//
-// By default the recorder streams every sample into a quantile Sketch —
-// memory O(nodes + sketch buckets), independent of run length. The
-// Retain option additionally keeps the exact per-sample slices for
-// callers that need full fidelity (per-node fairness analysis, sketch
-// differential tests).
-type ResponseRecorder struct {
-	hungrySince map[core.NodeID]sim.Time
-	tainted     map[core.NodeID]bool
-	sketch      *Sketch
-	eatCount    map[core.NodeID]int
-
-	retain  bool
-	samples []sim.Time
-	perNode map[core.NodeID][]sim.Time
-}
-
-// RecorderOption configures a ResponseRecorder.
-type RecorderOption func(*ResponseRecorder)
-
-// Retain keeps the exact full-sample slices (Samples, NodeSamples) in
-// addition to the sketch, restoring the pre-streaming O(run) behaviour.
-func Retain() RecorderOption {
-	return func(r *ResponseRecorder) { r.retain = true }
-}
-
-// NewResponseRecorder creates an empty recorder (streaming by default;
-// pass Retain() to also keep exact samples).
-func NewResponseRecorder(opts ...RecorderOption) *ResponseRecorder {
-	r := &ResponseRecorder{
-		hungrySince: make(map[core.NodeID]sim.Time),
-		tainted:     make(map[core.NodeID]bool),
-		sketch:      NewSketch(),
-		eatCount:    make(map[core.NodeID]int),
-	}
-	for _, opt := range opts {
-		opt(r)
-	}
-	if r.retain {
-		r.perNode = make(map[core.NodeID][]sim.Time)
-	}
-	return r
-}
-
-var _ core.Listener = (*ResponseRecorder)(nil)
-
-// OnStateChange implements core.Listener.
-func (r *ResponseRecorder) OnStateChange(id core.NodeID, old, new core.State, at sim.Time) {
-	switch new {
-	case core.Hungry:
-		r.hungrySince[id] = at
-		delete(r.tainted, id)
-	case core.Eating:
-		r.eatCount[id]++
-		start, ok := r.hungrySince[id]
-		delete(r.hungrySince, id)
-		if !ok || r.tainted[id] {
-			return
-		}
-		d := at - start
-		r.sketch.Observe(d)
-		if r.retain {
-			r.samples = append(r.samples, d)
-			r.perNode[id] = append(r.perNode[id], d)
-		}
-	case core.Thinking:
-		delete(r.hungrySince, id)
-	}
-}
-
-// OnMove implements manet.MoveListener: starting or stopping to move
-// taints the open hungry interval of the mover, whose wait then spans
-// a topology change.
-func (r *ResponseRecorder) OnMove(id core.NodeID, _ bool, _ sim.Time) {
-	if _, hungry := r.hungrySince[id]; hungry {
-		r.tainted[id] = true
-	}
-}
-
-// Samples returns all untainted response-time samples. Nil unless the
-// recorder was built with Retain().
-func (r *ResponseRecorder) Samples() []sim.Time {
-	if !r.retain {
-		return nil
-	}
-	out := make([]sim.Time, len(r.samples))
-	copy(out, r.samples)
-	return out
-}
-
-// NodeSamples returns the untainted samples of one node. Nil unless the
-// recorder was built with Retain().
-func (r *ResponseRecorder) NodeSamples(id core.NodeID) []sim.Time {
-	if !r.retain {
-		return nil
-	}
-	out := make([]sim.Time, len(r.perNode[id]))
-	copy(out, r.perNode[id])
-	return out
-}
-
-// EatCount reports how many times id entered the critical section.
-func (r *ResponseRecorder) EatCount(id core.NodeID) int { return r.eatCount[id] }
-
-// Stats summarises all samples from the sketch: Count, Mean and Max are
-// exact, P50/P95 are within the sketch's relative accuracy. O(sketch
-// buckets) per call — no copy or sort of the sample slice.
-func (r *ResponseRecorder) Stats() Stats { return r.sketch.Stats() }
-
-// Sketch exposes the streaming response-time sketch (live; callers must
-// not mutate it mid-run).
-func (r *ResponseRecorder) Sketch() *Sketch { return r.sketch }
-
-// Prober detects starved nodes, the raw material of the empirical
-// failure-locality measurement (experiment E2): after a crash, nodes that
-// stay continuously hungry for the rest of the run are blocked.
-type Prober struct {
-	hungrySince map[core.NodeID]sim.Time
-	everAte     map[core.NodeID]bool
-	lastEat     map[core.NodeID]sim.Time
-}
-
-// NewProber creates an empty prober.
-func NewProber() *Prober {
-	return &Prober{
-		hungrySince: make(map[core.NodeID]sim.Time),
-		everAte:     make(map[core.NodeID]bool),
-		lastEat:     make(map[core.NodeID]sim.Time),
-	}
-}
-
-var _ core.Listener = (*Prober)(nil)
-
-// OnStateChange implements core.Listener.
-func (p *Prober) OnStateChange(id core.NodeID, old, new core.State, at sim.Time) {
-	switch new {
-	case core.Hungry:
-		if _, open := p.hungrySince[id]; !open {
-			p.hungrySince[id] = at
-		}
-	case core.Eating:
-		delete(p.hungrySince, id)
-		p.everAte[id] = true
-		p.lastEat[id] = at
-	case core.Thinking:
-		delete(p.hungrySince, id)
-	}
-}
-
-// Blocked returns the nodes that have been continuously hungry since
-// before now-patience, sorted by ID.
-func (p *Prober) Blocked(now, patience sim.Time) []core.NodeID {
-	var out []core.NodeID
-	for id, since := range p.hungrySince {
-		if now-since >= patience {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// StarvedSince returns nodes whose last critical-section entry is before t
-// and that are hungry now — i.e. nodes making no progress since t.
-func (p *Prober) StarvedSince(t sim.Time) []core.NodeID {
-	var out []core.NodeID
-	for id := range p.hungrySince {
-		if last, ate := p.lastEat[id]; !ate || last < t {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// LastEat reports when id last entered the CS (ok=false if never).
-func (p *Prober) LastEat(id core.NodeID) (sim.Time, bool) {
-	t, ok := p.lastEat[id]
-	return t, ok
 }
 
 // BlockedRadius computes the empirical failure locality of a crash: the

@@ -84,178 +84,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestResponseRecorderBasic(t *testing.T) {
-	r := NewResponseRecorder(Retain())
-	r.OnStateChange(3, core.Thinking, core.Hungry, 100)
-	r.OnStateChange(3, core.Hungry, core.Eating, 250)
-	r.OnStateChange(3, core.Eating, core.Thinking, 300)
-	samples := r.Samples()
-	if len(samples) != 1 || samples[0] != 150 {
-		t.Fatalf("samples = %v", samples)
-	}
-	if got := r.NodeSamples(3); len(got) != 1 || got[0] != 150 {
-		t.Fatalf("node samples = %v", got)
-	}
-	if r.EatCount(3) != 1 {
-		t.Fatalf("eat count = %d", r.EatCount(3))
-	}
-}
-
-func TestResponseRecorderTaintOnMove(t *testing.T) {
-	r := NewResponseRecorder(Retain())
-	r.OnStateChange(1, core.Thinking, core.Hungry, 100)
-	r.OnMove(1, true, 120)
-	r.OnMove(1, false, 140)
-	r.OnStateChange(1, core.Hungry, core.Eating, 200)
-	if len(r.Samples()) != 0 {
-		t.Fatal("tainted interval sampled")
-	}
-	if r.EatCount(1) != 1 {
-		t.Fatal("eating not counted despite taint")
-	}
-	// A later clean interval samples normally.
-	r.OnStateChange(1, core.Eating, core.Thinking, 210)
-	r.OnStateChange(1, core.Thinking, core.Hungry, 300)
-	r.OnStateChange(1, core.Hungry, core.Eating, 360)
-	if got := r.Samples(); len(got) != 1 || got[0] != 60 {
-		t.Fatalf("samples = %v", got)
-	}
-}
-
-func TestResponseRecorderMoveOfOtherNodeNoTaint(t *testing.T) {
-	r := NewResponseRecorder(Retain())
-	r.OnStateChange(1, core.Thinking, core.Hungry, 100)
-	r.OnMove(2, true, 120)
-	r.OnStateChange(1, core.Hungry, core.Eating, 200)
-	if len(r.Samples()) != 1 {
-		t.Fatal("unrelated movement tainted the sample")
-	}
-}
-
-func TestResponseRecorderDemotionOpensNewInterval(t *testing.T) {
-	r := NewResponseRecorder(Retain())
-	r.OnStateChange(1, core.Thinking, core.Hungry, 100)
-	r.OnStateChange(1, core.Hungry, core.Eating, 150)
-	r.OnStateChange(1, core.Eating, core.Hungry, 160) // demotion
-	r.OnStateChange(1, core.Hungry, core.Eating, 260)
-	got := r.Samples()
-	if len(got) != 2 || got[0] != 50 || got[1] != 100 {
-		t.Fatalf("samples = %v", got)
-	}
-}
-
-// TestResponseRecorderStreamingDefault pins the bounded-memory default:
-// without Retain() no sample slices are kept, yet Stats() still serves
-// exact count/mean/max (and α-accurate percentiles) from the sketch, and
-// taint/demotion semantics are unchanged.
-func TestResponseRecorderStreamingDefault(t *testing.T) {
-	r := NewResponseRecorder()
-	r.OnStateChange(1, core.Thinking, core.Hungry, 100)
-	r.OnStateChange(1, core.Hungry, core.Eating, 150) // sample 50
-	r.OnStateChange(1, core.Eating, core.Hungry, 160) // demotion
-	r.OnStateChange(1, core.Hungry, core.Eating, 260) // sample 100
-	r.OnStateChange(2, core.Thinking, core.Hungry, 100)
-	r.OnMove(2, true, 120)
-	r.OnStateChange(2, core.Hungry, core.Eating, 400) // tainted: no sample
-	if got := r.Samples(); got != nil {
-		t.Fatalf("streaming recorder retained samples: %v", got)
-	}
-	if got := r.NodeSamples(1); got != nil {
-		t.Fatalf("streaming recorder retained node samples: %v", got)
-	}
-	s := r.Stats()
-	if s.Count != 2 || s.Mean != 75 || s.Max != 100 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if r.EatCount(1) != 2 || r.EatCount(2) != 1 {
-		t.Fatalf("eat counts = %d, %d", r.EatCount(1), r.EatCount(2))
-	}
-	if r.Sketch().Count() != 2 {
-		t.Fatalf("sketch count = %d", r.Sketch().Count())
-	}
-}
-
-// TestRecorderStatsMatchesSummarize holds the sketch-served Stats to the
-// exact Summarize over the retained slice, within the sketch's accuracy.
-func TestRecorderStatsMatchesSummarize(t *testing.T) {
-	r := NewResponseRecorder(Retain())
-	at := sim.Time(0)
-	for i := 0; i < 500; i++ {
-		id := core.NodeID(i % 7)
-		r.OnStateChange(id, core.Thinking, core.Hungry, at)
-		at += sim.Time(50 + (i*i)%9000)
-		r.OnStateChange(id, core.Hungry, core.Eating, at)
-		at += 10
-		r.OnStateChange(id, core.Eating, core.Thinking, at)
-	}
-	got := r.Stats()
-	want := Summarize(r.Samples())
-	if got.Count != want.Count || got.Mean != want.Mean || got.Max != want.Max {
-		t.Fatalf("exact fields drifted: %+v vs %+v", got, want)
-	}
-	alpha := r.Sketch().RelativeAccuracy()
-	for _, c := range []struct{ got, want sim.Time }{{got.P50, want.P50}, {got.P95, want.P95}} {
-		if d := float64(c.got - c.want); d > alpha*float64(c.want)+1 || d < -alpha*float64(c.want)-1 {
-			t.Fatalf("quantile %v vs exact %v exceeds α", c.got, c.want)
-		}
-	}
-}
-
-func TestProberBlocked(t *testing.T) {
-	p := NewProber()
-	p.OnStateChange(1, core.Thinking, core.Hungry, 100)
-	p.OnStateChange(2, core.Thinking, core.Hungry, 900)
-	p.OnStateChange(3, core.Thinking, core.Hungry, 100)
-	p.OnStateChange(3, core.Hungry, core.Eating, 150)
-	blocked := p.Blocked(1_000, 500)
-	if len(blocked) != 1 || blocked[0] != 1 {
-		t.Fatalf("blocked = %v", blocked)
-	}
-}
-
-func TestProberHungryReentryKeepsOriginalStart(t *testing.T) {
-	// A repeated Hungry report while already hungry (no eating in
-	// between) must not reset the clock: blocked counts from t=100.
-	p := NewProber()
-	p.OnStateChange(1, core.Thinking, core.Hungry, 100)
-	p.OnStateChange(1, core.Hungry, core.Hungry, 400)
-	if blocked := p.Blocked(700, 500); len(blocked) != 1 {
-		t.Fatalf("blocked = %v, want node 1 via original start", blocked)
-	}
-	// A real demotion after eating opens a fresh interval at t=400.
-	p2 := NewProber()
-	p2.OnStateChange(1, core.Thinking, core.Hungry, 100)
-	p2.OnStateChange(1, core.Hungry, core.Eating, 300)
-	p2.OnStateChange(1, core.Eating, core.Hungry, 400)
-	if blocked := p2.Blocked(700, 500); len(blocked) != 0 {
-		t.Fatalf("blocked = %v (demotion did not reset interval)", blocked)
-	}
-}
-
-func TestProberStarvedSince(t *testing.T) {
-	p := NewProber()
-	p.OnStateChange(1, core.Thinking, core.Hungry, 100)
-	p.OnStateChange(1, core.Hungry, core.Eating, 200)
-	p.OnStateChange(1, core.Eating, core.Thinking, 250)
-	p.OnStateChange(1, core.Thinking, core.Hungry, 300)
-	p.OnStateChange(2, core.Thinking, core.Hungry, 100)
-	// Node 1 last ate at 200; node 2 never ate; both hungry now.
-	starved := p.StarvedSince(500)
-	if len(starved) != 2 {
-		t.Fatalf("starved = %v", starved)
-	}
-	starved = p.StarvedSince(150)
-	if len(starved) != 1 || starved[0] != 2 {
-		t.Fatalf("starved = %v", starved)
-	}
-	if _, ok := p.LastEat(2); ok {
-		t.Fatal("node 2 reported as having eaten")
-	}
-	if at, ok := p.LastEat(1); !ok || at != 200 {
-		t.Fatalf("LastEat(1) = %v, %v", at, ok)
-	}
-}
-
 func TestBlockedRadius(t *testing.T) {
 	g := graph.Line(6) // 0-1-2-3-4-5
 	if r := BlockedRadius(g, 0, nil); r != 0 {
@@ -308,63 +136,6 @@ func ramp(n int, step sim.Time) []sim.Time {
 		out[i] = sim.Time(i+1) * step
 	}
 	return out
-}
-
-// TestProberStarvedSinceNeverAte isolates the never-ate path: a node with
-// no lastEat entry counts as starved from any reference point, but only
-// while it is actually hungry.
-func TestProberStarvedSinceNeverAte(t *testing.T) {
-	p := NewProber()
-	p.OnStateChange(1, core.Thinking, core.Hungry, 100) // never eats
-	p.OnStateChange(2, core.Thinking, core.Hungry, 100) // never eats, recovers
-	p.OnStateChange(2, core.Hungry, core.Thinking, 200)
-	if starved := p.StarvedSince(0); len(starved) != 1 || starved[0] != 1 {
-		t.Fatalf("starved = %v, want [1]: hungry never-eater only", starved)
-	}
-	// A prober that saw no transitions at all reports nobody.
-	if starved := NewProber().StarvedSince(0); len(starved) != 0 {
-		t.Fatalf("fresh prober starved = %v", starved)
-	}
-}
-
-// TestProberBlockedPatienceBoundary pins the inclusive comparison: a wait
-// exactly equal to the patience counts as blocked, one instant shorter
-// does not.
-func TestProberBlockedPatienceBoundary(t *testing.T) {
-	p := NewProber()
-	p.OnStateChange(1, core.Thinking, core.Hungry, 100)
-	if blocked := p.Blocked(600, 500); len(blocked) != 1 || blocked[0] != 1 {
-		t.Fatalf("blocked at exact patience = %v, want [1]", blocked)
-	}
-	if blocked := p.Blocked(599, 500); len(blocked) != 0 {
-		t.Fatalf("blocked one instant early = %v, want none", blocked)
-	}
-	// Zero patience: any currently-hungry node is blocked.
-	if blocked := p.Blocked(100, 0); len(blocked) != 1 {
-		t.Fatalf("blocked with zero patience = %v", blocked)
-	}
-}
-
-// TestProberCrashedWhileHungry documents the crash-site convention: the
-// prober sees no state transition on a crash, so a node that dies hungry
-// stays in the blocked/starved sets — callers measuring locality exclude
-// the crash site themselves, which BlockedRadius does.
-func TestProberCrashedWhileHungry(t *testing.T) {
-	p := NewProber()
-	p.OnStateChange(4, core.Thinking, core.Hungry, 100)
-	// Node 4 crashes at 150: no further transitions arrive.
-	if blocked := p.Blocked(1_000, 500); len(blocked) != 1 || blocked[0] != 4 {
-		t.Fatalf("crashed-hungry node not reported blocked: %v", blocked)
-	}
-	if starved := p.StarvedSince(150); len(starved) != 1 || starved[0] != 4 {
-		t.Fatalf("crashed-hungry node not reported starved: %v", starved)
-	}
-	// The locality measurement excludes the crash site: a radius built
-	// from only the crashed node itself is 0.
-	g := graph.Line(6)
-	if r := BlockedRadius(g, 4, []core.NodeID{4}); r != 0 {
-		t.Fatalf("radius counting the crash site = %d", r)
-	}
 }
 
 // TestSafetyCheckerViolationHook: the flight recorder's trigger fires

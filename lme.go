@@ -340,7 +340,7 @@ func NewSimulation(cfg Config) (*Simulation, error) {
 	s := &Simulation{run: run, alg: cfg.Algorithm, reg: metrics.NewRegistry()}
 	metrics.Instrument(run.World.Bus(), s.reg, run.World.TypeNamer())
 	if !cfg.FoldSpans {
-		// Added after Build, it still runs after checker, recorder, prober.
+		// Added after Build, it still runs after the checker and the ledger.
 		s.tl = metrics.NewTimeline()
 		run.World.AddStateListener(s.tl)
 	}
@@ -493,15 +493,11 @@ func (r Results) String() string {
 
 // Results snapshots the run's metrics.
 func (s *Simulation) Results() Results {
-	st := s.run.Recorder.Stats()
+	st := s.run.Ledger.Stats()
 	now := s.run.World.Now()
 	var starved []int
-	for _, id := range s.run.Prober.Blocked(now, now/5) {
+	for _, id := range s.run.Ledger.Blocked(now, now/5) {
 		starved = append(starved, int(id))
-	}
-	total := 0
-	for i := 0; i < s.run.World.N(); i++ {
-		total += s.run.Recorder.EatCount(core.NodeID(i))
 	}
 	return Results{
 		SafetyViolations: len(s.run.Checker.Violations()),
@@ -509,7 +505,7 @@ func (s *Simulation) Results() Results {
 		ResponseMean:     sim.ToDuration(st.Mean),
 		ResponseP95:      sim.ToDuration(st.P95),
 		ResponseMax:      sim.ToDuration(st.Max),
-		TotalMeals:       total,
+		TotalMeals:       s.run.TotalMeals(),
 		MessagesSent:     s.run.World.MessagesSent(),
 		Starved:          starved,
 	}
@@ -517,7 +513,7 @@ func (s *Simulation) Results() Results {
 
 // EatCount reports how many times node id entered its critical section.
 func (s *Simulation) EatCount(id int) int {
-	return s.run.Recorder.EatCount(core.NodeID(id))
+	return s.run.Ledger.EatCount(core.NodeID(id))
 }
 
 // NodeState reports the current dining state name of node id.
@@ -536,7 +532,7 @@ func (s *Simulation) Neighbors(id int) []int {
 }
 
 // ResponseStats exposes the full response-time summary.
-func (s *Simulation) ResponseStats() metrics.Stats { return s.run.Recorder.Stats() }
+func (s *Simulation) ResponseStats() metrics.Stats { return s.run.Ledger.Stats() }
 
 // Gantt renders the last window of the run as an ASCII eating timeline,
 // one row per node, width columns wide. Unavailable (empty string) in
@@ -674,7 +670,7 @@ type MessageTypeReport struct {
 func (s *Simulation) Report(wall time.Duration) Report {
 	res := s.Results()
 	reg := s.reg
-	st := s.run.Recorder.Stats()
+	st := s.run.Ledger.Stats()
 
 	byType := make(map[string]MessageTypeReport)
 	for name, v := range reg.CountersWithPrefix(metrics.PrefixSent) {
@@ -716,7 +712,7 @@ func (s *Simulation) Report(wall time.Duration) Report {
 			P50US:  int64(st.P50),
 			P95US:  int64(st.P95),
 			MaxUS:  int64(st.Max),
-			Sketch: s.run.Recorder.Sketch().Snapshot(),
+			Sketch: s.run.Ledger.Sketch().Snapshot(),
 		},
 		Messages: MessageReport{
 			Sent:      s.run.World.MessagesSent(),
